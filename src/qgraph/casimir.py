@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,10 +40,9 @@ from .errors import (
     InsufficientSpectrumError,
     UnsupportedTopologyError,
 )
-from .graph import Graph, VertexCoupling, require_zero_potential, validate
+from .graph import Graph, VertexCoupling, two_vertex_form
 from .greens import trace_gamma
 from .scattering import CompositeAmplitudes, vertex_reflection_transmission
-from .util import worker_count
 
 #: Frozen overall normalization of the Green-trace route (see module docstring).
 ENERGY_PREFACTOR = 1.0 / math.pi
@@ -52,17 +50,34 @@ ENERGY_PREFACTOR = 1.0 / math.pi
 #: Fit residual above this fraction of the sample scale is an extrapolation failure.
 RESIDUAL_FRACTION = 1e-6
 
-_TAU_RATIO = 2.0 ** -0.5
-
 
 class Method(enum.Enum):
     GREEN_TRACE = "GreenTrace"
     MODE_SUM = "ModeSum"
 
 
-def geometric_taus(start: float, count: int = 8, ratio: float = _TAU_RATIO) -> tuple[float, ...]:
+#: Largest regulator of each route's default window (see RegularizationConfig).
+DEFAULT_TAU_MAX = {Method.GREEN_TRACE: 0.1, Method.MODE_SUM: 0.2}
+_TAU_STEPS = 8
+_TAU_RATIO_LOG2 = -0.5
+_TAU_RATIO = 2.0 ** _TAU_RATIO_LOG2
+
+
+def geometric_taus(
+    start: float, count: int = _TAU_STEPS, ratio: float = _TAU_RATIO
+) -> tuple[float, ...]:
     """Decreasing geometric regulator sequence, e.g. 0.2, 0.141, 0.1, ..."""
     return tuple(start * ratio**j for j in range(count))
+
+
+def default_tau_window(method: Method) -> tuple[float, float, int]:
+    """(tau_min, tau_max, steps) spanned by the default ``geometric_taus(tau_max)``.
+
+    tau_min is tau_max times the exact power of two ratio^(steps - 1), which
+    is within an ulp of, not bitwise, the last regulator of the sequence.
+    """
+    tau_max = DEFAULT_TAU_MAX[method]
+    return tau_max * 2.0 ** (_TAU_RATIO_LOG2 * (_TAU_STEPS - 1)), tau_max, _TAU_STEPS
 
 
 @dataclass(frozen=True)
@@ -215,27 +230,6 @@ def reflection_at_infinity(coupling: VertexCoupling) -> float:
     return -1.0 if coupling.is_dirichlet else 1.0
 
 
-def _reduce_two_vertex(g: Graph) -> tuple[VertexCoupling, float]:
-    diags = validate(g)
-    if diags:
-        raise UnsupportedTopologyError("invalid graph: " + "; ".join(diags))
-    if len(g.vertices) != 2 or len(g.bonds) != 1 or g.leads:
-        raise UnsupportedTopologyError("green method supports two-vertex reduction only")
-    require_zero_potential(g)
-    c0 = g.coupling(g.vertices[0][0])
-    c1 = g.coupling(g.vertices[1][0])
-    if c0 != c1:
-        raise UnsupportedTopologyError(
-            "green method requires identical couplings at both vertices"
-        )
-    if c0.kind.value == "delta" and c0.gamma < 0:
-        raise UnsupportedTopologyError(
-            "attractive couplings (gamma < 0) put a bound-state pole on the "
-            "rotated contour; not supported"
-        )
-    return c0, g.bonds[0].length
-
-
 def _rotated_integrand(coupling: VertexCoupling, ell: float):
     """kappa^2 * (subtracted trace)(i kappa) * exp(-kappa tau), in a form
     stable at both ends of the contour."""
@@ -292,18 +286,23 @@ def casimir_green_method(
     """
     cfg = cfg or RegularizationConfig()
     if isinstance(g, Graph):
-        coupling, ell = _reduce_two_vertex(g)
+        coupling, ell = two_vertex_form(g, "green method")
+        if coupling.kind.value == "delta" and coupling.gamma < 0:
+            raise UnsupportedTopologyError(
+                "attractive couplings (gamma < 0) put a bound-state pole on the "
+                "rotated contour; not supported"
+            )
     else:
         coupling, ell = g
         ell = float(ell)
         if ell <= 0:
             raise ValueError("bond length must be positive")
-    taus = cfg.tau_values or geometric_taus(0.1)
+    taus = cfg.tau_values or geometric_taus(DEFAULT_TAU_MAX[Method.GREEN_TRACE])
     kappa_max = cfg.kappa_max or _resolve_kappa_max(ell, cfg.quadrature_tol)
     integrand = _rotated_integrand(coupling, ell)
 
-    def one_tau(tau: float) -> tuple[float, float]:
-        value, err = quad(
+    integrals = [
+        quad(
             integrand,
             0.0,
             kappa_max,
@@ -312,17 +311,10 @@ def casimir_green_method(
             epsrel=cfg.quadrature_tol,
             limit=400,
         )
-        return ENERGY_PREFACTOR * value, abs(err)
-
-    workers = min(worker_count(), len(taus))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            integrals = list(pool.map(one_tau, taus))
-    else:
-        integrals = [one_tau(t) for t in taus]
-
-    samples = tuple((t, v) for t, (v, _) in zip(taus, integrals))
-    quad_err = max(e for _, e in integrals)
+        for tau in taus
+    ]
+    samples = tuple((t, ENERGY_PREFACTOR * v) for t, (v, _) in zip(taus, integrals))
+    quad_err = max(abs(e) for _, e in integrals)
 
     powers = list(range(cfg.fit_order + 1))
     limit, coeffs, residual = extrapolate_tau(samples, cfg.fit_order, powers=powers)
@@ -355,7 +347,7 @@ def casimir_mode_sum(
     tail is negligible at the smallest regulator.
     """
     cfg = cfg or RegularizationConfig()
-    taus = cfg.tau_values or geometric_taus(0.2)
+    taus = cfg.tau_values or geometric_taus(DEFAULT_TAU_MAX[Method.MODE_SUM])
     if total_len <= 0:
         raise ValueError("total_len must be positive")
     eigs = np.asarray(sorted(float(k) for k in eigenvalues))

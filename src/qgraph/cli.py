@@ -13,28 +13,26 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
 from .casimir import (
     CasimirResult,
+    Method,
     RegularizationConfig,
     casimir_green_method,
     casimir_mode_sum,
+    default_tau_window,
+    geometric_taus,
 )
 from .errors import InputError, NumericalError, QGraphError, UnsupportedTopologyError
-from .graph import Graph, parse_graph, require_zero_potential, total_length
+from .graph import Graph, parse_graph, total_length, two_vertex_form
 from .greens import star_green, two_vertex_green
 from .scattering import build_vertex_smatrix, composite_amplitudes, vertex_reflection_transmission
 from .spectrum import find_eigenvalues, weyl_count
 from .util import complex_to_json, dumps_json, fmt_float, worker_count
 
-# defaults for the regulator window, per method (see casimir module)
-_GREEN_TAU_MAX = 0.1
-_MODESUM_TAU_MAX = 0.2
-_TAU_STEPS = 8
-_TAU_SPAN = 2.0 ** -3.5  # tau_min / tau_max over 8 geometric points at ratio 1/sqrt(2)
+_METHODS = {"green": Method.GREEN_TRACE, "modesum": Method.MODE_SUM}
 _SPECTRUM_TOL = 1e-10
 _TAIL_MARGIN = 34.0  # k_max * tau_min for mode-sum spectra; precondition is 30
 
@@ -96,14 +94,13 @@ def _resolve_taus(tau_min: float, tau_max: float, steps: int) -> tuple[float, ..
 
     This resolver is the single code path for both defaults and flags, so a
     manifest echoing (tau_min, tau_max, tau_steps) reproduces the sequence
-    bit-exactly.
+    bit-exactly; for the default window it is the library's default sequence.
     """
     if steps < 3:
         raise InputError("--tau-steps must be >= 3")
     if not (0 < tau_min < tau_max):
         raise InputError("--tau-min and --tau-max must satisfy 0 < tau-min < tau-max")
-    ratio = (tau_min / tau_max) ** (1.0 / (steps - 1))
-    return tuple(tau_max * ratio**j for j in range(steps))
+    return geometric_taus(tau_max, steps, (tau_min / tau_max) ** (1.0 / (steps - 1)))
 
 
 def _tau_window(args, method: str) -> tuple[float, float, int]:
@@ -112,8 +109,7 @@ def _tau_window(args, method: str) -> tuple[float, float, int]:
         raise InputError("--tau-min, --tau-max and --tau-steps must be given together")
     if all(given):
         return args.tau_min, args.tau_max, args.tau_steps
-    tau_max = _GREEN_TAU_MAX if method == "green" else _MODESUM_TAU_MAX
-    return tau_max * _TAU_SPAN, tau_max, _TAU_STEPS
+    return default_tau_window(_METHODS[method])
 
 
 def _load_graph(path: str) -> Graph:
@@ -182,24 +178,16 @@ def _casimir_result_json(res: CasimirResult) -> dict:
     }
 
 
-def _run_method(g: Graph, method: str, args) -> CasimirResult:
+def _method_setup(method: str, args) -> tuple[RegularizationConfig, dict]:
+    """Resolved regulator settings of one route and the manifest parameters
+    echoing them."""
     tau_min, tau_max, steps = _tau_window(args, method)
-    taus = _resolve_taus(tau_min, tau_max, steps)
     cfg = RegularizationConfig(
-        tau_values=taus,
+        tau_values=_resolve_taus(tau_min, tau_max, steps),
         quadrature_tol=args.quad_tol,
         kappa_max=args.kappa_max,
         fit_order=args.fit_order,
     )
-    if method == "green":
-        return casimir_green_method(g, cfg)
-    k_need = _TAIL_MARGIN / min(taus)
-    spectrum = find_eigenvalues(g, k_need, _SPECTRUM_TOL)
-    return casimir_mode_sum(spectrum.eigenvalues, total_length(g), cfg)
-
-
-def _method_parameters(method: str, args) -> dict:
-    tau_min, tau_max, steps = _tau_window(args, method)
     params = {
         "tau_min": tau_min,
         "tau_max": tau_max,
@@ -209,21 +197,29 @@ def _method_parameters(method: str, args) -> dict:
         "fit_order": args.fit_order,
     }
     if method == "modesum":
-        params["spectrum_k_max"] = _TAIL_MARGIN / _resolve_taus(tau_min, tau_max, steps)[-1]
+        params["spectrum_k_max"] = _TAIL_MARGIN / cfg.tau_values[-1]
         params["spectrum_tol"] = _SPECTRUM_TOL
-    return params
+    return cfg, params
+
+
+def _run_method(g: Graph, method: str, cfg: RegularizationConfig, params: dict) -> CasimirResult:
+    if method == "green":
+        return casimir_green_method(g, cfg)
+    spectrum = find_eigenvalues(g, params["spectrum_k_max"], _SPECTRUM_TOL)
+    return casimir_mode_sum(spectrum.eigenvalues, total_length(g), cfg)
 
 
 def _cmd_casimir(args) -> int:
     g = _load_graph(args.graph)
     methods = ["green", "modesum"] if args.method == "both" else [args.method]
-    results = [_run_method(g, m, args) for m in methods]
+    setups = {m: _method_setup(m, args) for m in methods}
+    results = [_run_method(g, m, *setups[m]) for m in methods]
     params: dict = {"method": args.method}
     if args.method == "both":
         for m in methods:
-            params[m] = _method_parameters(m, args)
+            params[m] = setups[m][1]
     else:
-        params.update(_method_parameters(args.method, args))
+        params.update(setups[args.method][1])
     payload: dict = {
         "manifest": _manifest("casimir", args.graph, params),
         "results": [_casimir_result_json(r) for r in results],
@@ -246,19 +242,15 @@ def _cmd_sweep(args) -> int:
     span = args.scale_to - args.scale_from
     scales = [args.scale_from + span * i / (args.steps - 1) for i in range(args.steps)]
 
-    def one_point(scale: float) -> tuple[float, float, float, str]:
-        try:
-            res = _run_method(g.scaled(scale), args.method, args)
-            return scale, res.energy, res.estimated_error, ""
-        except QGraphError as exc:
-            return scale, float("nan"), float("nan"), str(exc)
+    cfg, method_params = _method_setup(args.method, args)
 
-    workers = min(worker_count(), len(scales))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_point, scales))
-    else:
-        rows = [one_point(s) for s in scales]
+    rows = []
+    for scale in scales:
+        try:
+            res = _run_method(g.scaled(scale), args.method, cfg, method_params)
+            rows.append((scale, res.energy, res.estimated_error, ""))
+        except QGraphError as exc:
+            rows.append((scale, float("nan"), float("nan"), str(exc)))
 
     params = {
         "method": args.method,
@@ -266,7 +258,7 @@ def _cmd_sweep(args) -> int:
         "to": args.scale_to,
         "steps": args.steps,
     }
-    params.update(_method_parameters(args.method, args))
+    params.update(method_params)
     manifest = _manifest("sweep", args.graph, params)
 
     lines = ["# manifest = " + dumps_json(manifest, indent=None)]
@@ -292,15 +284,8 @@ def _cmd_greens(args) -> int:
         s = build_vertex_smatrix(len(g.leads), coupling, k)
         decomposition = star_green(args.lead_in, args.lead_out, k, args.xi, args.xf, s)
     elif len(g.vertices) == 2 and len(g.bonds) == 1 and not g.leads:
-        require_zero_potential(g)
-        c0 = g.coupling(g.vertices[0][0])
-        c1 = g.coupling(g.vertices[1][0])
-        if c0 != c1:
-            raise UnsupportedTopologyError(
-                "two-vertex form requires identical couplings at both vertices"
-            )
-        ell = g.bonds[0].length
-        rt = vertex_reflection_transmission(1, c0, k)
+        coupling, ell = two_vertex_form(g, "two-vertex form")
+        rt = vertex_reflection_transmission(1, coupling, k)
         ca = composite_amplitudes(rt, ell, k)
         decomposition = two_vertex_green(k, args.xi, args.xf, ca)
     else:
@@ -334,6 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        worker_count()  # validates QGRAPH_THREADS for every subcommand
         if args.command == "spectrum":
             return _cmd_spectrum(args)
         if args.command == "casimir":

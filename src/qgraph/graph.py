@@ -18,7 +18,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, UnsupportedTopologyError
 
 
 class CouplingKind(enum.Enum):
@@ -172,6 +172,24 @@ def require_zero_potential(g: Graph) -> None:
                 f"bond {i}: nonzero potential {b.potential} is stored but unsupported "
                 "by the shipped computations (set potential = 0)"
             )
+
+
+def two_vertex_form(g: Graph, form: str) -> tuple[VertexCoupling, float]:
+    """(coupling, bond length) of a valid compact graph of two vertices joined
+    by one bond, with the same coupling at both ends.
+
+    ``form`` names the calling computation in the error messages.
+    """
+    diags = validate(g)
+    if diags:
+        raise UnsupportedTopologyError("invalid graph: " + "; ".join(diags))
+    if len(g.vertices) != 2 or len(g.bonds) != 1 or g.leads:
+        raise UnsupportedTopologyError(f"{form} supports two-vertex reduction only")
+    require_zero_potential(g)
+    c0 = g.coupling(g.vertices[0][0])
+    if c0 != g.coupling(g.vertices[1][0]):
+        raise UnsupportedTopologyError(f"{form} requires identical couplings at both vertices")
+    return c0, g.bonds[0].length
 
 
 _COUPLING_KEYS = {"kind", "gamma"}

@@ -66,6 +66,19 @@ class CompositeAmplitudes:
     k: complex
 
 
+def vertex_amplitudes(valency, gamma, k, dirichlet):
+    """R and T of the module docstring, elementwise over broadcast inputs.
+
+    Where ``dirichlet`` is true the analytic limit R = -1, T = 0 replaces the
+    formula (``gamma`` is then ignored).  Scalar inputs give 0-d arrays whose
+    values are the plain Python complex arithmetic of the formula.
+    """
+    den = valency * 1j * k - gamma
+    r = (gamma - (valency - 2) * 1j * k) / den
+    t = 2j * k / den
+    return np.where(dirichlet, -1.0 + 0.0j, r), np.where(dirichlet, 0.0 + 0.0j, t)
+
+
 def vertex_reflection_transmission(
     valency: int, coupling: VertexCoupling, k: complex
 ) -> RTPair:
@@ -89,13 +102,10 @@ def vertex_reflection_transmission(
             "R/T formulas degenerate at k = 0 (the limit depends on the coupling)"
         )
     k = complex(k)
-    if coupling.is_dirichlet:
-        return RTPair(-1.0 + 0.0j, 0.0 + 0.0j, valency, None, k)
-    gamma = coupling.effective_gamma()
-    den = valency * 1j * k - gamma
-    r = (gamma - (valency - 2) * 1j * k) / den
-    t = 2j * k / den
-    return RTPair(r, t, valency, gamma, k)
+    dirichlet = coupling.is_dirichlet
+    gamma = None if dirichlet else coupling.effective_gamma()
+    r, t = vertex_amplitudes(valency, 0.0 if dirichlet else gamma, k, dirichlet)
+    return RTPair(complex(r), complex(t), valency, gamma, k)
 
 
 def build_vertex_smatrix(valency: int, coupling: VertexCoupling, k: complex) -> VertexSMatrix:

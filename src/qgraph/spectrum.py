@@ -18,14 +18,13 @@ half step.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, UnsupportedTopologyError
 from .graph import Graph, require_zero_potential, total_length, validate
-from .util import worker_count
+from .scattering import vertex_amplitudes
 
 #: Smallest-singular-value factor for multiplicity detection at a root.
 DEGENERACY_FACTOR = 10.0
@@ -105,21 +104,11 @@ class _SecularMatrix:
         self._is_reflection = np.array(is_reflection)
         self._at_vertex = np.array(at_vertex)
 
-    def _amplitudes(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(n_k, n_vertices) arrays of R and T at every vertex."""
-        n = self._valency[None, :]
-        gamma = self._gamma[None, :]
-        den = n * 1j * ks[:, None] - gamma
-        r = (gamma - (n - 2) * 1j * ks[:, None]) / den
-        t = 2j * ks[:, None] / den
-        dir_mask = self._dirichlet[None, :]
-        r = np.where(dir_mask, -1.0 + 0.0j, r)
-        t = np.where(dir_mask, 0.0 + 0.0j, t)
-        return r, t
-
     def matrices(self, ks: np.ndarray) -> np.ndarray:
         ks = np.atleast_1d(np.asarray(ks, dtype=float))
-        r, t = self._amplitudes(ks)
+        r, t = vertex_amplitudes(
+            self._valency[None, :], self._gamma[None, :], ks[:, None], self._dirichlet[None, :]
+        )
         amp = np.where(
             self._is_reflection[None, :],
             r[:, self._at_vertex],
@@ -185,7 +174,7 @@ def _scan_and_refine(
     # bracketed (a grid point can land exactly on a zero)
     grid = np.arange(step, k_max + 2.5 * step, step)
 
-    dets, det_m = _chunked_dets(sm, grid)
+    dets, det_m = sm.dets(grid)
     theta = np.unwrap(np.angle(det_m))
     xi = np.real(dets * np.exp(-0.5j * theta))
 
@@ -225,7 +214,8 @@ def _scan_and_refine(
 
     ceiling = k_max * (1.0 + 1e-12) + 1e-12
     roots = sorted(r for r in roots if 0 < r <= ceiling)
-    residuals = [abs(complex(sm.dets(np.array([r]))[0][0])) for r in roots]
+    # Python abs (hypot), not np.abs, whose SIMD kernel rounds differently
+    residuals = [abs(d) for d in sm.dets(np.array(roots))[0].tolist()]
     bad = [i for i, res in enumerate(residuals) if res > tol]
     if bad:
         raise NumericalError(
@@ -240,16 +230,6 @@ def _xi_batch(sm: _SecularMatrix, ks: np.ndarray, theta_ref: np.ndarray) -> np.n
     # continuous phase on a narrow bracket: deviation from the reference stays < pi
     theta = theta_ref + np.angle(det_m * np.exp(-1j * theta_ref))
     return np.real(dets * np.exp(-0.5j * theta))
-
-
-def _chunked_dets(sm: _SecularMatrix, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    workers = worker_count()
-    if workers <= 1 or len(grid) < 1024:
-        return sm.dets(grid)
-    chunks = np.array_split(grid, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(sm.dets, chunks))
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def _golden_minimize(f, a: float, b: float, iterations: int = 90) -> float:

@@ -1,4 +1,4 @@
-"""Small shared helpers: deterministic serialization and worker counts."""
+"""Small shared helpers: deterministic serialization and the QGRAPH_THREADS check."""
 
 from __future__ import annotations
 
@@ -87,7 +87,12 @@ def complex_to_json(z: complex) -> dict:
 
 
 def worker_count() -> int:
-    """Worker parallelism cap from QGRAPH_THREADS (0 or unset = auto)."""
+    """The worker count QGRAPH_THREADS asks for (0 or unset = auto).
+
+    This is the one validator of the variable: a non-integer or negative
+    value is an :class:`InputError`.  qgraph itself runs serially whatever
+    the value; the count is only reported.
+    """
     raw = os.environ.get("QGRAPH_THREADS", "0")
     try:
         n = int(raw)

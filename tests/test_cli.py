@@ -312,11 +312,29 @@ def test_results_independent_of_worker_count(graph_file, tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
-def test_invalid_thread_env_is_input_error(graph_file, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["spectrum", "casimir", "sweep", "greens"])
+def test_invalid_thread_env_is_input_error(command, graph_file, tmp_path, monkeypatch):
     monkeypatch.setenv("QGRAPH_THREADS", "many")
-    code = main(["sweep", "--graph", graph_file(INTERVAL), "--from", "1", "--to", "2",
-                 "--steps", "2", "--method", "green", "--output", str(tmp_path / "x.csv")])
-    assert code == 1
+    argv = {
+        "spectrum": ["spectrum", "--graph", graph_file(INTERVAL), "--kmax", "10"],
+        "casimir": ["casimir", "--graph", graph_file(INTERVAL), "--method", "green"],
+        "sweep": ["sweep", "--graph", graph_file(INTERVAL), "--from", "1", "--to", "2",
+                  "--steps", "2", "--method", "green"],
+        "greens": ["greens", "--graph", graph_file(WALL), "--k", "1.1,0", "--xi", "0.25",
+                   "--xf", "0.5"],
+    }[command]
+    out = tmp_path / "x.out"
+    assert main(argv + ["--output", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, start", [("green", 0.1), ("modesum", 0.2)])
+def test_default_regulator_window_is_the_library_default(method, start, graph_file, tmp_path):
+    out = tmp_path / "cas.json"
+    assert main(["casimir", "--graph", graph_file(INTERVAL), "--method", method,
+                 "--output", str(out)]) == 0
+    samples = json.loads(out.read_text())["results"][0]["per_tau_samples"]
+    assert [t for t, _ in samples] == list(qg.geometric_taus(start))
 
 
 def test_version_flag(capsys):

@@ -133,12 +133,18 @@ class TestFindEigenvalues:
 
 
 def test_spectrum_independent_of_worker_chunking(star3_graph, monkeypatch):
-    # the k-grid is large enough here that the threaded scan path engages
+    # qgraph runs serially; any valid QGRAPH_THREADS value must give the same roots
     results = []
     for workers in ("1", "5"):
         monkeypatch.setenv("QGRAPH_THREADS", workers)
         results.append(qg.find_eigenvalues(star3_graph, 70.0).eigenvalues)
     assert results[0] == results[1]
+
+
+def test_batched_residuals_match_single_root_evaluation(star3_graph):
+    res = qg.find_eigenvalues(star3_graph, 20.0)
+    single = [abs(qg.secular_function(star3_graph, k)) for k in res.eigenvalues]
+    assert list(res.residuals) == single
 
 
 def test_phase_stripped_scan_brackets_simple_roots(interval_graph):
