@@ -7,12 +7,17 @@ directed bond, and S(k) routes an amplitude arriving at a vertex into the
 outgoing directed bonds through that vertex's reflection/transmission
 amplitudes.  Its zeros on the positive real axis are the graph eigenvalues.
 
-Root finding scans at step pi/(8 L_total) (eight samples per mean eigenvalue
-spacing), brackets sign changes of a phase-stripped real form of the
-determinant, refines them by bisection, and resolves non-sign-changing zeros
-(degenerate eigenvalues) by minimizing the smallest singular value of
-I - S D.  A Weyl-count audit detects missed roots and triggers a rescan at
-half step.
+Roots are found by bisection on the exact count of eigenvalues below k
+(Friedlander's identity; Berkolaiko & Kuchment, *Introduction to Quantum
+Graphs*, AMS 2013), N(k) = sum_b floor(k l_b / pi) + n_+(A(k) / k), where n_+
+counts the positive eigenvalues of the vertex-matching form A on the
+non-Dirichlet vertices.  Vertex v adds -gamma_v / k on the diagonal of A/k
+and bond b = (u, w) adds tan(h) s s^T - cot(h) a a^T, with h = k l_b / 2 and
+s, a = (e_u +- e_w)/sqrt(2) (e = 0 at a Dirichlet end); its coefficient of modulus >= 1 moves into a border coordinate with
+diagonal -1/coefficient, which keeps the form bounded at the bond Dirichlet
+values k l_b = n pi and adds one to n_+ per positive border diagonal.  The
+count difference across a final bisection interval is the multiplicity of
+its root, which the bond-scattering form then confirms.
 """
 
 from __future__ import annotations
@@ -25,9 +30,6 @@ import numpy as np
 from .errors import NumericalError, UnsupportedTopologyError
 from .graph import Graph, require_zero_potential, total_length, validate
 from .scattering import vertex_amplitudes
-
-#: Smallest-singular-value factor for multiplicity detection at a root.
-DEGENERACY_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -119,15 +121,60 @@ class _SecularMatrix:
         m[:, self._rows, self._cols] = amp * phase[:, self._cols]
         return m
 
-    def dets(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """det(I - M(k)) and det(M(k)) for a batch of wavenumbers."""
-        m = self.matrices(ks)
-        eye = np.eye(self.dim)
-        return np.linalg.det(eye[None, :, :] - m), np.linalg.det(m)
+    def singular_values(self, ks: np.ndarray) -> np.ndarray:
+        """Singular values of I - M(k) per wavenumber, in ascending order."""
+        return np.linalg.svd(np.eye(self.dim) - self.matrices(ks), compute_uv=False)[:, ::-1]
 
-    def singular_values(self, k: float) -> np.ndarray:
-        m = self.matrices(np.array([k]))[0]
-        return np.linalg.svd(np.eye(self.dim) - m, compute_uv=False)
+
+class _MatchingCount:
+    """Vectorized exact eigenvalue count N(k) from the bordered matching form
+    of the module docstring."""
+
+    def __init__(self, g: Graph):
+        free = [vid for vid in g.vertex_ids() if not g.coupling(vid).is_dirichlet]
+        index = {vid: i for i, vid in enumerate(free)}
+        self.lengths = np.array([b.length for b in g.bonds])
+        self._gamma = np.array([g.coupling(vid).effective_gamma() for vid in free])
+        # rows e_u / sqrt(2) and e_w / sqrt(2) per bond; they combine to s and a
+        ends = np.zeros((2, len(g.bonds), len(free)))
+        for i, b in enumerate(g.bonds):
+            for side, vid in enumerate((b.from_vertex, b.to_vertex)):
+                if vid in index:
+                    ends[side, i, index[vid]] = math.sqrt(0.5)
+        self._s, self._a = ends[0] + ends[1], ends[0] - ends[1]
+
+    def count(self, ks: np.ndarray) -> np.ndarray:
+        """Number of eigenvalues below each k, counting the zero mode and
+        bound states (k > 0, off the exact roots)."""
+        ks = np.asarray(ks, dtype=float)
+        kl = np.outer(ks, self.lengths)
+        t = np.tan(0.5 * kl)
+        # floor(k l / pi) from the nearest integer m and the side of m pi that
+        # the computed tan(k l / 2) indicates (tan > 0 just below odd m), so
+        # that it jumps where the border entries below change sign
+        m = np.rint(kl / math.pi)
+        floor = m - ((m % 2 == 1) == (t > 0))
+
+        s_big = np.abs(t) >= 1.0
+        # the kept coefficient and the border diagonal are both this value
+        d = np.where(s_big, -1.0 / t, t)
+        # scaling vertex rows and columns by |gamma / k|^-1/2 where that is
+        # below one is a congruence: the inertia stays, and near-zero
+        # eigenvalues stay resolved beside strong couplings
+        gk = np.outer(1.0 / ks, self._gamma)
+        w = np.maximum(1.0, np.abs(gk))[:, None, :] ** -0.5
+        kept = np.where(s_big[..., None], self._a, self._s) * w
+        border = np.where(s_big[..., None], self._s, self._a) * w
+
+        v, size = gk.shape[1], gk.shape[1] + d.shape[1]
+        form = np.zeros((len(ks), size, size))
+        form[:, :v, :v] = np.swapaxes(kept * d[..., None], 1, 2) @ kept
+        form[:, v:, :v] = border
+        form[:, :v, v:] = np.swapaxes(border, 1, 2)
+        diag = np.arange(size)
+        form[:, diag, diag] += np.hstack([np.clip(-gk, -1.0, 1.0), d])
+        positive = np.sum(np.linalg.eigvalsh(form) > 0.0, axis=1)
+        return floor.sum(axis=1).astype(int) + positive - np.sum(d > 0.0, axis=1)
 
 
 def secular_function(g: Graph, k: float) -> complex:
@@ -135,118 +182,70 @@ def secular_function(g: Graph, k: float) -> complex:
     if k <= 0:
         raise ValueError("k must be positive")
     sm = _SecularMatrix(g)
-    return complex(sm.dets(np.array([float(k)]))[0][0])
+    return complex(np.linalg.det(np.eye(sm.dim) - sm.matrices(np.array([float(k)]))[0]))
 
 
 def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResult:
-    """All secular zeros in (0, k_max], in increasing order with multiplicity.
+    """All eigenvalues in (0, k_max], in increasing order with multiplicity.
 
-    ``tol`` bounds the accepted secular residual |det(I - SD)| at each root;
-    the refinement itself runs to near machine precision.  If the post-hoc
-    Weyl audit finds the count off by more than V + B the scan is repeated at
-    half step (up to three times) before giving up.
+    ``tol`` bounds the accepted residual of each root: the m-th smallest
+    singular value of I - S D for a root of multiplicity m.  Raises
+    :class:`NumericalError` if a residual exceeds ``tol``, if the
+    multiplicities do not add up to the count across (0, k_max], or if the
+    count leaves the Weyl bound |N - L k_max / pi| <= V + B.
     """
     if k_max <= 0:
         raise ValueError("k_max must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
     sm = _SecularMatrix(g)
-    ltot = total_length(g)
+    counter = _MatchingCount(g)
+
+    # below k_lo sit only the zero mode and bound states, which are excluded
+    k_lo = 1e-6 * math.pi / total_length(g)
+    k_top = k_max * (1.0 + 1e-12) + 1e-12
+    width = 1e-14 * max(1.0, k_max)
+    # columns are intervals (lo, hi] with the counts N(lo), N(hi)
+    edges = np.array([[k_lo], [k_top]])
+    counts = counter.count(edges[:, 0])[:, None]
+    n_lo, n_top = counts[:, 0]
+    roots, mults = [], []
+    while edges.size:
+        holds = counts[1] > counts[0]
+        edges, counts = edges[:, holds], counts[:, holds]
+        done = edges[1] - edges[0] <= width
+        roots.append(0.5 * (edges[0, done] + edges[1, done]))
+        mults.append(counts[1, done] - counts[0, done])
+        edges, counts = edges[:, ~done], counts[:, ~done]
+        mid = 0.5 * (edges[0] + edges[1])
+        n_mid = counter.count(mid)
+        edges = np.hstack([[edges[0], mid], [mid, edges[1]]])
+        counts = np.hstack([[counts[0], n_mid], [n_mid, counts[1]]])
+
+    roots, mults = np.concatenate(roots), np.concatenate(mults)
+    order = np.argsort(roots)
+    roots, mults = roots[order], mults[order]
+    if mults.sum() != n_top - n_lo:
+        raise NumericalError(
+            f"eigenvalue count is not monotone: multiplicities add up to {mults.sum()}, "
+            f"but N(k_max) - N(k_lo) = {n_top - n_lo}"
+        )
+    weyl = weyl_count(g, k_max)
     audit_bound = len(g.vertices) + len(g.bonds)
+    if abs(mults.sum() - weyl) > audit_bound:
+        raise NumericalError(
+            f"Weyl audit failed: found {mults.sum()} eigenvalues vs expected "
+            f"~{weyl:.1f} (bound {audit_bound})"
+        )
 
-    step = math.pi / (8.0 * ltot)
-    for _ in range(4):
-        eigenvalues, residuals = _scan_and_refine(sm, k_max, step, tol)
-        weyl = weyl_count(g, k_max)
-        if abs(len(eigenvalues) - weyl) <= audit_bound:
-            return SpectrumResult(tuple(eigenvalues), float(k_max), tuple(residuals), weyl)
-        step *= 0.5
-    raise NumericalError(
-        f"Weyl audit failed: found {len(eigenvalues)} eigenvalues vs expected "
-        f"~{weyl:.1f} (bound {audit_bound}) even after rescans"
-    )
-
-
-def _scan_and_refine(
-    sm: _SecularMatrix, k_max: float, step: float, tol: float
-) -> tuple[list[float], list[float]]:
-    # scan two steps past k_max so roots at or near the ceiling are still
-    # bracketed (a grid point can land exactly on a zero)
-    grid = np.arange(step, k_max + 2.5 * step, step)
-
-    dets, det_m = sm.dets(grid)
-    theta = np.unwrap(np.angle(det_m))
-    xi = np.real(dets * np.exp(-0.5j * theta))
-
-    sign = np.sign(xi)
-    change = np.where(sign[:-1] * sign[1:] < 0)[0]
-
-    roots: list[float] = []
-    # simple roots: vectorized bisection on the locally phase-stripped form
-    if len(change):
-        lo, hi = grid[change].copy(), grid[change + 1].copy()
-        theta_ref = theta[change]
-        f_lo = _xi_batch(sm, lo, theta_ref)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            f_mid = _xi_batch(sm, mid, theta_ref)
-            go_left = np.sign(f_lo) * np.sign(f_mid) <= 0
-            hi = np.where(go_left, mid, hi)
-            lo = np.where(go_left, lo, mid)
-            f_lo = np.where(go_left, f_lo, f_mid)
-            if np.max(hi - lo) < 1e-14 * max(1.0, k_max):
-                break
-        roots.extend(0.5 * (lo + hi))
-
-    # non-sign-changing zeros: local minima of |xi|, refined on sigma_min
-    abs_xi = np.abs(xi)
-    change_set = set(change)
-    sv_tol = DEGENERACY_FACTOR * tol
-    for i in range(1, len(grid) - 1):
-        if not (abs_xi[i] < abs_xi[i - 1] and abs_xi[i] < abs_xi[i + 1]):
-            continue
-        if {i - 1, i} & change_set:
-            continue
-        k_star = _golden_minimize(lambda k: sm.singular_values(k)[-1], grid[i - 1], grid[i + 1])
-        sv = sm.singular_values(k_star)
-        multiplicity = int(np.sum(sv < sv_tol))
-        roots.extend([k_star] * multiplicity)
-
-    ceiling = k_max * (1.0 + 1e-12) + 1e-12
-    roots = sorted(r for r in roots if 0 < r <= ceiling)
-    # Python abs (hypot), not np.abs, whose SIMD kernel rounds differently
-    residuals = [abs(d) for d in sm.dets(np.array(roots))[0].tolist()]
-    bad = [i for i, res in enumerate(residuals) if res > tol]
-    if bad:
+    residuals = sm.singular_values(roots)[np.arange(len(roots)), mults - 1]
+    bad = np.flatnonzero(residuals > tol)
+    if bad.size:
         raise NumericalError(
             f"secular residual {residuals[bad[0]]:.3e} above tolerance {tol:.1e} "
             f"at k = {roots[bad[0]]:.12g}"
         )
-    return roots, residuals
-
-
-def _xi_batch(sm: _SecularMatrix, ks: np.ndarray, theta_ref: np.ndarray) -> np.ndarray:
-    dets, det_m = sm.dets(ks)
-    # continuous phase on a narrow bracket: deviation from the reference stays < pi
-    theta = theta_ref + np.angle(det_m * np.exp(-1j * theta_ref))
-    return np.real(dets * np.exp(-0.5j * theta))
-
-
-def _golden_minimize(f, a: float, b: float, iterations: int = 90) -> float:
-    """Golden-section minimum of a unimodal scalar function on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iterations):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < 1e-14:
-            break
-    return 0.5 * (a + b)
+    eigenvalues = np.repeat(roots, mults)
+    return SpectrumResult(
+        tuple(eigenvalues.tolist()), float(k_max), tuple(np.repeat(residuals, mults).tolist()), weyl
+    )

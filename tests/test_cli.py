@@ -143,6 +143,21 @@ class TestSweepCommand:
         for p in products[1:]:
             assert p == pytest.approx(products[0], rel=1e-6)
 
+    def test_star_modesum_sweep_has_no_failed_rows(self, graph_file, tmp_path):
+        # the degenerate roots n pi / (2 scale) pass the scale-free residual
+        # at every scale, so each row matches the closed form -pi / (16 scale)
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", "--graph", graph_file(STAR3), "--from", "0.5", "--to", "2",
+             "--steps", "4", "--method", "modesum", "--output", str(out)]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[2:]]
+        assert len(rows) == 4
+        for scale, energy, _, error in rows:
+            assert error == ""
+            assert float(energy) == pytest.approx(-math.pi / (16 * float(scale)), rel=1e-6)
+
     def test_zero_from_is_flag_error(self, graph_file, tmp_path):
         code = main(
             ["sweep", "--graph", graph_file(INTERVAL), "--from", "0", "--to", "1",

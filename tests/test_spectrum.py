@@ -141,24 +141,171 @@ def test_spectrum_independent_of_worker_chunking(star3_graph, monkeypatch):
     assert results[0] == results[1]
 
 
-def test_batched_residuals_match_single_root_evaluation(star3_graph):
-    res = qg.find_eigenvalues(star3_graph, 20.0)
-    single = [abs(qg.secular_function(star3_graph, k)) for k in res.eigenvalues]
-    assert list(res.residuals) == single
-
-
-def test_phase_stripped_scan_brackets_simple_roots(interval_graph):
-    # the scan's real secular form must change sign across every simple root
+def test_residual_is_the_mth_smallest_singular_value(star3_graph):
+    # the 3-star's roots n pi are double: the residual of a root of
+    # multiplicity m is the m-th smallest singular value of I - S D, and the
+    # next one is far from zero
     from qgraph.spectrum import _SecularMatrix
 
-    sm = _SecularMatrix(interval_graph)
-    step = math.pi / 8.0
-    grid = np.arange(step, 10.0, step)
-    dets, det_m = sm.dets(grid)
-    theta = np.unwrap(np.angle(det_m))
-    xi = np.real(dets * np.exp(-0.5j * theta))
-    assert np.max(np.abs(np.imag(dets * np.exp(-0.5j * theta)))) < 1e-10 * np.max(np.abs(dets))
-    roots = qg.find_eigenvalues(interval_graph, 10.0).eigenvalues
-    sign_changes = grid[np.where(np.sign(xi[:-1]) * np.sign(xi[1:]) < 0)[0]]
-    for root in roots:
-        assert np.min(np.abs(sign_changes - root)) < step
+    sm = _SecularMatrix(star3_graph)
+    res = qg.find_eigenvalues(star3_graph, 20.0)
+    for k, residual in zip(res.eigenvalues, res.residuals):
+        m = res.eigenvalues.count(k)
+        i_minus_sd = np.eye(sm.dim) - sm.matrices(np.array([k]))[0]
+        sv = np.linalg.svd(i_minus_sd, compute_uv=False)[::-1]
+        assert residual == sv[m - 1]
+        assert sv[m] > 1e-3
+
+
+def _amplitude_matrices(g, ks):
+    """Real matching system for psi_b(x) = a_b cos kx + c_b sin kx (x from the
+    bond's first vertex) and the values phi_v of the non-Dirichlet vertices.
+
+    Rows: continuity at both ends of every bond, and the derivative condition
+    divided by k at every non-Dirichlet vertex.  Its entries have no poles,
+    and it is singular for k > 0 exactly at the eigenvalues.
+    """
+    ks = np.asarray(ks, dtype=float)
+    nb = len(g.bonds)
+    free = [v for v in g.vertex_ids() if not g.coupling(v).is_dirichlet]
+    phi = {v: 2 * nb + i for i, v in enumerate(free)}
+    m = np.zeros((len(ks), 2 * nb + len(free), 2 * nb + len(free)))
+    for i, b in enumerate(g.bonds):
+        a, c = 2 * i, 2 * i + 1
+        cos, sin = np.cos(ks * b.length), np.sin(ks * b.length)
+        m[:, a, a] = 1.0
+        m[:, c, a], m[:, c, c] = cos, sin
+        if b.from_vertex in phi:
+            m[:, a, phi[b.from_vertex]] = -1.0
+            m[:, phi[b.from_vertex], c] += 1.0
+        if b.to_vertex in phi:
+            m[:, c, phi[b.to_vertex]] = -1.0
+            m[:, phi[b.to_vertex], a] += sin
+            m[:, phi[b.to_vertex], c] -= cos
+    for v in free:
+        m[:, phi[v], phi[v]] -= g.coupling(v).effective_gamma() / ks
+    return m
+
+
+def _cycle(lengths, couplings):
+    n = len(lengths)
+    return qg.Graph(
+        tuple(enumerate(couplings)),
+        tuple(qg.Bond(i, (i + 1) % n, ell) for i, ell in enumerate(lengths)),
+    )
+
+
+@pytest.mark.parametrize(
+    "graph,step,expected",
+    [
+        # the closest roots below k = 100 are 1.2e-3 apart
+        (
+            _cycle((1.11, 1.23, 1.04, 1.44), [qg.delta(x) for x in (1.31, 0.61, 0.18, 0.13)]),
+            3e-4,
+            {30.0: 47, 60.0: 93, 100.0: 153},
+        ),
+        # |gamma / k| up to 1e12 at the bottom of the count
+        (_cycle((0.25, 0.5, 1.0), [qg.KIRCHHOFF, qg.delta(-1e6), qg.delta(9.0)]), 1e-4, {10.0: 5}),
+        (_cycle((0.25, 0.5, 1.0), [qg.KIRCHHOFF, qg.delta(1e6), qg.delta(9.0)]), 1e-4, {10.0: 5}),
+    ],
+    ids=["close-pairs-4-cycle", "attractive-1e6", "repulsive-1e6"],
+)
+def test_roots_match_sign_changes_of_the_amplitude_determinant(graph, step, expected):
+    # a sign-change count of the pole-free amplitude determinant at a step
+    # below the closest root spacing brackets each root once
+    ks = np.arange(1e-3, max(expected), step)
+    parts = np.array_split(ks, len(ks) // 25000 + 1)
+    dets = np.concatenate([np.linalg.det(_amplitude_matrices(graph, part)) for part in parts])
+    brackets = ks[1:][np.signbit(dets[1:]) != np.signbit(dets[:-1])]
+    for k_max, count in expected.items():
+        eigs = np.array(qg.find_eigenvalues(graph, k_max).eigenvalues)
+        oracle = brackets[brackets <= k_max]
+        assert len(eigs) == len(oracle) == count
+        assert np.all((oracle - step <= eigs) & (eigs <= oracle))
+
+
+def _neumann_interval(ell):
+    return qg.Graph(((0, qg.KIRCHHOFF), (1, qg.KIRCHHOFF)), (qg.Bond(0, 1, ell),))
+
+
+def _equal_star(n_arms):
+    vertices = ((0, qg.KIRCHHOFF),) + tuple((i, qg.DIRICHLET) for i in range(1, n_arms + 1))
+    return qg.Graph(vertices, tuple(qg.Bond(0, i, 1.0) for i in range(1, n_arms + 1)))
+
+
+@pytest.mark.parametrize(
+    "graph,k_max,expected",
+    [
+        # arms of length 1: n pi with multiplicity 3, (n + 1/2) pi simple
+        (_equal_star(4), 10.0, [0.5, 1, 1, 1, 1.5, 2, 2, 2, 2.5, 3, 3, 3]),
+        # roots 2 n pi sit on the bond Dirichlet values; the zero mode is excluded
+        (_neumann_interval(0.5), 30.0, [2, 4, 6, 8]),
+        # Kirchhoff vertices of valency 2 are transparent: a circle of length
+        # 2 has the double roots n pi, on the Dirichlet values of all bonds
+        (_cycle((1.0, 0.5, 0.5), [qg.KIRCHHOFF] * 3), 10.0, [1, 1, 2, 2, 3, 3]),
+    ],
+    ids=["equal-4-star", "neumann-interval", "kirchhoff-triangle"],
+)
+def test_degenerate_roots_and_roots_on_bond_dirichlet_values(graph, k_max, expected):
+    res = qg.find_eigenvalues(graph, k_max)
+    assert res.eigenvalues == pytest.approx([n * math.pi for n in expected], abs=1e-10)
+
+
+@pytest.mark.parametrize("gamma", [0.001, -1.0])
+def test_delta_interval_roots_near_zero_and_without_bound_state(gamma):
+    # delta(gamma) at both ends of [0, 1]: symmetric modes solve
+    # k sin(k/2) = gamma cos(k/2), antisymmetric ones k cos(k/2) = -gamma sin(k/2).
+    # gamma = 0.001 has a root at k ~ 0.0447; gamma = -1 has a bound state
+    # (imaginary k), which is not a positive eigenvalue
+    g = qg.Graph(((0, qg.delta(gamma)), (1, qg.delta(gamma))), (qg.Bond(0, 1, 1.0),))
+    branches = (
+        lambda k: k * np.sin(k / 2) - gamma * np.cos(k / 2),
+        lambda k: k * np.cos(k / 2) + gamma * np.sin(k / 2),
+    )
+    ks = np.arange(1e-4, 10.0, 1e-3)
+    oracle = []
+    for f in branches:
+        values = f(ks)
+        for i in np.flatnonzero(np.signbit(values[1:]) != np.signbit(values[:-1])):
+            oracle.append(brentq(f, ks[i], ks[i + 1], xtol=1e-15))
+    res = qg.find_eigenvalues(g, 10.0)
+    assert res.eigenvalues == pytest.approx(sorted(oracle), abs=1e-10)
+    assert res.eigenvalues[0] > 1e-3
+
+
+def test_24_bond_delta_graph_passes_at_default_tol():
+    # connected random graph, 13 vertices, delta couplings in [0.5, 3]
+    rng = np.random.default_rng(24)
+    n_vertices, edges = 13, set()
+    for i in range(1, n_vertices):
+        edges.add((int(rng.integers(i)), i))
+    while len(edges) < 24:
+        a, b = sorted(rng.choice(n_vertices, 2, replace=False).tolist())
+        edges.add((a, b))
+    g = qg.Graph(
+        tuple((v, qg.delta(rng.uniform(0.5, 3.0))) for v in range(n_vertices)),
+        tuple(qg.Bond(a, b, rng.uniform(0.5, 1.5)) for a, b in sorted(edges)),
+    )
+    res = qg.find_eigenvalues(g, 30.0)
+    assert max(res.residuals) <= 1e-10
+    sv = np.linalg.svd(_amplitude_matrices(g, res.eigenvalues), compute_uv=False)
+    assert np.max(sv[:, -1] / sv[:, 0]) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        # a count that dips around the root 3 pi / 2 drops below its left neighbour
+        (lambda k: -1 * ((k > 4.6) & (k < 4.8)), "not monotone"),
+        # a monotone count that jumps by ten at k = 5 leaves the V + B bound
+        (lambda k: 10 * (k > 5.0), "Weyl audit failed"),
+    ],
+    ids=["non-monotone", "weyl"],
+)
+def test_inconsistent_count_raises(star3_graph, monkeypatch, extra, message):
+    from qgraph.spectrum import _MatchingCount
+
+    exact = _MatchingCount.count
+    monkeypatch.setattr(_MatchingCount, "count", lambda self, ks: exact(self, ks) + extra(np.asarray(ks)))
+    with pytest.raises(qg.NumericalError, match=message):
+        qg.find_eigenvalues(star3_graph, 12.0)
