@@ -13,17 +13,21 @@ Graphs*, AMS 2013), N(k) = sum_b floor(k l_b / pi) + n_+(A(k) / k), where n_+
 counts the positive eigenvalues of the vertex-matching form A on the
 non-Dirichlet vertices.  Vertex v adds -gamma_v / k on the diagonal of A/k
 and bond b = (u, w) adds tan(h) s s^T - cot(h) a a^T, with h = k l_b / 2 and
-s, a = (e_u +- e_w)/sqrt(2) (e = 0 at a Dirichlet end); its coefficient of modulus >= 1 moves into a border coordinate with
-diagonal -1/coefficient, which keeps the form bounded at the bond Dirichlet
-values k l_b = n pi and adds one to n_+ per positive border diagonal.  The
-count difference across a final bisection interval is the multiplicity of
-its root, which the bond-scattering form then confirms.
+s, a = (e_u +- e_w)/sqrt(2) (e = 0 at a Dirichlet end); its coefficient of
+modulus >= 1 moves into a border coordinate with diagonal -1/coefficient,
+which keeps the form bounded at the bond Dirichlet values k l_b = n pi and
+adds one to n_+ per positive border diagonal.  Around a simple root N(mid)
+is N(lo) or N(hi), and the sign of det of the fixed-size form gives its parity
+at about a quarter of the cost of eigenvalues; a full count just beside each root
+checks what the parity cannot see.  The count difference across a final
+bisection interval is the multiplicity of its root, which the bond-scattering
+form then confirms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,12 +39,14 @@ from .scattering import vertex_amplitudes
 @dataclass(frozen=True)
 class SpectrumResult:
     """Sorted positive eigenvalues (repeated per multiplicity) with per-root
-    secular residuals and the Weyl-count audit."""
+    secular residuals, the Weyl-count audit and ``diagnostics``: numbers of
+    full-count and det-sign points and of bisection levels, worst residual."""
 
     eigenvalues: tuple[float, ...]
     k_max: float
     residuals: tuple[float, ...]
     weyl_expected: float
+    diagnostics: dict[str, float] = field(default_factory=dict, hash=False)
 
     @property
     def count(self) -> int:
@@ -143,9 +149,8 @@ class _MatchingCount:
                     ends[side, i, index[vid]] = math.sqrt(0.5)
         self._s, self._a = ends[0] + ends[1], ends[0] - ends[1]
 
-    def count(self, ks: np.ndarray) -> np.ndarray:
-        """Number of eigenvalues below each k, counting the zero mode and
-        bound states (k > 0, off the exact roots)."""
+    def _form(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The bordered form K at each k, and N(k) - n_+(K)."""
         ks = np.asarray(ks, dtype=float)
         kl = np.outer(ks, self.lengths)
         t = np.tan(0.5 * kl)
@@ -173,8 +178,18 @@ class _MatchingCount:
         form[:, :v, v:] = np.swapaxes(border, 1, 2)
         diag = np.arange(size)
         form[:, diag, diag] += np.hstack([np.clip(-gk, -1.0, 1.0), d])
-        positive = np.sum(np.linalg.eigvalsh(form) > 0.0, axis=1)
-        return floor.sum(axis=1).astype(int) + positive - np.sum(d > 0.0, axis=1)
+        return form, floor.sum(axis=1).astype(int) - np.sum(d > 0.0, axis=1)
+
+    def count(self, ks: np.ndarray) -> np.ndarray:
+        """Number of eigenvalues below each k, counting the zero mode and
+        bound states (k > 0, off the exact roots)."""
+        form, offset = self._form(ks)
+        return offset + np.sum(np.linalg.eigvalsh(form) > 0.0, axis=1)
+
+    def parity(self, ks: np.ndarray) -> np.ndarray:
+        """count(ks) mod 2 from sign det K = (-1)^n_-(K), n_+ + n_- = size off the roots."""
+        form, offset = self._form(ks)
+        return (offset + form.shape[-1] - (np.linalg.slogdet(form)[0] < 0)) % 2
 
 
 def secular_function(g: Graph, k: float) -> complex:
@@ -188,11 +203,13 @@ def secular_function(g: Graph, k: float) -> complex:
 def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResult:
     """All eigenvalues in (0, k_max], in increasing order with multiplicity.
 
-    ``tol`` bounds the accepted residual of each root: the m-th smallest
-    singular value of I - S D for a root of multiplicity m.  Raises
-    :class:`NumericalError` if a residual exceeds ``tol``, if the
-    multiplicities do not add up to the count across (0, k_max], or if the
-    count leaves the Weyl bound |N - L k_max / pi| <= V + B.
+    A simple root's interval is bisected on the sign of det of the count's
+    form, any other on the full count.  ``tol`` bounds the accepted residual
+    of each root: the m-th smallest singular value of I - S D for a root of
+    multiplicity m.  Raises :class:`NumericalError` if a residual exceeds
+    ``tol``, if the multiplicities do not add up to the count across
+    (0, k_max] or to the full count just beside each root, or if the count
+    leaves the Weyl bound |N - L k_max / pi| <= V + B.
     """
     if k_max <= 0:
         raise ValueError("k_max must be positive")
@@ -209,7 +226,7 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
     edges = np.array([[k_lo], [k_top]])
     counts = counter.count(edges[:, 0])[:, None]
     n_lo, n_top = counts[:, 0]
-    roots, mults = [], []
+    roots, mults, full_points, sign_points = [], [], 2, 0
     while edges.size:
         holds = counts[1] > counts[0]
         edges, counts = edges[:, holds], counts[:, holds]
@@ -218,17 +235,29 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
         mults.append(counts[1, done] - counts[0, done])
         edges, counts = edges[:, ~done], counts[:, ~done]
         mid = 0.5 * (edges[0] + edges[1])
-        n_mid = counter.count(mid)
+        # N(mid) is N(lo) or N(hi) around a simple root: its parity decides
+        simple = counts[1] - counts[0] == 1
+        n_mid = np.empty_like(counts[0])
+        n_mid[~simple] = counter.count(mid[~simple])
+        n_mid[simple] = counts[0, simple] + (counter.parity(mid[simple]) != counts[0, simple] % 2)
+        full_points, sign_points = full_points + int(np.sum(~simple)), sign_points + int(np.sum(simple))
         edges = np.hstack([[edges[0], mid], [mid, edges[1]]])
         counts = np.hstack([[counts[0], n_mid], [n_mid, counts[1]]])
 
-    roots, mults = np.concatenate(roots), np.concatenate(mults)
+    levels, roots, mults = len(roots) - 1, np.concatenate(roots), np.concatenate(mults)
     order = np.argsort(roots)
     roots, mults = roots[order], mults[order]
-    if mults.sum() != n_top - n_lo:
+    # the parity cannot see a count that dips inside a simple root's interval,
+    # so the full count must step by each multiplicity just beside each root
+    gaps = np.diff(np.concatenate([[k_lo], roots, [k_top]]))
+    offset = np.minimum(1e-9 * max(1.0, k_max), 0.5 * np.minimum(gaps[:-1], gaps[1:]))
+    beside = np.concatenate([roots - offset, roots + offset])
+    expected = n_lo + np.concatenate([np.cumsum(mults) - mults, np.cumsum(mults)])
+    misses = np.count_nonzero(counter.count(beside) != expected)
+    if mults.sum() != n_top - n_lo or misses:
         raise NumericalError(
             f"eigenvalue count is not monotone: multiplicities add up to {mults.sum()}, "
-            f"but N(k_max) - N(k_lo) = {n_top - n_lo}"
+            f"N(k_max) - N(k_lo) = {n_top - n_lo}, and {misses} counts beside the roots disagree"
         )
     weyl = weyl_count(g, k_max)
     audit_bound = len(g.vertices) + len(g.bonds)
@@ -246,6 +275,7 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
             f"at k = {roots[bad[0]]:.12g}"
         )
     eigenvalues = np.repeat(roots, mults)
-    return SpectrumResult(
-        tuple(eigenvalues.tolist()), float(k_max), tuple(np.repeat(residuals, mults).tolist()), weyl
-    )
+    diagnostics = dict(count_points=full_points + beside.size, sign_points=sign_points, bisection_levels=levels,
+                       worst_residual=float(residuals.max(initial=0.0)))
+    return SpectrumResult(tuple(eigenvalues.tolist()), float(k_max),
+                          tuple(np.repeat(residuals, mults).tolist()), weyl, diagnostics)

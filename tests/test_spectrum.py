@@ -309,3 +309,82 @@ def test_inconsistent_count_raises(star3_graph, monkeypatch, extra, message):
     monkeypatch.setattr(_MatchingCount, "count", lambda self, ks: exact(self, ks) + extra(np.asarray(ks)))
     with pytest.raises(qg.NumericalError, match=message):
         qg.find_eigenvalues(star3_graph, 12.0)
+
+
+def test_parity_defect_near_a_simple_root_raises(star3_graph, monkeypatch):
+    # a det-sign parity that is wrong within 1e-3 of the simple root 3 pi / 2
+    # moves the bisection to the edge of that window; the full count beside
+    # the root it reports does not step there
+    from qgraph.spectrum import _MatchingCount
+
+    exact = _MatchingCount.parity
+    monkeypatch.setattr(
+        _MatchingCount, "parity",
+        lambda self, ks: exact(self, ks) ^ (np.abs(np.asarray(ks) - 1.5 * math.pi) < 1e-3),
+    )
+    with pytest.raises(qg.NumericalError, match="not monotone"):
+        qg.find_eigenvalues(star3_graph, 12.0)
+
+
+def _random_graph(rng, n_vertices, n_bonds, coupling, length):
+    """Connected simple graph: a random spanning tree plus random extra bonds,
+    with ``coupling(rng)`` at each vertex and ``length(rng)`` on each bond."""
+    edges = {(int(rng.integers(i)), i) for i in range(1, n_vertices)}
+    while len(edges) < n_bonds:
+        a, b = sorted(rng.choice(n_vertices, 2, replace=False).tolist())
+        edges.add((a, b))
+    return qg.Graph(
+        tuple((v, coupling(rng)) for v in range(n_vertices)),
+        tuple(qg.Bond(a, b, length(rng)) for a, b in sorted(edges)),
+    )
+
+
+def _random_delta_graph_24():
+    return _random_graph(
+        np.random.default_rng(2024), 13, 24,
+        lambda rng: qg.delta(rng.uniform(0.5, 3.0)), lambda rng: rng.uniform(0.5, 1.5),
+    )
+
+
+def test_det_sign_parity_agrees_with_the_full_count():
+    from qgraph.spectrum import _MatchingCount
+
+    g = _random_delta_graph_24()
+    roots = np.array(qg.find_eigenvalues(g, 30.0).eigenvalues)
+    ks = np.random.default_rng(5).uniform(0.01, 30.0, 2000)
+    ks = ks[np.min(np.abs(ks[:, None] - roots[None, :]), axis=1) >= 1e-6][:500]
+    assert len(ks) == 500
+    counter = _MatchingCount(g)
+    assert np.array_equal(counter.parity(ks), counter.count(ks) % 2)
+
+
+def test_diagnostics_repeat_and_count_the_det_sign_points():
+    g = _random_delta_graph_24()
+    first, second = (qg.find_eigenvalues(g, 30.0) for _ in range(2))
+    assert first.diagnostics == second.diagnostics
+    assert set(first.diagnostics) == {"count_points", "sign_points", "bisection_levels", "worst_residual"}
+    assert first.diagnostics["sign_points"] > first.diagnostics["count_points"]
+    assert first.diagnostics["worst_residual"] == max(first.residuals)
+
+
+def test_random_compact_graphs_have_the_amplitude_nullity_as_multiplicity():
+    # Dirichlet, Kirchhoff and delta vertices; lengths are multiples of 1/2 in
+    # about a third of the graphs, which gives degenerate roots and roots on
+    # bond Dirichlet values.  The oracle is the nullity of the pole-free
+    # amplitude system, independent of the eigenvalue count.
+    def coupling(rng):
+        kind = int(rng.integers(3))
+        return qg.delta(rng.uniform(-2.0, 3.0)) if kind == 2 else (qg.DIRICHLET, qg.KIRCHHOFF)[kind]
+
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        n_vertices = int(rng.integers(2, 7))
+        n_bonds = int(rng.integers(n_vertices - 1, n_vertices * (n_vertices - 1) // 2 + 1))
+        commensurate = rng.random() < 0.35
+        length = (lambda r: 0.5 * int(r.integers(1, 4))) if commensurate else (lambda r: r.uniform(0.3, 2.0))
+        g = _random_graph(rng, n_vertices, n_bonds, coupling, length)
+        eigs = qg.find_eigenvalues(g, 12.0).eigenvalues
+        roots, mults = np.unique(eigs, return_counts=True)
+        sv = np.linalg.svd(_amplitude_matrices(g, roots), compute_uv=False)
+        nullity = np.sum(sv < 1e-8 * sv[:, :1], axis=1)
+        assert np.array_equal(nullity, mults), g
