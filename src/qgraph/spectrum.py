@@ -16,11 +16,17 @@ and bond b = (u, w) adds tan(h) s s^T - cot(h) a a^T, with h = k l_b / 2 and
 s, a = (e_u +- e_w)/sqrt(2) (e = 0 at a Dirichlet end); its coefficient of
 modulus >= 1 moves into a border coordinate with diagonal -1/coefficient,
 which keeps the form bounded at the bond Dirichlet values k l_b = n pi and
-adds one to n_+ per positive border diagonal.  Around a simple root N(mid)
+adds one to n_+ per positive border diagonal.  Around a simple root N(k)
 is N(lo) or N(hi), and the sign of det of the fixed-size form gives its parity
 at about a quarter of the cost of eigenvalues; a full count just beside each root
-checks what the parity cannot see.  The count difference across a final
-bisection interval is the multiplicity of its root, which the bond-scattering
+checks what the parity cannot see.  Such an interval is split at the Illinois
+false-position point of det K (Dowell & Jarratt, BIT 11, 168 (1971)), from
+log|det K| at its ends, and at the midpoint when an end has no det value (a
+full count gave it), when det K has one sign at both ends (a border switch,
+where K jumps, lies between) or when two steps passed without the bracket
+halving (Brent's safeguard: at most three steps per halving).  Intervals with
+more roots are bisected on the full count.  The count difference across a
+final interval is the multiplicity of its root, which the bond-scattering
 form then confirms.
 """
 
@@ -30,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import NumericalError, UnsupportedTopologyError
 from .graph import Graph, require_zero_potential, total_length, validate
@@ -186,10 +193,12 @@ class _MatchingCount:
         form, offset = self._form(ks)
         return offset + np.sum(np.linalg.eigvalsh(form) > 0.0, axis=1)
 
-    def parity(self, ks: np.ndarray) -> np.ndarray:
-        """count(ks) mod 2 from sign det K = (-1)^n_-(K), n_+ + n_- = size off the roots."""
+    def parity(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """count(ks) mod 2 from sign det K = (-1)^n_-(K), n_+ + n_- = size off the
+        roots, with sign det K and log|det K|."""
         form, offset = self._form(ks)
-        return (offset + form.shape[-1] - (np.linalg.slogdet(form)[0] < 0)) % 2
+        sign, logdet = np.linalg.slogdet(form)
+        return (offset + form.shape[-1] - (sign < 0)) % 2, sign, logdet
 
 
 def secular_function(g: Graph, k: float) -> complex:
@@ -203,8 +212,10 @@ def secular_function(g: Graph, k: float) -> complex:
 def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResult:
     """All eigenvalues in (0, k_max], in increasing order with multiplicity.
 
-    A simple root's interval is bisected on the sign of det of the count's
-    form, any other on the full count.  ``tol`` bounds the accepted residual
+    A simple root's interval is split on the sign of det of the count's form,
+    at the safeguarded false-position point of the module docstring, any other
+    is bisected on the full count; both stop at width 1e-14 max(1, k_max) and
+    return the midpoint.  ``tol`` bounds the accepted residual
     of each root: the m-th smallest singular value of I - S D for a root of
     multiplicity m.  Raises :class:`NumericalError` if a residual exceeds
     ``tol``, if the multiplicities do not add up to the count across
@@ -222,29 +233,43 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
     k_lo = 1e-6 * math.pi / total_length(g)
     k_top = k_max * (1.0 + 1e-12) + 1e-12
     width = 1e-14 * max(1.0, k_max)
-    # columns are intervals (lo, hi] with the counts N(lo), N(hi)
-    edges = np.array([[k_lo], [k_top]])
-    counts = counter.count(edges[:, 0])[:, None]
-    n_lo, n_top = counts[:, 0]
+    # columns are intervals (lo, hi]; the rows hold k, N(k), sign det K and
+    # log|det K| at both ends (sign 0 where a full count gave the point)
+    n_lo, n_top = counter.count(np.array([k_lo, k_top]))
+    ends = np.array([[k_lo, k_top], [n_lo, n_top], [0.0, 0.0], [0.0, 0.0]])[..., None]
+    # per column: the width when it last halved, steps since then, end kept by the last split
+    halved, stale, kept = np.array([k_top - k_lo]), np.zeros(1), np.full(1, -1)
     roots, mults, full_points, sign_points = [], [], 2, 0
-    while edges.size:
-        holds = counts[1] > counts[0]
-        edges, counts = edges[:, holds], counts[:, holds]
-        done = edges[1] - edges[0] <= width
-        roots.append(0.5 * (edges[0, done] + edges[1, done]))
-        mults.append(counts[1, done] - counts[0, done])
-        edges, counts = edges[:, ~done], counts[:, ~done]
-        mid = 0.5 * (edges[0] + edges[1])
-        # N(mid) is N(lo) or N(hi) around a simple root: its parity decides
-        simple = counts[1] - counts[0] == 1
-        n_mid = np.empty_like(counts[0])
-        n_mid[~simple] = counter.count(mid[~simple])
-        n_mid[simple] = counts[0, simple] + (counter.parity(mid[simple]) != counts[0, simple] % 2)
+    while ends.size:
+        n_in = ends[1, 1] - ends[1, 0]
+        done = (n_in > 0) & (ends[0, 1] - ends[0, 0] <= width)
+        roots.append(0.5 * (ends[0, 0, done] + ends[0, 1, done]))
+        mults.append(n_in[done])
+        live = (n_in > 0) & ~done
+        ends, halved, stale, kept = ends[..., live], halved[live], stale[live], kept[live]
+        (lo, hi), (c_lo, c_hi), signs, logs = ends
+        # N(mid) is N(lo) or N(hi) around a simple root: its parity decides, and
+        # mid is the false-position point of det K unless an end has no det,
+        # det K keeps its sign (a border switch lies between) or two steps
+        # passed without the bracket halving
+        simple = c_hi - c_lo == 1
+        regula = simple & (signs[0] * signs[1] < 0) & (stale < 2)
+        x = np.clip(lo + (hi - lo) * expit(logs[0] - logs[1]), lo + 0.25 * width, hi - 0.25 * width)
+        mid = np.zeros((4, lo.size))
+        mid[0] = np.where(regula, x, 0.5 * (lo + hi))
+        mid[1, ~simple] = counter.count(mid[0, ~simple])
+        parity, mid[2, simple], mid[3, simple] = counter.parity(mid[0, simple])
+        mid[1, simple] = c_lo[simple] + (parity != c_lo[simple] % 2)
         full_points, sign_points = full_points + int(np.sum(~simple)), sign_points + int(np.sum(simple))
-        edges = np.hstack([[edges[0], mid], [mid, edges[1]]])
-        counts = np.hstack([[counts[0], n_mid], [n_mid, counts[1]]])
+        # Illinois: an end kept by two splits in a row counts at half its |det|
+        ends[3] -= math.log(2.0) * (kept == np.arange(2)[:, None])
+        ends = np.concatenate([np.stack([ends[:, 0], mid], 1), np.stack([mid, ends[:, 1]], 1)], 2)
+        span, halved, stale = ends[0, 1] - ends[0, 0], np.tile(halved, 2), np.tile(stale, 2)
+        halves = np.tile(~regula, 2) | (span <= 0.5 * halved)
+        halved, stale = np.where(halves, span, halved), np.where(halves, 0, stale + 1)
+        kept = np.repeat([0, 1], lo.size)
 
-    levels, roots, mults = len(roots) - 1, np.concatenate(roots), np.concatenate(mults)
+    levels, roots, mults = len(roots) - 1, np.concatenate(roots), np.concatenate(mults).astype(int)
     order = np.argsort(roots)
     roots, mults = roots[order], mults[order]
     # the parity cannot see a count that dips inside a simple root's interval,

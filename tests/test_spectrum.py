@@ -318,10 +318,12 @@ def test_parity_defect_near_a_simple_root_raises(star3_graph, monkeypatch):
     from qgraph.spectrum import _MatchingCount
 
     exact = _MatchingCount.parity
-    monkeypatch.setattr(
-        _MatchingCount, "parity",
-        lambda self, ks: exact(self, ks) ^ (np.abs(np.asarray(ks) - 1.5 * math.pi) < 1e-3),
-    )
+
+    def flipped(self, ks):
+        parity, sign, logdet = exact(self, ks)
+        return parity ^ (np.abs(np.asarray(ks) - 1.5 * math.pi) < 1e-3), sign, logdet
+
+    monkeypatch.setattr(_MatchingCount, "parity", flipped)
     with pytest.raises(qg.NumericalError, match="not monotone"):
         qg.find_eigenvalues(star3_graph, 12.0)
 
@@ -355,7 +357,7 @@ def test_det_sign_parity_agrees_with_the_full_count():
     ks = ks[np.min(np.abs(ks[:, None] - roots[None, :]), axis=1) >= 1e-6][:500]
     assert len(ks) == 500
     counter = _MatchingCount(g)
-    assert np.array_equal(counter.parity(ks), counter.count(ks) % 2)
+    assert np.array_equal(counter.parity(ks)[0], counter.count(ks) % 2)
 
 
 def test_diagnostics_repeat_and_count_the_det_sign_points():
@@ -365,6 +367,44 @@ def test_diagnostics_repeat_and_count_the_det_sign_points():
     assert set(first.diagnostics) == {"count_points", "sign_points", "bisection_levels", "worst_residual"}
     assert first.diagnostics["sign_points"] > first.diagnostics["count_points"]
     assert first.diagnostics["worst_residual"] == max(first.residuals)
+
+
+def test_false_position_takes_few_det_sign_points_per_root():
+    # bisection takes about 39 det-sign points per simple root here
+    res = qg.find_eigenvalues(_random_delta_graph_24(), 30.0)
+    assert res.diagnostics["sign_points"] <= 12 * len(set(res.eigenvalues))
+
+
+def test_useless_det_magnitudes_leave_the_roots_and_bound_the_levels(monkeypatch):
+    # |det K| scrambled by up to e^40 with its sign kept: the false-position
+    # points are arbitrary, the bracket still follows the parity, and the
+    # halving safeguard keeps the levels within three times bisection's
+    from qgraph.spectrum import _MatchingCount
+
+    g = _random_delta_graph_24()
+    k_max, width = 30.0, 1e-14 * 30.0
+    exact = qg.find_eigenvalues(g, k_max)
+    parity = _MatchingCount.parity
+
+    def scrambled(self, ks):
+        par, sign, logdet = parity(self, ks)
+        return par, sign, logdet + 40.0 * np.sin(1e3 * np.asarray(ks))
+
+    monkeypatch.setattr(_MatchingCount, "parity", scrambled)
+    res = qg.find_eigenvalues(g, k_max)
+    assert len(res.eigenvalues) == len(exact.eigenvalues)
+    assert np.max(np.abs(np.subtract(res.eigenvalues, exact.eigenvalues))) <= width
+    k_lo, k_top = 1e-6 * math.pi / qg.total_length(g), k_max * (1.0 + 1e-12) + 1e-12
+    assert res.diagnostics["bisection_levels"] <= 3 * math.ceil(math.log2((k_top - k_lo) / width))
+
+
+@pytest.mark.parametrize("ell,k_max", [(1.0, 100.0), (0.37, 200.0)])
+def test_dirichlet_kirchhoff_roots_sit_where_the_form_jumps(ell, k_max):
+    # the roots (j + 1/2) pi / ell have |tan(k ell / 2)| = 1, where a border
+    # coordinate switches and K jumps, so det K gives no false-position step
+    g = qg.Graph(((0, qg.DIRICHLET), (1, qg.KIRCHHOFF)), (qg.Bond(0, 1, ell),))
+    expected = (np.arange(int(k_max * ell / math.pi + 0.5)) + 0.5) * math.pi / ell
+    assert qg.find_eigenvalues(g, k_max).eigenvalues == pytest.approx(expected.tolist(), abs=1e-12, rel=0)
 
 
 def test_random_compact_graphs_have_the_amplitude_nullity_as_multiplicity():
