@@ -42,7 +42,7 @@ from .errors import (
 )
 from .graph import Graph, VertexCoupling, two_vertex_form
 from .greens import trace_gamma
-from .scattering import CompositeAmplitudes, vertex_reflection_transmission
+from .scattering import CavityAmplitudes
 
 #: Frozen overall normalization of the Green-trace route (see module docstring).
 ENERGY_PREFACTOR = 1.0 / math.pi
@@ -191,16 +191,16 @@ def extrapolate_tau(
 def casimir_integrand(
     k: complex,
     tau: float,
-    ca: CompositeAmplitudes,
+    ca: CavityAmplitudes,
     reflection_at_infinity: float = 0.0,
 ) -> complex:
     """Regulated trace integrand of the two-vertex graph.
 
     The closed-form diagonal trace with the free-line term ell/(2ik)
-    subtracted (the piece surviving when both amplitudes vanish), times the
+    subtracted (the piece surviving when r = 0), times the
     regulator exp(ik tau).  ``reflection_at_infinity`` additionally removes
     the constant vertex term n_inf/(2 k^2), the high-frequency limit of the
-    composite reflection; without it the integrand keeps a power-law tail on
+    end reflection; without it the integrand keeps a power-law tail on
     the imaginary axis.
     """
     if tau < 0:
@@ -208,21 +208,6 @@ def casimir_integrand(
     k = complex(k)
     value = trace_gamma(k, ca) - ca.ell / (2j * k) - reflection_at_infinity / (2 * k * k)
     return value * cmath.exp(1j * k * tau)
-
-
-def cavity_amplitudes(coupling: VertexCoupling, ell: float, k: complex) -> CompositeAmplitudes:
-    """Composite amplitudes of a bond terminated by two identical vertices.
-
-    The end reflection is the single-edge vertex amplitude r(k) and the
-    denominator g = 1 - r^2 exp(2ik ell) sums the multiple reflections of
-    the cavity, so the two-vertex formulas reproduce the resolvent of the
-    finite bond exactly.  This is the normalization the energy engine
-    integrates; its spectrum (zeros of g) is the true cavity spectrum.
-    """
-    r = vertex_reflection_transmission(1, coupling, k).r
-    k = complex(k)
-    g = 1.0 - r * r * cmath.exp(2j * k * ell)
-    return CompositeAmplitudes(0.0 + 0.0j, r, 2j * k * g, g, float(ell), k)
 
 
 def reflection_at_infinity(coupling: VertexCoupling) -> float:

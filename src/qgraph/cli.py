@@ -28,7 +28,7 @@ from .casimir import (
 from .errors import InputError, NumericalError, QGraphError, UnsupportedTopologyError
 from .graph import Graph, parse_graph, total_length, two_vertex_form
 from .greens import star_green, two_vertex_green
-from .scattering import build_vertex_smatrix, composite_amplitudes, vertex_reflection_transmission
+from .scattering import build_vertex_smatrix, cavity_amplitudes
 from .spectrum import find_eigenvalues, weyl_count
 from .util import complex_to_json, dumps_json, fmt_float, worker_count
 
@@ -285,9 +285,7 @@ def _cmd_greens(args) -> int:
         decomposition = star_green(args.lead_in, args.lead_out, k, args.xi, args.xf, s)
     elif len(g.vertices) == 2 and len(g.bonds) == 1 and not g.leads:
         coupling, ell = two_vertex_form(g, "two-vertex form")
-        rt = vertex_reflection_transmission(1, coupling, k)
-        ca = composite_amplitudes(rt, ell, k)
-        decomposition = two_vertex_green(k, args.xi, args.xf, ca)
+        decomposition = two_vertex_green(k, args.xi, args.xf, cavity_amplitudes(coupling, ell, k))
     else:
         raise UnsupportedTopologyError("greens supports star (leads only) or two-vertex graphs")
 

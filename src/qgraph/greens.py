@@ -1,9 +1,11 @@
-"""Exact Green functions: free line, open star, and the two-vertex graph.
+"""Exact Green functions: free line, open star, and the two-vertex cavity.
 
 All Green functions solve G'' + k^2 G = delta(x - x') on their domain with a
 unit derivative jump across the source; the free-line kernel is
 
     G0(x, x') = exp(ik |x - x'|) / (2ik).
+
+The two-vertex graph is a bond with the same vertex at both ends, a cavity.
 
 Every result is returned as a :class:`GreenDecomposition` splitting the total
 into the free part G0 and the inhomogeneous remainder.
@@ -14,8 +16,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .errors import InputError, PoleProximityError, ResonantBondError, SingularWavenumberError
-from .scattering import POLE_TOLERANCE, CompositeAmplitudes, VertexSMatrix
+from .errors import InputError, ResonantBondError, SingularWavenumberError
+from .scattering import CavityAmplitudes, VertexSMatrix
 
 #: |sin kL| below this counts as a resonant bond (k on the bond's own spectrum).
 RESONANCE_TOLERANCE = 1e-12
@@ -69,34 +71,32 @@ def star_green(
 
 
 def two_vertex_green(
-    k: complex, x_i: float, x_f: float, ca: CompositeAmplitudes
+    k: complex, x_i: float, x_f: float, ca: CavityAmplitudes
 ) -> GreenDecomposition:
-    """Green function of the two-vertex composite graph on 0 <= x <= ell.
+    """Green function of the two-vertex cavity on 0 <= x <= ell.
 
-    Four-term closed form with prefactor 1/(2ikg); the symmetric composite
-    amplitudes enter as written, with the (r_big^2 - s_big^2) combination in
-    the backward-reflected term.  Note the direct term carries
-    exp(ik (x_f - x_i)) with a signed difference, so the x_f < x_i branch is
-    the analytic continuation of the ordered form rather than its mirror
-    image; free_part always uses |x_f - x_i|.
+    With d = |x_f - x_i| and g = 1 - r^2 exp(2ik ell),
+
+        G = [e^{ikd} + r e^{ik(x_f + x_i)} + r e^{ik(2 ell - x_f - x_i)}
+             + r^2 e^{ik(2 ell - d)}] / (2ikg):
+
+    the direct path, one bounce off either end, and one off each end, with
+    every further round trip summed into g.  G is symmetric in x_i and x_f.
     """
     ell = ca.ell
     if not (0 <= x_i <= ell and 0 <= x_f <= ell):
         raise InputError(f"coordinates must lie in [0, {ell}]")
     if k == 0:
         raise SingularWavenumberError("two-vertex Green function is singular at k = 0")
-    if abs(ca.f) < POLE_TOLERANCE:
-        raise PoleProximityError("composite amplitudes evaluated at a spectral pole")
     k = complex(k)
-    s, r, g = ca.s_big, ca.r_big, ca.g
-    e = cmath.exp(1j * k * ell)
+    r, d = ca.r, abs(x_f - x_i)
 
     total = (
-        (1.0 - s * e) * cmath.exp(1j * k * (x_f - x_i))
+        cmath.exp(1j * k * d)
         + r * cmath.exp(1j * k * (x_f + x_i))
-        + (s + (r * r - s * s) * e) * cmath.exp(1j * k * (ell - x_f + x_i))
         + r * cmath.exp(1j * k * (2 * ell - x_f - x_i))
-    ) / (2j * k * g)
+        + r * r * cmath.exp(1j * k * (2 * ell - d))
+    ) / (2j * k * ca.g)
     return _decompose(total, free_green(k, x_i, x_f), k, x_i, x_f)
 
 
@@ -116,22 +116,20 @@ def bond_wavefunction(phi_i: complex, phi_j: complex, k: float, length: float, x
     return (phi_i * cmath.sin(k * (length - x)) + phi_j * cmath.sin(k * x)) / denom
 
 
-def trace_gamma(k: complex, ca: CompositeAmplitudes) -> complex:
+def trace_gamma(k: complex, ca: CavityAmplitudes) -> complex:
     """Closed-form diagonal integral of the two-vertex Green function.
 
     Equals the quadrature of ``two_vertex_green(k, x, x, ca).total`` over
     x in [0, ell]:
 
-        -[(1 + (r_big^2 - s_big^2) e^{2ik ell}) ik ell + (e^{2ik ell} - 1) r_big] / (2 k^2 g)
+        -[(1 + r^2 e^{2ik ell}) ik ell + (e^{2ik ell} - 1) r] / (2 k^2 g)
 
     The free-line contribution ell/(2ik) is still included; the vacuum-energy
     integrand subtracts it.
     """
     if k == 0:
         raise SingularWavenumberError("trace is singular at k = 0")
-    if abs(ca.f) < POLE_TOLERANCE:
-        raise PoleProximityError("composite amplitudes evaluated at a spectral pole")
     k = complex(k)
-    s, r, g, ell = ca.s_big, ca.r_big, ca.g, ca.ell
+    r, ell = ca.r, ca.ell
     e2 = cmath.exp(2j * k * ell)
-    return -((1.0 + (r * r - s * s) * e2) * 1j * k * ell + (e2 - 1.0) * r) / (2 * k * k * g)
+    return -((1.0 + r * r * e2) * 1j * k * ell + (e2 - 1.0) * r) / (2 * k * k * ca.g)

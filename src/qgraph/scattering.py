@@ -1,4 +1,4 @@
-"""Vertex scattering amplitudes and composite two-vertex amplitudes.
+"""Vertex scattering amplitudes and the cavity amplitudes of a bond.
 
 At a vertex of valency N with delta coupling gamma the reflection and
 transmission amplitudes are
@@ -10,11 +10,10 @@ gamma -> infinity limit, applied analytically: R = -1, T = 0.  The vertex
 scattering matrix has R on the diagonal and T elsewhere; it is unitary on the
 real axis and satisfies S(-k) = S(k)^dagger.
 
-The composite amplitudes parameterize the closed-form Green function of a
-bond of length ell terminated by two identical scatterers built from one
-(R, T) family.  They come as a pair (s_big, r_big) over a common denominator
-f, with g = f/(2ik) the bracketed factor of f.  Zeros of f are spectral
-points, so evaluation close to one raises a pole-proximity error.
+A bond of length ell whose two ends carry the same single-edge reflection r
+is a cavity: its multiple reflections sum to the denominator
+g = 1 - r^2 exp(2ik ell) of the two-vertex Green function.  Zeros of g are
+spectral points, so evaluation close to one raises a pole-proximity error.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 from .errors import PoleProximityError, SingularWavenumberError
 from .graph import VertexCoupling
 
-#: |f| below this (relative to |2ik| times the bracket scale) counts as a pole.
+#: |g| below this (relative to the size of its two terms) counts as a pole.
 POLE_TOLERANCE = 1e-12
 
 
@@ -54,16 +53,24 @@ class VertexSMatrix:
 
 
 @dataclass(frozen=True)
-class CompositeAmplitudes:
-    """Amplitudes (s_big, r_big) and denominator f of the two-vertex Green
-    function, with g = f / (2ik) by construction."""
+class CavityAmplitudes:
+    """End reflection r and denominator g = 1 - r^2 exp(2ik ell) of a bond
+    terminated by two identical vertices.  |g| below :data:`POLE_TOLERANCE`
+    times 1 + |r^2 exp(2ik ell)|, a test free of the length scale, raises
+    :class:`PoleProximityError`.
+    """
 
-    s_big: complex
-    r_big: complex
-    f: complex
+    r: complex
     g: complex
     ell: float
     k: complex
+
+    def __post_init__(self):
+        bounce = self.r * self.r * cmath.exp(2j * self.k * self.ell)
+        if abs(self.g) < POLE_TOLERANCE * (1.0 + abs(bounce)):
+            raise PoleProximityError(
+                f"|g| = {abs(self.g):.3e} at k = {self.k}: evaluation point is a spectral pole"
+            )
 
 
 def vertex_amplitudes(valency, gamma, k, dirichlet):
@@ -117,52 +124,14 @@ def build_vertex_smatrix(valency: int, coupling: VertexCoupling, k: complex) -> 
     return VertexSMatrix(valency, entries, complex(k))
 
 
-def composite_amplitudes(rt: RTPair, ell: float, k: complex) -> CompositeAmplitudes:
-    """Composite amplitudes of the symmetric two-vertex graph.
+def cavity_amplitudes(coupling: VertexCoupling, ell: float, k: complex) -> CavityAmplitudes:
+    """Cavity amplitudes of a bond whose two ends carry ``coupling``.
 
-    Both ends carry the same (R, T) family, so the two reflection-side and
-    the two transmission-side amplitudes coincide and a single pair
-    (s_big, r_big) is returned.  Raises :class:`PoleProximityError` when the
-    denominator f is within :data:`POLE_TOLERANCE` of zero, i.e. at a
-    spectral resonance of the composite graph.
+    r is the single-edge vertex reflection, so the two-vertex formulas give
+    the resolvent of the finite bond exactly and the zeros of g are its
+    spectrum.
     """
-    if ell <= 0:
-        raise ValueError("ell must be positive")
-    if k == 0:
-        raise SingularWavenumberError("composite amplitudes are singular at k = 0")
+    r = vertex_reflection_transmission(1, coupling, k).r
     k = complex(k)
-    r, t = complex(rt.r), complex(rt.t)
-    e = cmath.exp(1j * k * ell)
-    e2, e3 = e * e, e * e * e
-
-    bracket = (
-        1.0
-        - r * e
-        - (r + t) ** 2 * e2
-        - (2 * t**3 + r * t**2 - 2 * r**2 * t - r**3) * e3
-    )
-    f = 2j * k * bracket
-    g = bracket
-
-    scale = max(
-        1.0,
-        abs(r * e),
-        abs((r + t) ** 2 * e2),
-        abs((2 * t**3 + r * t**2 - 2 * r**2 * t - r**3) * e3),
-    )
-    if abs(f) < POLE_TOLERANCE * abs(2j * k) * scale:
-        raise PoleProximityError(
-            f"|f| = {abs(f):.3e} at k = {k}: evaluation point is a spectral resonance"
-        )
-
-    s_big = t**2 * cmath.exp(2j * k * ell) * ((r + t) * (1.0 - r * e) + 2 * t**2 * e) / f
-    r_big = (
-        -(
-            r
-            - r**2 * e
-            + (t**3 - 2 * r**2 * t - r**3) * e2
-            + (r**4 + 2 * r**3 * t - 2 * r**2 * t**2 - 3 * r * t**3 + 2 * t**4) * e3
-        )
-        / f
-    )
-    return CompositeAmplitudes(s_big, r_big, f, g, float(ell), k)
+    g = 1.0 - r * r * cmath.exp(2j * k * ell)
+    return CavityAmplitudes(r, g, float(ell), k)

@@ -167,16 +167,16 @@ class _MatchingCount:
         m = np.rint(kl / math.pi)
         floor = m - ((m % 2 == 1) == (t > 0))
 
-        s_big = np.abs(t) >= 1.0
+        steep = np.abs(t) >= 1.0
         # the kept coefficient and the border diagonal are both this value
-        d = np.where(s_big, -1.0 / t, t)
+        d = np.where(steep, -1.0 / t, t)
         # scaling vertex rows and columns by |gamma / k|^-1/2 where that is
         # below one is a congruence: the inertia stays, and near-zero
         # eigenvalues stay resolved beside strong couplings
         gk = np.outer(1.0 / ks, self._gamma)
         w = np.maximum(1.0, np.abs(gk))[:, None, :] ** -0.5
-        kept = np.where(s_big[..., None], self._a, self._s) * w
-        border = np.where(s_big[..., None], self._s, self._a) * w
+        kept = np.where(steep[..., None], self._a, self._s) * w
+        border = np.where(steep[..., None], self._s, self._a) * w
 
         v, size = gk.shape[1], gk.shape[1] + d.shape[1]
         form = np.zeros((len(ks), size, size))

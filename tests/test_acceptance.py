@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one PASS/FAIL line (run with ``pytest -s`` to see the lines live)."""
 
+import itertools
 import json
 import math
 import time
@@ -99,8 +100,7 @@ def test_criterion_4_green_ode_residuals():
 
     for _ in range(20):
         k = rng.uniform(0.5, 3.0)
-        rt = qg.vertex_reflection_transmission(1, qg.DIRICHLET, k)
-        ca = qg.composite_amplitudes(rt, 1.0, k)
+        ca = qg.cavity_amplitudes(qg.DIRICHLET, 1.0, k)
         x_src = rng.uniform(0.2, 0.8)
         x = rng.uniform(0.2, 0.8)
         if abs(x - x_src) < 10 * h:
@@ -158,9 +158,8 @@ def test_criterion_6_trace_closed_form_vs_quadrature():
     points = [(k, l) for k in (0.4, 0.9, 1.7, 2.6, 4.0) for l in (0.7, 1.6)]
     assert len(points) == 10
     worst = 0.0
-    for kappa, ell in points:
-        rt = qg.vertex_reflection_transmission(1, qg.DIRICHLET, 1j * kappa)
-        ca = qg.composite_amplitudes(rt, ell, 1j * kappa)
+    for coupling, (kappa, ell) in itertools.product((qg.DIRICHLET, qg.delta(0.7)), points):
+        ca = qg.cavity_amplitudes(coupling, ell, 1j * kappa)
         closed = qg.trace_gamma(1j * kappa, ca)
         numeric, _ = quad(
             lambda x: qg.two_vertex_green(1j * kappa, x, x, ca).total.real,
@@ -174,7 +173,8 @@ def test_criterion_6_trace_closed_form_vs_quadrature():
     record(
         "criterion 6: diagonal trace closed form vs adaptive quadrature",
         worst <= 1e-8,
-        f"worst relative deviation {worst:.2e} <= 1e-8 on 10 (kappa, ell) points",
+        f"worst relative deviation {worst:.2e} <= 1e-8 on 10 (kappa, ell) points, "
+        "dirichlet and delta(0.7)",
     )
 
 

@@ -11,12 +11,7 @@ from qgraph import (
     RegularizationConfig,
     UnsupportedTopologyError,
 )
-from qgraph.casimir import (
-    ENERGY_PREFACTOR,
-    cavity_amplitudes,
-    geometric_taus,
-    reflection_at_infinity,
-)
+from qgraph.casimir import ENERGY_PREFACTOR, geometric_taus, reflection_at_infinity
 from tests.conftest import analytic_interval_spectrum, dirichlet_interval, interval_mode_sum_config
 
 
@@ -62,16 +57,15 @@ class TestExtrapolateTau:
 
 class TestCasimirIntegrand:
     def test_vanishes_without_scatterers(self):
-        ca = qg.CompositeAmplitudes(0j, 0j, 2j, 1.0 + 0j, 1.0, 1.0 + 0j)
+        ca = qg.CavityAmplitudes(0j, 1.0 + 0j, 1.0, 1.0 + 0j)
         assert qg.casimir_integrand(1.0, 0.1, ca) == pytest.approx(0.0, abs=1e-15)
 
     def test_golden_value_on_imaginary_axis(self):
-        # frozen from a 40-digit evaluation of the subtracted trace at
-        # k = i, ell = 1, tau = 0.01 with the dirichlet composite amplitudes
-        rt = qg.vertex_reflection_transmission(1, qg.DIRICHLET, 1j)
-        ca = qg.composite_amplitudes(rt, 1.0, 1j)
+        # closed form (1 - coth(1)/2) e^{-0.01} = 0.34006465069146587 of the
+        # subtracted trace of the unit dirichlet interval at k = i, tau = 0.01
+        ca = qg.cavity_amplitudes(qg.DIRICHLET, 1.0, 1j)
         value = qg.casimir_integrand(1j, 0.01, ca)
-        assert value == pytest.approx(0.24327566585372568671, abs=1e-13)
+        assert value.real == pytest.approx((1.0 - 0.5 / math.tanh(1.0)) * math.exp(-0.01), abs=1e-15)
         assert value.imag == pytest.approx(0.0, abs=1e-14)
 
     def test_exponential_decay_bound(self):
@@ -89,14 +83,14 @@ class TestCasimirIntegrand:
         # precision can still resolve it (the trace is O(1/kappa) before the
         # cancelling subtractions)
         for kappa in np.linspace(5.0, 15.0, 11):
-            ca = cavity_amplitudes(qg.DIRICHLET, ell, 1j * kappa)
+            ca = qg.cavity_amplitudes(qg.DIRICHLET, ell, 1j * kappa)
             value = qg.casimir_integrand(
                 1j * kappa, tau, ca, reflection_at_infinity=reflection_at_infinity(qg.DIRICHLET)
             )
             assert abs(value) <= bound_constant * math.exp(-2 * kappa * ell) / kappa
 
     def test_negative_tau_rejected(self):
-        ca = cavity_amplitudes(qg.DIRICHLET, 1.0, 1j)
+        ca = qg.cavity_amplitudes(qg.DIRICHLET, 1.0, 1j)
         with pytest.raises(ValueError):
             qg.casimir_integrand(1j, -0.1, ca)
 
@@ -110,7 +104,7 @@ class TestCasimirIntegrand:
         f = _rotated_integrand(coupling, ell)
         n_inf = reflection_at_infinity(coupling)
         for kappa in (0.3, 1.0, 2.5, 7.0):
-            ca = cavity_amplitudes(coupling, ell, 1j * kappa)
+            ca = qg.cavity_amplitudes(coupling, ell, 1j * kappa)
             generic = kappa**2 * qg.casimir_integrand(
                 1j * kappa, tau, ca, reflection_at_infinity=n_inf
             )

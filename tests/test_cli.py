@@ -44,6 +44,48 @@ WALL = {
 }
 
 
+def two_vertex(coupling: dict, ell: float = 1.0) -> dict:
+    return {
+        "vertices": [{"id": 0, "coupling": coupling}, {"id": 1, "coupling": coupling}],
+        "bonds": [{"from": 0, "to": 1, "length": ell}],
+        "leads": [],
+    }
+
+
+def open_star(coupling: dict) -> dict:
+    return {
+        "vertices": [{"id": 0, "coupling": coupling}],
+        "bonds": [],
+        "leads": [{"vertex": 0}, {"vertex": 0}, {"vertex": 0}],
+    }
+
+
+def greens_total(graph: str, out, k: float, xi: float, xf: float, lead_in=0, lead_out=0) -> complex:
+    """G at real k from the ``greens`` command."""
+    assert main(
+        ["greens", "--graph", graph, "--k", f"{k!r},0", "--xi", repr(xi), "--xf", repr(xf),
+         "--lead-in", str(lead_in), "--lead-out", str(lead_out), "--output", str(out)]
+    ) == 0
+    total = json.loads(out.read_text())["total"]
+    return complex(total["re"], total["im"])
+
+
+ORACLE_COUPLINGS = {
+    "two-vertex": [
+        {"kind": "dirichlet"},
+        {"kind": "kirchhoff"},
+        {"kind": "delta", "gamma": 0.7},
+        {"kind": "delta", "gamma": 3.0},
+    ],
+    "star": [{"kind": "kirchhoff"}, {"kind": "delta", "gamma": 0.6}, {"kind": "delta", "gamma": -0.4}],
+}
+ORACLE_CASES = [
+    pytest.param(form, c, id=f"{form}-{c['kind']}{c.get('gamma', '')}")
+    for form, couplings in ORACLE_COUPLINGS.items()
+    for c in couplings
+]
+
+
 @pytest.fixture
 def graph_file(tmp_path):
     def write(doc, name="graph.json"):
@@ -235,9 +277,60 @@ class TestGreensCommand:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        # golden value shared with the library-level test
-        assert payload["total"]["re"] == pytest.approx(-0.11951934324081347, abs=1e-13)
-        assert payload["total"]["im"] == pytest.approx(-0.20443049242628939, abs=1e-13)
+        # closed form -sin(0.65)^2 / (1.3 sin 1.3), shared with the library-level test
+        assert payload["total"]["re"] == pytest.approx(-0.29238630735910626, abs=1e-15)
+        assert payload["total"]["im"] == pytest.approx(0.0, abs=1e-15)
+
+
+    def test_two_vertex_pole_check_is_scale_free(self, graph_file, tmp_path):
+        # halfway between two poles of a dirichlet bond of length 1e13: G is
+        # c times the unit-bond value, not a pole-proximity failure
+        c, out = 1e13, tmp_path / "g.json"
+        big = greens_total(graph_file(two_vertex({"kind": "dirichlet"}, c)), out,
+                           math.pi / (2 * c), 0.3 * c, 0.6 * c)
+        unit = greens_total(graph_file(INTERVAL, "unit.json"), out, math.pi / 2, 0.3, 0.6)
+        assert big == pytest.approx(c * unit, rel=1e-12)
+
+    @pytest.mark.parametrize("form, coupling", ORACLE_CASES)
+    def test_green_function_oracles(self, form, coupling, graph_file, tmp_path):
+        """Reciprocity and the vertex conditions on every form ``greens``
+        accepts, and reality at real k on the compact form.  The vertex
+        condition is read in the coordinate t running from the vertex into
+        its bond or lead: G = 0 at a dirichlet vertex, else the sum of dG/dt
+        over the edges at the vertex equals gamma G there."""
+        k, h, src = 1.7, 1e-5, 0.4
+        gamma = coupling.get("gamma", 0.0)
+        out = tmp_path / "g.json"
+
+        def slope(values):  # dG/dt at t = 0 from G at t = 0, h, 2h
+            return (-3 * values[0] + 4 * values[1] - values[2]) / (2 * h)
+
+        def assert_vertex_condition(edges):
+            values = [[g(t) for t in (0.0, h, 2 * h)] for g in edges]
+            scale = max(abs(v) for vs in values for v in vs)
+            for vs in values:  # one vertex value on every edge
+                assert vs[0] == pytest.approx(values[0][0], rel=1e-14, abs=1e-15 * scale)
+            if coupling["kind"] == "dirichlet":
+                assert abs(values[0][0]) <= 1e-14 * scale
+            else:
+                flux = sum(slope(vs) for vs in values)
+                assert abs(flux - gamma * values[0][0]) <= 1e-7 * (k + abs(gamma)) * scale
+
+        if form == "two-vertex":
+            graph = graph_file(two_vertex(coupling))
+            g = lambda xi, xf: greens_total(graph, out, k, xi, xf)
+            assert_vertex_condition([lambda t: g(src, t)])
+            assert_vertex_condition([lambda t: g(src, 1.0 - t)])
+            for a, b in ((0.3, 0.8), (0.05, 0.95), (0.5, 0.5)):
+                forward, backward = g(a, b), g(b, a)
+                assert forward == pytest.approx(backward, rel=1e-14)
+                assert abs(forward.imag) <= 1e-12 * abs(forward)
+        else:
+            graph = graph_file(open_star(coupling))
+            g = lambda n, l, xi, xf: greens_total(graph, out, k, xi, xf, n, l)
+            assert_vertex_condition([lambda t, l=l: g(0, l, src, t) for l in range(3)])
+            for n, l, a, b in ((0, 1, 0.4, 0.9), (0, 0, 0.4, 0.9), (2, 1, 0.3, 1.1)):
+                assert g(n, l, a, b) == pytest.approx(g(l, n, b, a), rel=1e-14)
 
 
 class TestDeterminism:

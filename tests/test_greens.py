@@ -7,17 +7,15 @@ from scipy.integrate import quad
 
 import qgraph as qg
 from qgraph import InputError, ResonantBondError, SingularWavenumberError
-from qgraph.casimir import cavity_amplitudes
 
 
-def dirichlet_composite(k, ell=1.0):
-    rt = qg.vertex_reflection_transmission(1, qg.DIRICHLET, k)
-    return qg.composite_amplitudes(rt, ell, k)
+def dirichlet_cavity(k, ell=1.0):
+    return qg.cavity_amplitudes(qg.DIRICHLET, ell, k)
 
 
 def free_amplitudes(k, ell=1.0):
-    """Both amplitudes zero, g = 1: a bare line segment."""
-    return qg.CompositeAmplitudes(0j, 0j, 2j * complex(k), 1.0 + 0j, ell, complex(k))
+    """No end reflection, g = 1: a bare line segment."""
+    return qg.CavityAmplitudes(0j, 1.0 + 0j, ell, complex(k))
 
 
 class TestFreeGreen:
@@ -86,24 +84,41 @@ class TestTwoVertexGreen:
         dec = qg.two_vertex_green(1.0, 0.2, 0.7, ca)
         assert dec.total == pytest.approx(cmath.exp(1j * 0.5) / 2j, abs=1e-14)
 
-    def test_no_scatterers_signed_exponent_branch(self):
-        # the direct term keeps the signed difference, so for x_f < x_i the
-        # total is the analytic continuation and the free split is nonzero
+    def test_no_scatterers_is_symmetric(self):
+        # a bare segment is the free line in either order of the points
         ca = free_amplitudes(1j)
-        dec = qg.two_vertex_green(1j, 0.7, 0.2, ca)
-        assert dec.total == pytest.approx(cmath.exp(1j * 1j * (0.2 - 0.7)) / (2j * 1j), abs=1e-14)
-        assert abs(dec.gamma_part) > 0.1
+        for xi, xf in ((0.7, 0.2), (0.2, 0.7)):
+            dec = qg.two_vertex_green(1j, xi, xf, ca)
+            assert dec.total == pytest.approx(math.exp(-0.5) / (2j * 1j), abs=1e-15)
+            assert dec.gamma_part == 0
 
-    def test_golden_dirichlet_composite_midpoint(self):
-        # frozen from a 40-digit evaluation at k = 1.3, ell = 1
-        ca = dirichlet_composite(1.3)
-        dec = qg.two_vertex_green(1.3, 0.5, 0.5, ca)
-        assert dec.total == pytest.approx(
-            -0.11951934324081347356 - 0.20443049242628939293j, abs=1e-14
+    def test_golden_dirichlet_cavity_midpoint(self):
+        # closed form -sin(k/2)^2 / (k sin k) of the unit dirichlet interval
+        # at k = 1.3: -0.29238630735910626
+        dec = qg.two_vertex_green(1.3, 0.5, 0.5, dirichlet_cavity(1.3))
+        assert dec.total.real == pytest.approx(
+            -math.sin(0.65) ** 2 / (1.3 * math.sin(1.3)), abs=1e-15
         )
+        assert dec.total.imag == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e13])
+    @pytest.mark.parametrize("gamma", [None, 0.0, 0.7], ids=["dirichlet", "kirchhoff", "delta"])
+    def test_scale_covariance(self, c, gamma):
+        # (x, x', k, ell, gamma) -> (cx, cx', k/c, c ell, gamma/c) leaves every
+        # phase and reflection fixed and multiplies G by c; k = pi/2 lies
+        # halfway between two dirichlet poles of the unit bond
+        def coupling(scale):
+            return qg.DIRICHLET if gamma is None else qg.delta(gamma / scale)
+
+        k = math.pi / 2
+        base = qg.two_vertex_green(k, 0.3, 0.6, qg.cavity_amplitudes(coupling(1.0), 1.0, k))
+        ca = qg.cavity_amplitudes(coupling(c), c, k / c)
+        scaled = qg.two_vertex_green(k / c, 0.3 * c, 0.6 * c, ca)
+        assert scaled.total == pytest.approx(c * base.total, rel=1e-12)
+        assert scaled.free_part == pytest.approx(c * base.free_part, rel=1e-12)
 
     def test_coordinates_out_of_range(self):
-        ca = dirichlet_composite(1.3)
+        ca = dirichlet_cavity(1.3)
         with pytest.raises(InputError):
             qg.two_vertex_green(1.3, -0.1, 0.5, ca)
         with pytest.raises(InputError):
@@ -111,7 +126,7 @@ class TestTwoVertexGreen:
 
     def test_decomposition_is_exact(self):
         rng = np.random.default_rng(11)
-        ca = dirichlet_composite(0.9)
+        ca = dirichlet_cavity(0.9)
         for _ in range(10):
             xi, xf = rng.uniform(0.0, 1.0, size=2)
             dec = qg.two_vertex_green(0.9, xi, xf, ca)
@@ -125,7 +140,7 @@ class TestTwoVertexGreen:
         ell = 1.0
         coupling = qg.delta(0.7)
         r = qg.vertex_reflection_transmission(1, coupling, k).r
-        ca = cavity_amplitudes(coupling, ell, k)
+        ca = qg.cavity_amplitudes(coupling, ell, k)
         rng = np.random.default_rng(5)
         for _ in range(5):
             u, v = np.sort(rng.uniform(0.05, 0.95, size=2))
@@ -172,13 +187,14 @@ class TestTraceGamma:
         assert two == pytest.approx(2 * one, abs=1e-14)
 
     def test_golden_dirichlet_imaginary_axis(self):
-        # frozen from a 40-digit quadrature of the diagonal at k = i, ell = 1
-        ca = dirichlet_composite(1j)
-        assert qg.trace_gamma(1j, ca) == pytest.approx(-0.25427937305693213232, abs=1e-12)
+        # closed form 1/2 - coth(1)/2 = -0.15651764274966565 of the unit
+        # dirichlet interval at k = i
+        ca = dirichlet_cavity(1j)
+        assert qg.trace_gamma(1j, ca) == pytest.approx(0.5 - 0.5 / math.tanh(1.0), abs=1e-15)
 
     @pytest.mark.parametrize("kappa,ell", [(1.0, 1.0), (0.7, 2.0), (3.0, 0.5), (1.4, 1.3)])
     def test_matches_diagonal_quadrature(self, kappa, ell):
-        ca = dirichlet_composite(1j * kappa, ell)
+        ca = dirichlet_cavity(1j * kappa, ell)
         closed = qg.trace_gamma(1j * kappa, ca)
 
         def diag(x):
@@ -216,7 +232,7 @@ class TestOdeResidual:
         rng = np.random.default_rng(43)
         for _ in range(20):
             k = rng.uniform(0.5, 3.0)
-            ca = dirichlet_composite(k)
+            ca = dirichlet_cavity(k)
             x_src = rng.uniform(0.2, 0.8)
             x = rng.uniform(0.2, 0.8)
             if abs(x - x_src) < 10 * self.H:

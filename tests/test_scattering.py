@@ -1,11 +1,8 @@
-import cmath
-import math
-
 import numpy as np
 import pytest
 
 import qgraph as qg
-from qgraph import PoleProximityError, SingularWavenumberError
+from qgraph import SingularWavenumberError
 
 COUPLINGS = [qg.delta(-2.0), qg.KIRCHHOFF, qg.delta(0.5), qg.delta(3.0), qg.DIRICHLET]
 
@@ -81,87 +78,3 @@ def test_dirichlet_is_large_gamma_limit(k):
     rt = qg.vertex_reflection_transmission(3, qg.delta(gamma), k)
     assert abs(rt.r - (-1.0)) <= 10 * abs(k) / gamma
     assert abs(rt.t) <= 10 * abs(k) / gamma
-
-
-@pytest.mark.parametrize("k", [0.7, 1.3, 4.0])
-@pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
-def test_composite_dirichlet_reduction(k, ell):
-    # with r = -1, t = 0 the r_big numerator and g share the common factor
-    # 1 + e - e^2 - e^3, leaving exactly 1/(2ik)
-    rt = qg.vertex_reflection_transmission(1, qg.DIRICHLET, k)
-    ca = qg.composite_amplitudes(rt, ell, k)
-    assert ca.s_big == 0
-    assert ca.r_big == pytest.approx(1.0 / (2j * k), abs=1e-14)
-    e = cmath.exp(1j * k * ell)
-    assert ca.g == pytest.approx(1 + e - e**2 - e**3, abs=1e-13)
-    assert ca.f == pytest.approx(2j * k * ca.g, abs=1e-13)
-
-
-def test_composite_degenerate_all_zero_amplitudes():
-    rt = qg.RTPair(0.0, 0.0, 3, 0.0, 1.0)
-    ca = qg.composite_amplitudes(rt, 1.0, 1.0)
-    assert ca.s_big == 0
-    assert ca.r_big == 0
-    assert ca.f == pytest.approx(2j, abs=1e-15)
-    assert ca.g == pytest.approx(1.0, abs=1e-15)
-
-
-def test_composite_golden_values():
-    # frozen from a 50-digit evaluation of the closed-form expressions
-    rt = qg.vertex_reflection_transmission(3, qg.KIRCHHOFF, 1.0)
-    ca = qg.composite_amplitudes(rt, 1.0, 1.0)
-    assert ca.s_big == pytest.approx(0.076585797285284471168 + 0.15464695083780827623j, abs=1e-14)
-    assert ca.r_big == pytest.approx(-0.076585797285284471168 - 0.3213136175044749429j, abs=1e-14)
-    assert ca.f == pytest.approx(-0.2648345563152013685 + 3.1126736097673106469j, abs=1e-13)
-    assert ca.g == pytest.approx(1.5563368048836553234 + 0.13241727815760068425j, abs=1e-13)
-
-
-def test_composite_golden_values_against_high_precision_oracle():
-    # re-derive the frozen regression values at 40 digits to confirm the
-    # double-precision evaluation is well conditioned
-    import mpmath as mp
-
-    mp.mp.dps = 40
-    r, t, ell, k = mp.mpf(-1) / 3, mp.mpf(2) / 3, mp.mpf(1), mp.mpf(1)
-    e = mp.exp(1j * k * ell)
-    f = 2j * k * (1 - r * e - (r + t) ** 2 * e**2
-                  - (2 * t**3 + r * t**2 - 2 * r**2 * t - r**3) * e**3)
-    s_big = t**2 * mp.exp(2j * k * ell) * ((r + t) * (1 - r * e) + 2 * t**2 * e) / f
-    r_big = -(r - r**2 * e + (t**3 - 2 * r**2 * t - r**3) * e**2
-              + (r**4 + 2 * r**3 * t - 2 * r**2 * t**2 - 3 * r * t**3 + 2 * t**4) * e**3) / f
-
-    rt = qg.vertex_reflection_transmission(3, qg.KIRCHHOFF, 1.0)
-    ca = qg.composite_amplitudes(rt, 1.0, 1.0)
-    assert ca.s_big == pytest.approx(complex(s_big), abs=1e-15)
-    assert ca.r_big == pytest.approx(complex(r_big), abs=1e-15)
-    assert ca.f == pytest.approx(complex(f), abs=1e-14)
-
-
-def test_composite_f_is_2ik_g_identically():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        k = complex(rng.uniform(0.2, 4.0), rng.uniform(-1.0, 1.0))
-        rt = qg.vertex_reflection_transmission(3, qg.delta(rng.uniform(-1, 2)), k)
-        ca = qg.composite_amplitudes(rt, rng.uniform(0.3, 2.0), k)
-        assert ca.f == pytest.approx(2j * ca.k * ca.g, rel=1e-13)
-
-
-@pytest.mark.parametrize("c", [0.5, 2.0, 3.7])
-def test_composite_scale_covariance_dirichlet(c):
-    # (k, ell) -> (k/c, c*ell) leaves exp(ik ell) invariant, so f -> f/c and
-    # r_big -> c * r_big for the k-independent dirichlet pair
-    k, ell = 1.1, 0.8
-    rt = qg.vertex_reflection_transmission(1, qg.DIRICHLET, k)
-    base = qg.composite_amplitudes(rt, ell, k)
-    rt_scaled = qg.vertex_reflection_transmission(1, qg.DIRICHLET, k / c)
-    scaled = qg.composite_amplitudes(rt_scaled, c * ell, k / c)
-    assert scaled.f == pytest.approx(base.f / c, rel=1e-12)
-    assert scaled.r_big == pytest.approx(c * base.r_big, rel=1e-12)
-    assert scaled.g == pytest.approx(base.g, rel=1e-12)
-
-
-def test_composite_pole_detection():
-    # k = pi on the unit dirichlet cavity sits on the spectrum (g -> 0)
-    rt = qg.vertex_reflection_transmission(1, qg.DIRICHLET, math.pi)
-    with pytest.raises(PoleProximityError):
-        qg.composite_amplitudes(rt, 1.0, math.pi)
