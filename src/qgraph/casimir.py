@@ -5,11 +5,14 @@ Green-trace route
     wavenumber with an exp(ik tau) regulator and a second tau-derivative
     applied analytically (multiply by (ik)^2).  The contour is rotated to the
     positive imaginary axis k = i kappa, where all poles (real eigenvalues)
-    are avoided and the integrand decays like exp(-2 kappa ell) once the two
-    non-decaying pieces are removed: the bulk free-line term ell/(2ik) and
-    the constant high-frequency vertex reflection n_inf/(2 k^2).  Both pieces
-    are pure regulator divergences with no finite part, so removing them
-    leaves the tau -> 0 limit untouched.  The overall normalization is frozen
+    are avoided.  Two non-decaying pieces are removed: the bulk free-line
+    term ell/(2ik) and the constant high-frequency vertex reflection
+    n_inf/(2 k^2).  Both are pure regulator divergences with no finite part,
+    so removing them leaves the tau -> 0 limit untouched.  With dirichlet or
+    kirchhoff ends what is left decays like exp(-2 kappa ell); with delta
+    ends (gamma != 0) it keeps a gamma/kappa tail that only the regulator
+    cuts off, which neither the truncation at kappa_max nor the reported
+    ``estimated_error`` accounts for.  The overall normalization is frozen
     once against the Dirichlet cavity benchmark E = -pi/(24 ell) and is
     exactly 1/pi; every other configuration is a prediction.
 
@@ -89,8 +92,8 @@ class RegularizationConfig:
     ratio 1/sqrt(2), 8 points, starting at 0.2 for the mode sum and 0.1 for
     the Green trace, where smaller regulators cost nothing because the
     integrand decay is set by the geometry).  ``kappa_max`` of ``None``
-    resolves to the smallest truncation with
-    exp(-2 kappa_max ell)/kappa_max < quadrature_tol.
+    resolves to max(1, -ln(quadrature_tol)/(2 ell)), a truncation with
+    exp(-2 kappa_max ell)/kappa_max < quadrature_tol but not the smallest.
     """
 
     tau_values: tuple[float, ...] | None = None
@@ -103,15 +106,15 @@ class RegularizationConfig:
             taus = tuple(float(t) for t in self.tau_values)
             if len(taus) < 3:
                 raise ValueError("tau_values needs at least 3 entries")
-            if any(t <= 0 for t in taus):
-                raise ValueError("tau_values must be positive")
+            if any(not 0 < t < math.inf for t in taus):
+                raise ValueError("tau_values must be positive and finite")
             if any(b >= a for a, b in zip(taus, taus[1:])):
                 raise ValueError("tau_values must be strictly decreasing")
             object.__setattr__(self, "tau_values", taus)
-        if self.quadrature_tol <= 0:
-            raise ValueError("quadrature_tol must be positive")
-        if self.kappa_max is not None and self.kappa_max <= 0:
-            raise ValueError("kappa_max must be positive")
+        if not 0 < self.quadrature_tol < math.inf:
+            raise ValueError("quadrature_tol must be positive and finite")
+        if self.kappa_max is not None and not 0 < self.kappa_max < math.inf:
+            raise ValueError("kappa_max must be positive and finite")
         if self.fit_order < 1:
             raise ValueError("fit_order must be >= 1")
 
@@ -188,13 +191,8 @@ def extrapolate_tau(
     return limit, [float(c) for c in coeffs], residual
 
 
-def casimir_integrand(
-    k: complex,
-    tau: float,
-    ca: CavityAmplitudes,
-    reflection_at_infinity: float = 0.0,
-) -> complex:
-    """Regulated trace integrand of the two-vertex graph.
+def casimir_integrand(tau: float, ca: CavityAmplitudes, reflection_at_infinity: float = 0.0) -> complex:
+    """Regulated trace integrand of the two-vertex graph at k = ``ca.k``.
 
     The closed-form diagonal trace with the free-line term ell/(2ik)
     subtracted (the piece surviving when r = 0), times the
@@ -205,8 +203,8 @@ def casimir_integrand(
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    k = complex(k)
-    value = trace_gamma(k, ca) - ca.ell / (2j * k) - reflection_at_infinity / (2 * k * k)
+    k = ca.k
+    value = trace_gamma(ca) - ca.ell / (2j * k) - reflection_at_infinity / (2 * k * k)
     return value * cmath.exp(1j * k * tau)
 
 
@@ -249,41 +247,24 @@ def _rotated_integrand(coupling: VertexCoupling, ell: float):
     return f
 
 
-def _resolve_kappa_max(ell: float, quadrature_tol: float) -> float:
-    kappa = max(1.0, -math.log(quadrature_tol) / (2.0 * ell))
-    for _ in range(60):
-        if math.exp(-2.0 * kappa * ell) / kappa < quadrature_tol:
-            return kappa
-        kappa *= 1.25
-    return kappa
-
-
-def casimir_green_method(
-    g: Graph | tuple[VertexCoupling, float], cfg: RegularizationConfig | None = None
-) -> CasimirResult:
+def casimir_green_method(g: Graph, cfg: RegularizationConfig | None = None) -> CasimirResult:
     """Zero-point energy from the rotated Green-trace integral.
 
-    Accepts a two-vertex compact graph (one bond, identical couplings) or a
-    ``(coupling, length)`` pair directly.  For each regulator value the
-    subtracted trace is integrated over kappa in (0, kappa_max] by adaptive
-    quadrature; the tau -> 0 limit is read off a polynomial fit and scaled
-    by the frozen normalization.
+    ``g`` must be a two-vertex compact graph (one bond, identical couplings,
+    gamma >= 0).  For each regulator value the subtracted trace is
+    integrated over kappa in (0, kappa_max] by adaptive quadrature; the
+    tau -> 0 limit is read off a polynomial fit and scaled by the frozen
+    normalization.
     """
     cfg = cfg or RegularizationConfig()
-    if isinstance(g, Graph):
-        coupling, ell = two_vertex_form(g, "green method")
-        if coupling.kind.value == "delta" and coupling.gamma < 0:
-            raise UnsupportedTopologyError(
-                "attractive couplings (gamma < 0) put a bound-state pole on the "
-                "rotated contour; not supported"
-            )
-    else:
-        coupling, ell = g
-        ell = float(ell)
-        if ell <= 0:
-            raise ValueError("bond length must be positive")
+    coupling, ell = two_vertex_form(g)
+    if coupling.kind.value == "delta" and coupling.gamma < 0:
+        raise UnsupportedTopologyError(
+            "attractive couplings (gamma < 0) put a bound-state pole on the "
+            "rotated contour; not supported"
+        )
     taus = cfg.tau_values or geometric_taus(DEFAULT_TAU_MAX[Method.GREEN_TRACE])
-    kappa_max = cfg.kappa_max or _resolve_kappa_max(ell, cfg.quadrature_tol)
+    kappa_max = cfg.kappa_max or max(1.0, -math.log(cfg.quadrature_tol) / (2.0 * ell))
     integrand = _rotated_integrand(coupling, ell)
 
     integrals = [
@@ -305,6 +286,7 @@ def casimir_green_method(
     limit, coeffs, residual = extrapolate_tau(samples, cfg.fit_order, powers=powers)
 
     # truncation bound: |integrand| <= kappa ell e^{-2 kappa ell} / (1 - e^{-2 kappa ell})
+    # for dirichlet and kirchhoff ends; it misses the gamma/kappa tail of delta ends
     tail = ell * math.exp(-2.0 * kappa_max * ell) * (2.0 * kappa_max * ell + 1.0) / (
         4.0 * ell**2
     ) / (1.0 - math.exp(-2.0 * kappa_max * ell))

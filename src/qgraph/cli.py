@@ -12,6 +12,7 @@ sweep failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -42,6 +43,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _finite_float(raw: str) -> float:
+    """Type of every float flag: NaN and infinities are flag errors."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qgraph", description=__doc__.split("\n")[0] if __doc__ else "")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -49,8 +61,8 @@ def _build_parser() -> _Parser:
 
     spectrum = sub.add_parser("spectrum", help="eigenvalues of a compact graph")
     spectrum.add_argument("--graph", required=True, metavar="PATH")
-    spectrum.add_argument("--kmax", required=True, type=float)
-    spectrum.add_argument("--tol", type=float, default=_SPECTRUM_TOL)
+    spectrum.add_argument("--kmax", required=True, type=_finite_float)
+    spectrum.add_argument("--tol", type=_finite_float, default=_SPECTRUM_TOL)
     spectrum.add_argument("--output", required=True, metavar="PATH")
 
     casimir = sub.add_parser("casimir", help="vacuum energy of a graph")
@@ -61,8 +73,8 @@ def _build_parser() -> _Parser:
 
     sweep = sub.add_parser("sweep", help="energy versus global length scale (CSV)")
     sweep.add_argument("--graph", required=True, metavar="PATH")
-    sweep.add_argument("--from", dest="scale_from", required=True, type=float)
-    sweep.add_argument("--to", dest="scale_to", required=True, type=float)
+    sweep.add_argument("--from", dest="scale_from", required=True, type=_finite_float)
+    sweep.add_argument("--to", dest="scale_to", required=True, type=_finite_float)
     sweep.add_argument("--steps", required=True, type=int)
     sweep.add_argument("--method", required=True, choices=["green", "modesum"])
     _add_regularization_flags(sweep)
@@ -71,8 +83,8 @@ def _build_parser() -> _Parser:
     greens = sub.add_parser("greens", help="pointwise Green-function values")
     greens.add_argument("--graph", required=True, metavar="PATH")
     greens.add_argument("--k", required=True, metavar="RE,IM")
-    greens.add_argument("--xi", required=True, type=float)
-    greens.add_argument("--xf", required=True, type=float)
+    greens.add_argument("--xi", required=True, type=_finite_float)
+    greens.add_argument("--xf", required=True, type=_finite_float)
     greens.add_argument("--lead-in", type=int, default=0)
     greens.add_argument("--lead-out", type=int, default=0)
     greens.add_argument("--output", required=True, metavar="PATH")
@@ -81,11 +93,11 @@ def _build_parser() -> _Parser:
 
 
 def _add_regularization_flags(sub) -> None:
-    sub.add_argument("--tau-min", type=float, default=None)
-    sub.add_argument("--tau-max", type=float, default=None)
+    sub.add_argument("--tau-min", type=_finite_float, default=None)
+    sub.add_argument("--tau-max", type=_finite_float, default=None)
     sub.add_argument("--tau-steps", type=int, default=None)
-    sub.add_argument("--quad-tol", type=float, default=1e-10)
-    sub.add_argument("--kappa-max", type=float, default=None)
+    sub.add_argument("--quad-tol", type=_finite_float, default=1e-10)
+    sub.add_argument("--kappa-max", type=_finite_float, default=None)
     sub.add_argument("--fit-order", type=int, default=5)
 
 
@@ -138,9 +150,9 @@ def _parse_complex(raw: str) -> complex:
     if len(parts) != 2:
         raise InputError(f"complex numbers are written as 're,im', got {raw!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise InputError(f"invalid complex literal {raw!r}") from exc
+        return complex(_finite_float(parts[0]), _finite_float(parts[1]))
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"invalid complex literal {raw!r}: {exc}") from exc
 
 
 def _cmd_spectrum(args) -> int:
@@ -273,8 +285,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_greens(args) -> int:
     g = _load_graph(args.graph)
     k = _parse_complex(args.k)
-    if args.xi < 0 or args.xf < 0:
-        raise InputError("coordinates must be >= 0")
 
     if not g.bonds and g.leads:
         vertex_ids = {lead.vertex for lead in g.leads}
@@ -282,12 +292,12 @@ def _cmd_greens(args) -> int:
             raise UnsupportedTopologyError("star form requires all leads at one vertex")
         coupling = g.coupling(next(iter(vertex_ids)))
         s = build_vertex_smatrix(len(g.leads), coupling, k)
-        decomposition = star_green(args.lead_in, args.lead_out, k, args.xi, args.xf, s)
-    elif len(g.vertices) == 2 and len(g.bonds) == 1 and not g.leads:
-        coupling, ell = two_vertex_form(g, "two-vertex form")
-        decomposition = two_vertex_green(k, args.xi, args.xf, cavity_amplitudes(coupling, ell, k))
+        decomposition = star_green(args.lead_in, args.lead_out, args.xi, args.xf, s)
     else:
-        raise UnsupportedTopologyError("greens supports star (leads only) or two-vertex graphs")
+        coupling, ell = two_vertex_form(g)
+        if args.lead_in or args.lead_out:
+            raise InputError("--lead-in and --lead-out apply to a star of leads only")
+        decomposition = two_vertex_green(args.xi, args.xf, cavity_amplitudes(coupling, ell, k))
 
     payload = {
         "manifest": _manifest(

@@ -34,7 +34,7 @@ class SingularWavenumberError(NumericalError):
 
 
 class PoleProximityError(NumericalError):
-    """Evaluation point is too close to a spectral pole (|f| below tolerance)."""
+    """Evaluation point is too close to a spectral pole (|g| below tolerance)."""
 
 
 class ResonantBondError(NumericalError):

@@ -174,21 +174,19 @@ def require_zero_potential(g: Graph) -> None:
             )
 
 
-def two_vertex_form(g: Graph, form: str) -> tuple[VertexCoupling, float]:
+def two_vertex_form(g: Graph) -> tuple[VertexCoupling, float]:
     """(coupling, bond length) of a valid compact graph of two vertices joined
     by one bond, with the same coupling at both ends.
-
-    ``form`` names the calling computation in the error messages.
     """
     diags = validate(g)
     if diags:
         raise UnsupportedTopologyError("invalid graph: " + "; ".join(diags))
     if len(g.vertices) != 2 or len(g.bonds) != 1 or g.leads:
-        raise UnsupportedTopologyError(f"{form} supports two-vertex reduction only")
+        raise UnsupportedTopologyError("only two-vertex graphs (one bond, no leads) are supported")
     require_zero_potential(g)
     c0 = g.coupling(g.vertices[0][0])
     if c0 != g.coupling(g.vertices[1][0]):
-        raise UnsupportedTopologyError(f"{form} requires identical couplings at both vertices")
+        raise UnsupportedTopologyError("two-vertex form requires identical couplings at both vertices")
     return c0, g.bonds[0].length
 
 

@@ -48,32 +48,29 @@ def free_green(k: complex, x_i: float, x_f: float) -> complex:
     return cmath.exp(1j * k * abs(x_f - x_i)) / (2j * k)
 
 
-def star_green(
-    n: int, l: int, k: complex, x_i: float, x_f: float, s: VertexSMatrix
-) -> GreenDecomposition:
-    """Green function of a star of semi-infinite leads joined at one vertex.
+def star_green(n: int, l: int, x_i: float, x_f: float, s: VertexSMatrix) -> GreenDecomposition:
+    """Green function at k = ``s.k`` of a star of semi-infinite leads joined at one vertex.
 
     Coordinates are measured outward from the vertex on leads ``n`` (source)
     and ``l`` (observation):
 
         G_nl = (1/2ik) { delta_nl exp(ik|x_f - x_i|) + S_nl exp(ik(x_f + x_i)) }
     """
-    if not (0 <= n < s.dim and 0 <= l < s.dim):
-        raise InputError(f"lead indices ({n}, {l}) out of range for a {s.dim}-lead star")
+    leads = len(s.entries)
+    if not (0 <= n < leads and 0 <= l < leads):
+        raise InputError(f"lead indices ({n}, {l}) out of range for a {leads}-lead star")
     if x_i < 0 or x_f < 0:
         raise InputError("lead coordinates are measured outward from the vertex and must be >= 0")
+    k = s.k
     if k == 0:
         raise SingularWavenumberError("star Green function is singular at k = 0")
-    k = complex(k)
     free = free_green(k, x_i, x_f) if n == l else 0.0 + 0.0j
     scattered = s.entries[l, n] * cmath.exp(1j * k * (x_f + x_i)) / (2j * k)
     return _decompose(free + scattered, free, k, x_i, x_f)
 
 
-def two_vertex_green(
-    k: complex, x_i: float, x_f: float, ca: CavityAmplitudes
-) -> GreenDecomposition:
-    """Green function of the two-vertex cavity on 0 <= x <= ell.
+def two_vertex_green(x_i: float, x_f: float, ca: CavityAmplitudes) -> GreenDecomposition:
+    """Green function of the two-vertex cavity on 0 <= x <= ell at k = ``ca.k``.
 
     With d = |x_f - x_i| and g = 1 - r^2 exp(2ik ell),
 
@@ -86,10 +83,7 @@ def two_vertex_green(
     ell = ca.ell
     if not (0 <= x_i <= ell and 0 <= x_f <= ell):
         raise InputError(f"coordinates must lie in [0, {ell}]")
-    if k == 0:
-        raise SingularWavenumberError("two-vertex Green function is singular at k = 0")
-    k = complex(k)
-    r, d = ca.r, abs(x_f - x_i)
+    k, r, d = ca.k, ca.r, abs(x_f - x_i)
 
     total = (
         cmath.exp(1j * k * d)
@@ -116,20 +110,17 @@ def bond_wavefunction(phi_i: complex, phi_j: complex, k: float, length: float, x
     return (phi_i * cmath.sin(k * (length - x)) + phi_j * cmath.sin(k * x)) / denom
 
 
-def trace_gamma(k: complex, ca: CavityAmplitudes) -> complex:
+def trace_gamma(ca: CavityAmplitudes) -> complex:
     """Closed-form diagonal integral of the two-vertex Green function.
 
-    Equals the quadrature of ``two_vertex_green(k, x, x, ca).total`` over
-    x in [0, ell]:
+    Equals the quadrature of ``two_vertex_green(x, x, ca).total`` over
+    x in [0, ell], at k = ``ca.k``:
 
         -[(1 + r^2 e^{2ik ell}) ik ell + (e^{2ik ell} - 1) r] / (2 k^2 g)
 
     The free-line contribution ell/(2ik) is still included; the vacuum-energy
     integrand subtracts it.
     """
-    if k == 0:
-        raise SingularWavenumberError("trace is singular at k = 0")
-    k = complex(k)
-    r, ell = ca.r, ca.ell
+    k, r, ell = ca.k, ca.r, ca.ell
     e2 = cmath.exp(2j * k * ell)
     return -((1.0 + r * r * e2) * 1j * k * ell + (e2 - 1.0) * r) / (2 * k * k * ca.g)

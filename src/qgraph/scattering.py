@@ -32,22 +32,14 @@ POLE_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class RTPair:
-    """Reflection/transmission amplitudes of a single vertex.
-
-    ``gamma`` records the coupling strength; ``None`` marks the dirichlet
-    limit.
-    """
+    """Reflection/transmission amplitudes of a single vertex."""
 
     r: complex
     t: complex
-    valency: int
-    gamma: float | None
-    k: complex
 
 
 @dataclass(frozen=True)
 class VertexSMatrix:
-    dim: int
     entries: np.ndarray
     k: complex
 
@@ -55,8 +47,9 @@ class VertexSMatrix:
 @dataclass(frozen=True)
 class CavityAmplitudes:
     """End reflection r and denominator g = 1 - r^2 exp(2ik ell) of a bond
-    terminated by two identical vertices.  |g| below :data:`POLE_TOLERANCE`
-    times 1 + |r^2 exp(2ik ell)|, a test free of the length scale, raises
+    terminated by two identical vertices, at wavenumber k.  k = 0 raises
+    :class:`SingularWavenumberError`; |g| below :data:`POLE_TOLERANCE` times
+    1 + |r^2 exp(2ik ell)|, a test free of the length scale, raises
     :class:`PoleProximityError`.
     """
 
@@ -66,6 +59,8 @@ class CavityAmplitudes:
     k: complex
 
     def __post_init__(self):
+        if self.k == 0:
+            raise SingularWavenumberError("two-vertex Green function is singular at k = 0")
         bounce = self.r * self.r * cmath.exp(2j * self.k * self.ell)
         if abs(self.g) < POLE_TOLERANCE * (1.0 + abs(bounce)):
             raise PoleProximityError(
@@ -108,11 +103,10 @@ def vertex_reflection_transmission(
         raise SingularWavenumberError(
             "R/T formulas degenerate at k = 0 (the limit depends on the coupling)"
         )
-    k = complex(k)
     dirichlet = coupling.is_dirichlet
-    gamma = None if dirichlet else coupling.effective_gamma()
-    r, t = vertex_amplitudes(valency, 0.0 if dirichlet else gamma, k, dirichlet)
-    return RTPair(complex(r), complex(t), valency, gamma, k)
+    gamma = 0.0 if dirichlet else coupling.effective_gamma()
+    r, t = vertex_amplitudes(valency, gamma, complex(k), dirichlet)
+    return RTPair(complex(r), complex(t))
 
 
 def build_vertex_smatrix(valency: int, coupling: VertexCoupling, k: complex) -> VertexSMatrix:
@@ -121,7 +115,7 @@ def build_vertex_smatrix(valency: int, coupling: VertexCoupling, k: complex) -> 
     entries = np.full((valency, valency), rt.t, dtype=complex)
     np.fill_diagonal(entries, rt.r)
     entries.setflags(write=False)
-    return VertexSMatrix(valency, entries, complex(k))
+    return VertexSMatrix(entries, complex(k))
 
 
 def cavity_amplitudes(coupling: VertexCoupling, ell: float, k: complex) -> CavityAmplitudes:

@@ -222,9 +222,9 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
     (0, k_max] or to the full count just beside each root, or if the count
     leaves the Weyl bound |N - L k_max / pi| <= V + B.
     """
-    if k_max <= 0:
-        raise ValueError("k_max must be positive")
-    if tol <= 0:
+    if not 0 < k_max < math.inf:
+        raise ValueError("k_max must be positive and finite")
+    if not tol > 0:
         raise ValueError("tol must be positive")
     sm = _SecularMatrix(g)
     counter = _MatchingCount(g)

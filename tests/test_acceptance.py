@@ -94,7 +94,7 @@ def test_criterion_4_green_ode_residuals():
         x = rng.uniform(0.2, 1.5)
         if abs(x - x_src) < 10 * h:
             x += 0.1
-        g = lambda t: qg.star_green(0, 0, k, x_src, t, s).total
+        g = lambda t: qg.star_green(0, 0, x_src, t, s).total
         d2 = (g(x + h) - 2 * g(x) + g(x - h)) / h**2
         worst = max(worst, abs(d2 + k**2 * g(x)) / max(1.0, abs(k**2 * g(x))))
 
@@ -105,7 +105,7 @@ def test_criterion_4_green_ode_residuals():
         x = rng.uniform(0.2, 0.8)
         if abs(x - x_src) < 10 * h:
             x = x_src + 0.1 if x_src < 0.7 else x_src - 0.1
-        g = lambda t: qg.two_vertex_green(k, x_src, t, ca).total
+        g = lambda t: qg.two_vertex_green(x_src, t, ca).total
         d2 = (g(x + h) - 2 * g(x) + g(x - h)) / h**2
         worst = max(worst, abs(d2 + k**2 * g(x)) / max(1.0, abs(k**2 * g(x))))
 
@@ -160,9 +160,9 @@ def test_criterion_6_trace_closed_form_vs_quadrature():
     worst = 0.0
     for coupling, (kappa, ell) in itertools.product((qg.DIRICHLET, qg.delta(0.7)), points):
         ca = qg.cavity_amplitudes(coupling, ell, 1j * kappa)
-        closed = qg.trace_gamma(1j * kappa, ca)
+        closed = qg.trace_gamma(ca)
         numeric, _ = quad(
-            lambda x: qg.two_vertex_green(1j * kappa, x, x, ca).total.real,
+            lambda x: qg.two_vertex_green(x, x, ca).total.real,
             0.0,
             ell,
             epsabs=1e-13,

@@ -333,6 +333,44 @@ class TestGreensCommand:
                 assert g(n, l, a, b) == pytest.approx(g(l, n, b, a), rel=1e-14)
 
 
+    def test_lead_indices_rejected_on_the_two_vertex_form(self, graph_file, tmp_path, capsys):
+        # lead indices exist only on a star of leads; a compact bond has none
+        out = tmp_path / "x.json"
+        code = main(
+            ["greens", "--graph", graph_file(INTERVAL), "--k", "1.3,0", "--xi", "0.5",
+             "--xf", "0.5", "--lead-in", "7", "--lead-out", "-3", "--output", str(out)]
+        )
+        assert code == 1
+        assert "--lead-in" in capsys.readouterr().err
+        assert not out.exists()
+
+
+NONFINITE_FLAGS = {
+    "spectrum-tol": ["spectrum", "--kmax", "10", "--tol", "nan"],
+    "spectrum-kmax": ["spectrum", "--kmax", "inf"],
+    "greens-xi": ["greens", "--k", "1.3,0", "--xi", "nan", "--xf", "0.5"],
+    "greens-xf": ["greens", "--k", "1.3,0", "--xi", "0.5", "--xf=-inf"],
+    "greens-k-nan": ["greens", "--k", "nan,0", "--xi", "0.5", "--xf", "0.5"],
+    "greens-k-inf": ["greens", "--k", "inf,0", "--xi", "0.5", "--xf", "0.5"],
+    "greens-k-imag": ["greens", "--k", "1.3,1e400", "--xi", "0.5", "--xf", "0.5"],
+    "casimir-kappa-max-nan": ["casimir", "--method", "green", "--kappa-max", "nan"],
+    "casimir-kappa-max-inf": ["casimir", "--method", "green", "--kappa-max", "inf"],
+    "casimir-quad-tol": ["casimir", "--method", "green", "--quad-tol", "nan"],
+    "casimir-tau-min": ["casimir", "--method", "modesum", "--tau-min", "nan",
+                        "--tau-max", "0.2", "--tau-steps", "8"],
+    "sweep-to": ["sweep", "--from", "1", "--to", "inf", "--steps", "2", "--method", "green"],
+    "sweep-from": ["sweep", "--from", "nan", "--to", "2", "--steps", "2", "--method", "green"],
+}
+
+
+@pytest.mark.parametrize("argv", NONFINITE_FLAGS.values(), ids=NONFINITE_FLAGS.keys())
+def test_nonfinite_flags_are_input_errors(argv, graph_file, tmp_path, capsys):
+    out = tmp_path / "x.out"
+    assert main([argv[0], "--graph", graph_file(INTERVAL), *argv[1:], "--output", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, graph_file, tmp_path):
         graph = graph_file(INTERVAL)

@@ -32,6 +32,13 @@ def test_zero_wavenumber_rejected():
         qg.vertex_reflection_transmission(3, qg.KIRCHHOFF, 0.0)
 
 
+def test_cavity_at_zero_wavenumber_rejected():
+    # the cavity's one k = 0 check serves two_vertex_green, trace_gamma and
+    # casimir_integrand, which read k from the amplitudes
+    with pytest.raises(SingularWavenumberError):
+        qg.CavityAmplitudes(0j, 1 + 0j, 1.0, 0j)
+
+
 @pytest.mark.parametrize("valency", [1, 3, 5])
 def test_kirchhoff_equals_zero_strength_delta(valency):
     for k in (0.3, 2.0):

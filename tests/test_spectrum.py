@@ -45,6 +45,14 @@ class TestSecularFunction:
             qg.secular_function(interval_graph, -1.0)
 
 
+@pytest.mark.parametrize(
+    "k_max, tol", [(0.0, 1e-10), (math.nan, 1e-10), (math.inf, 1e-10), (10.0, 0.0), (10.0, math.nan)]
+)
+def test_find_eigenvalues_rejects_nonpositive_and_nonfinite(interval_graph, k_max, tol):
+    with pytest.raises(ValueError, match="k_max" if tol == 1e-10 else "tol"):
+        qg.find_eigenvalues(interval_graph, k_max, tol)
+
+
 class TestFindEigenvalues:
     def test_interval(self, interval_graph):
         res = qg.find_eigenvalues(interval_graph, 10.0)
