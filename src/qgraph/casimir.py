@@ -40,6 +40,7 @@ from scipy.integrate import quad
 
 from .errors import (
     ExtrapolationError,
+    InputError,
     InsufficientSpectrumError,
     UnsupportedTopologyError,
 )
@@ -94,6 +95,7 @@ class RegularizationConfig:
     integrand decay is set by the geometry).  ``kappa_max`` of ``None``
     resolves to max(1, -ln(quadrature_tol)/(2 ell)), a truncation with
     exp(-2 kappa_max ell)/kappa_max < quadrature_tol but not the smallest.
+    A field out of range raises :class:`InputError`.
     """
 
     tau_values: tuple[float, ...] | None = None
@@ -105,18 +107,18 @@ class RegularizationConfig:
         if self.tau_values is not None:
             taus = tuple(float(t) for t in self.tau_values)
             if len(taus) < 3:
-                raise ValueError("tau_values needs at least 3 entries")
+                raise InputError("tau_values needs at least 3 entries")
             if any(not 0 < t < math.inf for t in taus):
-                raise ValueError("tau_values must be positive and finite")
+                raise InputError("tau_values must be positive and finite")
             if any(b >= a for a, b in zip(taus, taus[1:])):
-                raise ValueError("tau_values must be strictly decreasing")
+                raise InputError("tau_values must be strictly decreasing")
             object.__setattr__(self, "tau_values", taus)
         if not 0 < self.quadrature_tol < math.inf:
-            raise ValueError("quadrature_tol must be positive and finite")
+            raise InputError("quadrature_tol must be positive and finite")
         if self.kappa_max is not None and not 0 < self.kappa_max < math.inf:
-            raise ValueError("kappa_max must be positive and finite")
+            raise InputError("kappa_max must be positive and finite")
         if self.fit_order < 1:
-            raise ValueError("fit_order must be >= 1")
+            raise InputError("fit_order must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ def extrapolate_tau(
     else:
         powers = list(powers)
     if 0 not in powers:
-        raise ValueError("the fit basis must contain the constant term")
+        raise InputError("the fit basis must contain the constant term")
     if len(samples) < len(powers):
         raise ExtrapolationError(
             f"need at least {len(powers)} samples for a {len(powers)}-parameter fit, "
@@ -202,7 +204,7 @@ def casimir_integrand(tau: float, ca: CavityAmplitudes, reflection_at_infinity: 
     the imaginary axis.
     """
     if tau < 0:
-        raise ValueError("tau must be >= 0")
+        raise InputError("tau must be >= 0")
     k = ca.k
     value = trace_gamma(ca) - ca.ell / (2j * k) - reflection_at_infinity / (2 * k * k)
     return value * cmath.exp(1j * k * tau)
@@ -222,10 +224,10 @@ def _rotated_integrand(coupling: VertexCoupling, ell: float):
         def f(kappa: float, tau: float) -> float:
             if kappa <= 0.0:
                 return -0.5
-            den = math.expm1(2.0 * kappa * ell)
-            if den == math.inf:
+            # expm1 raises OverflowError past ~709, not inf; the term is < 1e-300 here
+            if 2.0 * kappa * ell > 700.0:
                 return 0.0
-            return -kappa * ell * math.exp(-kappa * tau) / den
+            return -kappa * ell * math.exp(-kappa * tau) / math.expm1(2.0 * kappa * ell)
 
         return f
 
@@ -316,7 +318,7 @@ def casimir_mode_sum(
     cfg = cfg or RegularizationConfig()
     taus = cfg.tau_values or geometric_taus(DEFAULT_TAU_MAX[Method.MODE_SUM])
     if total_len <= 0:
-        raise ValueError("total_len must be positive")
+        raise InputError("total_len must be positive")
     eigs = np.asarray(sorted(float(k) for k in eigenvalues))
     if len(eigs) == 0:
         raise InsufficientSpectrumError("empty eigenvalue list")

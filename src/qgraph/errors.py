@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Two broad families matter to callers: input errors (bad documents, bad
-flags, unsupported topologies) and numerical errors (singular evaluation
-points, failed extrapolations).  The CLI maps them to exit codes 1 and 2
-respectively.
+flags, out-of-range library arguments, unsupported topologies) and numerical
+errors (singular evaluation points, failed extrapolations).  The CLI maps
+them to exit codes 1 and 2 respectively.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ class QGraphError(Exception):
     """Base class for all package errors."""
 
 
-class InputError(QGraphError):
-    """User-supplied input is invalid (documents, flags, coordinates)."""
+class InputError(QGraphError, ValueError):
+    """User-supplied input is invalid: documents, flags, coordinates, or an
+    argument a library function refuses.  It is also a ``ValueError``."""
 
 
 class GraphFormatError(InputError):

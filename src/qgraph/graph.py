@@ -18,7 +18,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 
-from .errors import GraphFormatError, UnsupportedTopologyError
+from .errors import GraphFormatError, InputError, UnsupportedTopologyError
 
 
 class CouplingKind(enum.Enum):
@@ -53,7 +53,7 @@ class VertexCoupling:
     def effective_gamma(self) -> float:
         """Coupling strength entering the scattering formulas (kirchhoff = 0)."""
         if self.kind is CouplingKind.DIRICHLET:
-            raise ValueError("dirichlet coupling has no finite gamma; handle symbolically")
+            raise InputError("dirichlet coupling has no finite gamma; handle symbolically")
         return float(self.gamma) if self.kind is CouplingKind.DELTA else 0.0
 
 
@@ -111,7 +111,7 @@ class Graph:
     def scaled(self, factor: float) -> "Graph":
         """New graph with every bond length multiplied by ``factor`` > 0."""
         if factor <= 0:
-            raise ValueError("scale factor must be positive")
+            raise InputError("scale factor must be positive")
         bonds = tuple(
             Bond(b.from_vertex, b.to_vertex, b.length * factor, b.potential) for b in self.bonds
         )

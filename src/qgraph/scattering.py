@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleProximityError, SingularWavenumberError
+from .errors import InputError, PoleProximityError, SingularWavenumberError
 from .graph import VertexCoupling
 
 #: |g| below this (relative to the size of its two terms) counts as a pole.
@@ -98,7 +98,7 @@ def vertex_reflection_transmission(
         the rational formulas extend to complex k as-is.
     """
     if valency < 1:
-        raise ValueError(f"valency must be >= 1, got {valency}")
+        raise InputError(f"valency must be >= 1, got {valency}")
     if k == 0:
         raise SingularWavenumberError(
             "R/T formulas degenerate at k = 0 (the limit depends on the coupling)"

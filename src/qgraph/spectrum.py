@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .errors import NumericalError, UnsupportedTopologyError
+from .errors import InputError, NumericalError, UnsupportedTopologyError
 from .graph import Graph, require_zero_potential, total_length, validate
 from .scattering import vertex_amplitudes
 
@@ -63,16 +63,16 @@ class SpectrumResult:
 def dirichlet_eigenvalues(length: float, n_max: int) -> list[float]:
     """Analytic spectrum of a single bond with Dirichlet ends: n pi / L."""
     if length <= 0:
-        raise ValueError("length must be positive")
+        raise InputError("length must be positive")
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InputError("n_max must be >= 1")
     return [n * math.pi / length for n in range(1, n_max + 1)]
 
 
 def weyl_count(g: Graph, k: float) -> float:
     """Leading smooth eigenvalue count, total_length * k / pi."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise InputError("k must be >= 0")
     return total_length(g) * k / math.pi
 
 
@@ -204,7 +204,7 @@ class _MatchingCount:
 def secular_function(g: Graph, k: float) -> complex:
     """det(I - S(k) D(k)); zeros on the positive real axis are eigenvalues."""
     if k <= 0:
-        raise ValueError("k must be positive")
+        raise InputError("k must be positive")
     sm = _SecularMatrix(g)
     return complex(np.linalg.det(np.eye(sm.dim) - sm.matrices(np.array([float(k)]))[0]))
 
@@ -223,9 +223,9 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
     leaves the Weyl bound |N - L k_max / pi| <= V + B.
     """
     if not 0 < k_max < math.inf:
-        raise ValueError("k_max must be positive and finite")
+        raise InputError("k_max must be positive and finite")
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise InputError("tol must be positive")
     sm = _SecularMatrix(g)
     counter = _MatchingCount(g)
 

@@ -1,6 +1,46 @@
+import ast
+from pathlib import Path
+
+import pytest
+
 import qgraph as qg
 
 
 def test_public_names_resolve_and_are_unique():
     assert len(qg.__all__) == len(set(qg.__all__))
     assert [name for name in qg.__all__ if not hasattr(qg, name)] == []
+
+
+_INTERVAL = qg.Graph(((0, qg.DIRICHLET), (1, qg.DIRICHLET)), (qg.Bond(0, 1, 1.0),))
+REFUSED_ARGUMENTS = {
+    "find_eigenvalues-k_max": lambda: qg.find_eigenvalues(_INTERVAL, 0.0),
+    "config-quadrature_tol": lambda: qg.RegularizationConfig(quadrature_tol=0),
+    "config-fit_order": lambda: qg.RegularizationConfig(fit_order=0),
+    "scaled": lambda: _INTERVAL.scaled(0.0),
+    "casimir_mode_sum-total_len": lambda: qg.casimir_mode_sum([1.0], 0.0),
+    "vertex_reflection_transmission-valency": lambda: qg.vertex_reflection_transmission(
+        0, qg.KIRCHHOFF, 1.0
+    ),
+    "casimir_integrand-tau": lambda: qg.casimir_integrand(
+        -0.1, qg.cavity_amplitudes(qg.DIRICHLET, 1.0, 1j)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED_ARGUMENTS.values(), ids=REFUSED_ARGUMENTS.keys())
+def test_refused_arguments_raise_input_error(call):
+    with pytest.raises(qg.InputError) as err:
+        call()
+    assert isinstance(err.value, ValueError)
+
+
+def test_library_raises_no_bare_value_error():
+    # every argument refusal is an InputError, which callers can tell from a bug
+    found = []
+    for path in sorted(Path(qg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

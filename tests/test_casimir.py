@@ -199,6 +199,13 @@ class TestGreenMethod:
         assert res.method is Method.GREEN_TRACE
         assert abs(res.energy - target) <= 1e-4 * abs(target)
 
+    @pytest.mark.parametrize("coupling", [qg.DIRICHLET, qg.KIRCHHOFF], ids=["dirichlet", "kirchhoff"])
+    def test_long_bond_within_estimated_error(self, coupling):
+        # 2 kappa ell passes expm1's overflow point (about 709) inside (0, kappa_max]
+        ell = 400.0
+        res = qg.casimir_green_method(qg.Graph(((0, coupling), (1, coupling)), (qg.Bond(0, 1, ell),)))
+        assert abs(res.energy + math.pi / (24 * ell)) <= res.estimated_error
+
     def test_neumann_ends_match_dirichlet_energy(self):
         # both spectra are {n pi / ell}, so the energies must agree
         g = qg.Graph(((0, qg.KIRCHHOFF), (1, qg.KIRCHHOFF)), (qg.Bond(0, 1, 1.0),))

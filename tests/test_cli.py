@@ -147,6 +147,17 @@ class TestCasimirCommand:
         assert code == 1
         assert "two-vertex" in capsys.readouterr().err
 
+    def test_large_kappa_max_within_estimated_error(self, graph_file, tmp_path):
+        # 2 kappa ell reaches 800, past expm1's overflow point (about 709)
+        out = tmp_path / "cas.json"
+        code = main(
+            ["casimir", "--graph", graph_file(INTERVAL), "--method", "green",
+             "--kappa-max", "400", "--output", str(out)]
+        )
+        assert code == 0
+        result = json.loads(out.read_text())["results"][0]
+        assert abs(result["energy"] + math.pi / 24) <= result["estimated_error"]
+
     def test_partial_tau_flags_rejected(self, graph_file, tmp_path):
         code = main(
             ["casimir", "--graph", graph_file(INTERVAL), "--method", "green",
@@ -199,6 +210,20 @@ class TestSweepCommand:
         for scale, energy, _, error in rows:
             assert error == ""
             assert float(energy) == pytest.approx(-math.pi / (16 * float(scale)), rel=1e-6)
+
+    def test_long_scales_green_sweep_has_no_failed_rows(self, graph_file, tmp_path):
+        # at scale 400 the default kappa_max of 1 puts 2 kappa ell past 709
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", "--graph", graph_file(INTERVAL), "--from", "100", "--to", "400",
+             "--steps", "4", "--method", "green", "--output", str(out)]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[2:]]
+        assert len(rows) == 4
+        for scale, energy, error, message in rows:
+            assert message == ""
+            assert abs(float(energy) + math.pi / (24 * float(scale))) <= float(error)
 
     def test_zero_from_is_flag_error(self, graph_file, tmp_path):
         code = main(
@@ -368,6 +393,34 @@ def test_nonfinite_flags_are_input_errors(argv, graph_file, tmp_path, capsys):
     out = tmp_path / "x.out"
     assert main([argv[0], "--graph", graph_file(INTERVAL), *argv[1:], "--output", str(out)]) == 1
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+GREEN_REGULATOR_FLAGS = {
+    "quad-tol": ["--quad-tol", "0"],
+    "kappa-max": ["--kappa-max", "-1"],
+    "fit-order": ["--fit-order", "0"],
+    # the geometric sequence underflows to 0 after tau-max
+    "tau-underflow": ["--tau-min", "1e-300", "--tau-max", "1e300", "--tau-steps", "8"],
+}
+REFUSED_FLAGS = {
+    **{f"casimir-{name}": ["casimir", "--method", "green", *flags]
+       for name, flags in GREEN_REGULATOR_FLAGS.items()},
+    **{f"sweep-{name}": ["sweep", "--from", "1", "--to", "2", "--steps", "2", "--method", "green", *flags]
+       for name, flags in GREEN_REGULATOR_FLAGS.items()},
+    "casimir-modesum-quad-tol": ["casimir", "--method", "modesum", "--quad-tol", "-1"],
+    "spectrum-kmax-zero": ["spectrum", "--kmax", "0"],
+    "spectrum-kmax-negative": ["spectrum", "--kmax", "-1"],
+    "spectrum-tol-zero": ["spectrum", "--kmax", "10", "--tol", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED_FLAGS.values(), ids=REFUSED_FLAGS.keys())
+def test_refused_flags_end_in_an_error_line(argv, graph_file, tmp_path, capsys):
+    # a library refusal reaches main as an InputError: exit 1, no traceback
+    out = tmp_path / "x.out"
+    assert main([argv[0], "--graph", graph_file(INTERVAL), *argv[1:], "--output", str(out)]) == 1
+    assert any(line.startswith("error: ") for line in capsys.readouterr().err.splitlines())
     assert not out.exists()
 
 

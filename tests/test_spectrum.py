@@ -436,3 +436,68 @@ def test_random_compact_graphs_have_the_amplitude_nullity_as_multiplicity():
         sv = np.linalg.svd(_amplitude_matrices(g, roots), compute_uv=False)
         nullity = np.sum(sv < 1e-8 * sv[:, :1], axis=1)
         assert np.array_equal(nullity, mults), g
+
+
+def _sierpinski(level):
+    """Sierpinski gasket graph of 3^level smallest triangles on integer corners."""
+
+    def mid(p, q):
+        return ((p[0] + q[0]) // 2, (p[1] + q[1]) // 2)
+
+    side = 2**level
+    triangles = [((0, 0), (side, 0), (0, side))]
+    for _ in range(level):
+        triangles = [
+            tri
+            for a, b, c in triangles
+            for tri in ((a, mid(a, b), mid(a, c)), (mid(a, b), b, mid(b, c)), (mid(a, c), mid(b, c), c))
+        ]
+    edges = {tuple(sorted(e)) for a, b, c in triangles for e in ((a, b), (b, c), (a, c))}
+    points = sorted({p for e in edges for p in e})
+    return [(points.index(p), points.index(q)) for p, q in sorted(edges)], len(points)
+
+
+def _von_below_roots(edges, n_vertices, ell, k_max):
+    """Eigenvalues in (0, k_max] of an equilateral all-Kirchhoff graph (von Below,
+    Linear Algebra Appl. 71, 309 (1985)): off k ell in pi Z, k is a root exactly
+    when cos k ell is an eigenvalue of D^-1 A, with its multiplicity; at k ell =
+    n pi the multiplicity is B - V + 2, or B - V for odd n on a graph that is not
+    bipartite."""
+    adjacency = np.zeros((n_vertices, n_vertices))
+    for a, b in edges:
+        adjacency[a, b] = adjacency[b, a] = 1.0
+    scale = adjacency.sum(axis=1) ** -0.5
+    mu = np.linalg.eigvalsh(scale[:, None] * adjacency * scale[None, :])
+    bipartite = np.any(np.abs(mu + 1.0) < 1e-9)
+    roots = []
+    for theta in np.arccos(mu[np.abs(np.abs(mu) - 1.0) >= 1e-9]):
+        for n in range(int(k_max * ell / (2 * math.pi)) + 1):
+            roots += [2 * n * math.pi + theta, 2 * (n + 1) * math.pi - theta]
+    excess = len(edges) - n_vertices
+    for n in range(1, int(k_max * ell / math.pi) + 1):
+        roots += [n * math.pi] * (excess + 2 if n % 2 == 0 or bipartite else excess)
+    roots = np.sort(roots) / ell
+    return roots[roots <= k_max]
+
+
+@pytest.mark.parametrize(
+    "edges, n_vertices",
+    [
+        _sierpinski(1),
+        _sierpinski(2),
+        ([(0, 1), (1, 2), (2, 3), (0, 3)], 4),
+        ([(a, b) for a in range(4) for b in range(a + 1, 4)], 4),
+    ],
+    ids=["sierpinski-1", "sierpinski-2", "4-cycle", "K4"],
+)
+def test_equilateral_kirchhoff_graphs_match_von_below(edges, n_vertices):
+    # the oracle shares nothing with the solver's eigenvalue count
+    ell, k_max = 0.7, 20.0
+    g = qg.Graph(
+        tuple((v, qg.KIRCHHOFF) for v in range(n_vertices)),
+        tuple(qg.Bond(a, b, ell) for a, b in edges),
+    )
+    expected = _von_below_roots(edges, n_vertices, ell, k_max)
+    eigs = np.array(qg.find_eigenvalues(g, k_max).eigenvalues)
+    assert len(eigs) == len(expected)
+    assert np.max(np.abs(eigs - expected)) <= 1e-12
