@@ -225,9 +225,10 @@ def _rotated_integrand(coupling: VertexCoupling, ell: float):
             if kappa <= 0.0:
                 return -0.5
             # expm1 raises OverflowError past ~709, not inf; the term is < 1e-300 here
-            if 2.0 * kappa * ell > 700.0:
+            x = 2.0 * kappa * ell
+            if x > 700.0:
                 return 0.0
-            return -kappa * ell * math.exp(-kappa * tau) / math.expm1(2.0 * kappa * ell)
+            return -kappa * ell * math.exp(-kappa * tau) / math.expm1(x)
 
         return f
 

@@ -204,6 +204,8 @@ def _method_setup(method: str, args) -> tuple[RegularizationConfig, dict]:
     }
     if method == "modesum":
         params["spectrum_k_max"] = _TAIL_MARGIN / cfg.tau_values[-1]
+        if params["spectrum_k_max"] == math.inf:  # checked once, not on every sweep row
+            raise InputError(f"--tau-min is too small: the cutoff {_TAIL_MARGIN:g}/tau-min overflows")
         params["spectrum_tol"] = _SPECTRUM_TOL
     return cfg, params
 
@@ -322,15 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         worker_count()  # validates QGRAPH_THREADS for every subcommand
-        if args.command == "spectrum":
-            return _cmd_spectrum(args)
-        if args.command == "casimir":
-            return _cmd_casimir(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "greens":
-            return _cmd_greens(args)
-        raise InputError(f"unknown command {args.command!r}")
+        commands = {"spectrum": _cmd_spectrum, "casimir": _cmd_casimir,
+                    "sweep": _cmd_sweep, "greens": _cmd_greens}
+        return commands[args.command](args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -409,7 +409,9 @@ REFUSED_FLAGS = {
     **{f"sweep-{name}": ["sweep", "--from", "1", "--to", "2", "--steps", "2", "--method", "green", *flags]
        for name, flags in GREEN_REGULATOR_FLAGS.items()},
     "casimir-modesum-quad-tol": ["casimir", "--method", "modesum", "--quad-tol", "-1"],
-    "spectrum-kmax-zero": ["spectrum", "--kmax", "0"],
+    # 34/tau-min overflows: refused once, not as a NaN row per scale
+    "sweep-modesum-tiny-tau-min": ["sweep", "--from", "1", "--to", "2", "--steps", "3", "--method", "modesum",
+                                   "--tau-min", "1e-310", "--tau-max", "1", "--tau-steps", "3"],
     "spectrum-kmax-negative": ["spectrum", "--kmax", "-1"],
     "spectrum-tol-zero": ["spectrum", "--kmax", "10", "--tol", "0"],
 }
