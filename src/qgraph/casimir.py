@@ -1,30 +1,29 @@
-"""Regularized vacuum (Casimir) energy of metric graphs, by two routes.
+"""Vacuum (Casimir) energy of metric graphs, by two routes.
 
 Green-trace route
-    The diagonal trace of the two-vertex Green function is integrated over
-    wavenumber with an exp(ik tau) regulator and a second tau-derivative
-    applied analytically (multiply by (ik)^2).  The contour is rotated to the
-    positive imaginary axis k = i kappa, where all poles (real eigenvalues)
-    are avoided.  Two non-decaying pieces are removed: the bulk free-line
-    term ell/(2ik) and the constant high-frequency vertex reflection
-    n_inf/(2 k^2).  Both are pure regulator divergences with no finite part,
-    so removing them leaves the tau -> 0 limit untouched.  With dirichlet or
-    kirchhoff ends what is left decays like exp(-2 kappa ell); with delta
-    ends (gamma != 0) it keeps a gamma/kappa tail that only the regulator
-    cuts off, which neither the truncation at kappa_max nor the reported
+    The diagonal trace of the two-vertex Green function, regulated by
+    exp(ik tau) with a second tau-derivative applied analytically (multiply
+    by (ik)^2), is integrated on the positive imaginary axis k = i kappa,
+    where all poles (real eigenvalues) are avoided.  Two non-decaying pieces
+    are removed: the bulk free-line term ell/(2ik) and the constant
+    high-frequency vertex reflection n_inf/(2 k^2).  Both are pure regulator
+    divergences with no finite part.  The regulator is needed only to justify
+    dropping them: what is left is absolutely integrable on (0, kappa_max],
+    so the energy is one quadrature at tau = 0, with no regulator sequence
+    and no fit (Bordag, Mohideen & Mostepanenko, Phys. Rep. 353, 1 (2001)).
+    With dirichlet or kirchhoff ends the integrand decays like
+    exp(-2 kappa ell); with delta ends (gamma != 0) it keeps a gamma/kappa
+    tail, which neither the truncation at kappa_max nor the reported
     ``estimated_error`` accounts for.  The overall normalization is frozen
     once against the Dirichlet cavity benchmark E = -pi/(24 ell) and is
     exactly 1/pi; every other configuration is a prediction.
 
 Mode-sum route (independent oracle)
     E(tau) = (1/2) sum_n k_n exp(-k_n tau) - L_total/(2 pi tau^2), followed by
-    a tau -> 0 extrapolation on an even-power basis.  The subtracted Weyl term
-    is added back into the reported 1/tau^2 fit amplitude so the divergence
-    coefficient can be checked against L_total/(2 pi).
-
-Both routes share :func:`extrapolate_tau`.  The mode-sum samples expand in
-even powers of tau; the rotated Green-trace samples are analytic in tau with
-both parities present, so that route fits plain polynomial powers instead.
+    a tau -> 0 extrapolation (:func:`extrapolate_tau`) on an even-power
+    basis.  The subtracted Weyl term is added back into the reported 1/tau^2
+    fit amplitude so the divergence coefficient can be checked against
+    L_total/(2 pi).
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ class Method(enum.Enum):
     MODE_SUM = "ModeSum"
 
 
-#: Largest regulator of each route's default window (see RegularizationConfig).
-DEFAULT_TAU_MAX = {Method.GREEN_TRACE: 0.1, Method.MODE_SUM: 0.2}
+#: Largest regulator of the mode sum's default window (see RegularizationConfig).
+DEFAULT_TAU_MAX = 0.2
 _TAU_STEPS = 8
 _TAU_RATIO_LOG2 = -0.5
 _TAU_RATIO = 2.0 ** _TAU_RATIO_LOG2
@@ -74,25 +73,24 @@ def geometric_taus(
     return tuple(start * ratio**j for j in range(count))
 
 
-def default_tau_window(method: Method) -> tuple[float, float, int]:
-    """(tau_min, tau_max, steps) spanned by the default ``geometric_taus(tau_max)``.
+def default_tau_window() -> tuple[float, float, int]:
+    """(tau_min, tau_max, steps) spanned by the default ``geometric_taus(DEFAULT_TAU_MAX)``.
 
     tau_min is tau_max times the exact power of two ratio^(steps - 1), which
     is within an ulp of, not bitwise, the last regulator of the sequence.
     """
-    tau_max = DEFAULT_TAU_MAX[method]
-    return tau_max * 2.0 ** (_TAU_RATIO_LOG2 * (_TAU_STEPS - 1)), tau_max, _TAU_STEPS
+    return DEFAULT_TAU_MAX * 2.0 ** (_TAU_RATIO_LOG2 * (_TAU_STEPS - 1)), DEFAULT_TAU_MAX, _TAU_STEPS
 
 
 @dataclass(frozen=True)
 class RegularizationConfig:
-    """Regulator settings shared by both energy routes.
+    """Settings of the two energy routes, and the one home of their defaults.
 
-    ``tau_values`` must be strictly decreasing positive values, at least
-    three of them; ``None`` selects the per-method default (geometric with
-    ratio 1/sqrt(2), 8 points, starting at 0.2 for the mode sum and 0.1 for
-    the Green trace, where smaller regulators cost nothing because the
-    integrand decay is set by the geometry).  ``kappa_max`` of ``None``
+    The mode sum reads only ``tau_values`` and ``fit_order``; the Green
+    route reads only ``quadrature_tol`` and ``kappa_max``.  ``tau_values``
+    must be strictly decreasing positive values, at least three of them;
+    ``None`` selects the default (geometric with ratio 1/sqrt(2), 8 points,
+    starting at ``DEFAULT_TAU_MAX`` = 0.2).  ``kappa_max`` of ``None``
     resolves to max(1, -ln(quadrature_tol)/(2 ell)), a truncation with
     exp(-2 kappa_max ell)/kappa_max < quadrature_tol but not the smallest.
     A field out of range raises :class:`InputError`.
@@ -123,12 +121,14 @@ class RegularizationConfig:
 
 @dataclass(frozen=True)
 class CasimirResult:
-    """Extrapolated zero-point energy with regulator diagnostics.
+    """Zero-point energy with the diagnostics of its route.
 
-    ``fit_coefficients`` follow the fit basis order; for the mode sum the
-    leading entry is the full 1/tau^2 amplitude of the raw regulated sum
-    (subtracted Weyl term added back).  ``kappa_max`` and ``quadrature_tol``
-    echo the resolved settings of the run (zero/irrelevant for the mode sum).
+    For the mode sum, ``per_tau_samples`` are the regulated samples and
+    ``fit_coefficients`` follow the fit basis order, the leading entry being
+    the full 1/tau^2 amplitude of the raw regulated sum (subtracted Weyl
+    term added back).  The Green route makes no regulator sequence and no
+    fit, so both are empty for it.  ``kappa_max`` and ``quadrature_tol``
+    echo the resolved settings of a Green run (zero for the mode sum).
     """
 
     energy: float
@@ -141,27 +141,20 @@ class CasimirResult:
 
 
 def extrapolate_tau(
-    samples: Sequence[tuple[float, float]],
-    fit_order: int,
-    powers: Sequence[int] | None = None,
+    samples: Sequence[tuple[float, float]], fit_order: int
 ) -> tuple[float, list[float], float]:
     """Least-squares tau -> 0 limit of regulated samples.
 
-    The default basis is 1/tau^2, 1, tau^2, ... (even powers, fit_order + 1
-    terms), which matches the mode-sum expansion; ``powers`` overrides the
-    exponent list for integrands with both parities.  Returns the constant
-    term (the limit), all coefficients in basis order, and the maximum
-    absolute fit residual.  Raises :class:`ExtrapolationError` on a
-    rank-deficient system or when the residual exceeds a 1e-6 fraction of
-    the sample scale.
+    The basis is 1/tau^2, 1, tau^2, ... (even powers, fit_order + 1 terms),
+    which matches the mode-sum expansion.  Returns the constant term (the
+    limit), all coefficients in basis order, and the maximum absolute fit
+    residual.  Raises :class:`ExtrapolationError` on a rank-deficient system
+    or when the residual exceeds a 1e-6 fraction of the sample scale.
     """
+    if fit_order < 1:
+        raise InputError("fit_order must be >= 1")
     samples = [(float(t), float(v)) for t, v in samples]
-    if powers is None:
-        powers = [-2] + [2 * j for j in range(fit_order)]
-    else:
-        powers = list(powers)
-    if 0 not in powers:
-        raise InputError("the fit basis must contain the constant term")
+    powers = [-2] + [2 * j for j in range(fit_order)]
     if len(samples) < len(powers):
         raise ExtrapolationError(
             f"need at least {len(powers)} samples for a {len(powers)}-parameter fit, "
@@ -189,7 +182,7 @@ def extrapolate_tau(
             f"scale {value_scale:.3e}; the basis does not describe these samples",
             samples,
         )
-    limit = float(coeffs[powers.index(0)])
+    limit = float(coeffs[1])
     return limit, [float(c) for c in coeffs], residual
 
 
@@ -216,25 +209,25 @@ def reflection_at_infinity(coupling: VertexCoupling) -> float:
 
 
 def _rotated_integrand(coupling: VertexCoupling, ell: float):
-    """kappa^2 * (subtracted trace)(i kappa) * exp(-kappa tau), in a form
-    stable at both ends of the contour."""
+    """kappa^2 * (subtracted trace)(i kappa) at tau = 0, in a form stable at
+    both ends of the contour."""
     if coupling.is_dirichlet or coupling.effective_gamma() == 0.0:
         # end reflection is exactly -1 (dirichlet) or +1 (single-edge kirchhoff)
 
-        def f(kappa: float, tau: float) -> float:
+        def f(kappa: float) -> float:
             if kappa <= 0.0:
                 return -0.5
             # expm1 raises OverflowError past ~709, not inf; the term is < 1e-300 here
             x = 2.0 * kappa * ell
             if x > 700.0:
                 return 0.0
-            return -kappa * ell * math.exp(-kappa * tau) / math.expm1(x)
+            return -kappa * ell / math.expm1(x)
 
         return f
 
     gamma = coupling.effective_gamma()
 
-    def f(kappa: float, tau: float) -> float:
+    def f(kappa: float) -> float:
         if kappa <= 0.0:
             kappa = 1e-300
         r = (kappa - gamma) / (kappa + gamma)
@@ -245,7 +238,7 @@ def _rotated_integrand(coupling: VertexCoupling, ell: float):
         one_plus_re2 = one_minus_e2 + e2 * (2.0 * kappa) / (kappa + gamma)
         bounce = -kappa * ell * r * r * e2 / den
         vertex = gamma * one_plus_re2 / ((kappa + gamma) * den)
-        return (bounce + vertex) * math.exp(-kappa * tau)
+        return bounce + vertex
 
     return f
 
@@ -254,10 +247,10 @@ def casimir_green_method(g: Graph, cfg: RegularizationConfig | None = None) -> C
     """Zero-point energy from the rotated Green-trace integral.
 
     ``g`` must be a two-vertex compact graph (one bond, identical couplings,
-    gamma >= 0).  For each regulator value the subtracted trace is
-    integrated over kappa in (0, kappa_max] by adaptive quadrature; the
-    tau -> 0 limit is read off a polynomial fit and scaled by the frozen
-    normalization.
+    gamma >= 0).  The energy is the frozen normalization times one adaptive
+    quadrature of the subtracted trace over kappa in (0, kappa_max] at
+    tau = 0; ``estimated_error`` is the quadrature error plus a bound on the
+    truncated tail.  Reads ``quadrature_tol`` and ``kappa_max`` of ``cfg``.
     """
     cfg = cfg or RegularizationConfig()
     coupling, ell = two_vertex_form(g)
@@ -266,42 +259,27 @@ def casimir_green_method(g: Graph, cfg: RegularizationConfig | None = None) -> C
             "attractive couplings (gamma < 0) put a bound-state pole on the "
             "rotated contour; not supported"
         )
-    taus = cfg.tau_values or geometric_taus(DEFAULT_TAU_MAX[Method.GREEN_TRACE])
     kappa_max = cfg.kappa_max or max(1.0, -math.log(cfg.quadrature_tol) / (2.0 * ell))
-    integrand = _rotated_integrand(coupling, ell)
-
-    integrals = [
-        quad(
-            integrand,
-            0.0,
-            kappa_max,
-            args=(tau,),
-            epsabs=cfg.quadrature_tol,
-            epsrel=cfg.quadrature_tol,
-            limit=400,
-        )
-        for tau in taus
-    ]
-    samples = tuple((t, ENERGY_PREFACTOR * v) for t, (v, _) in zip(taus, integrals))
-    quad_err = max(abs(e) for _, e in integrals)
-
-    powers = list(range(cfg.fit_order + 1))
-    limit, coeffs, residual = extrapolate_tau(samples, cfg.fit_order, powers=powers)
+    integral, quad_err = quad(
+        _rotated_integrand(coupling, ell),
+        0.0,
+        kappa_max,
+        epsabs=cfg.quadrature_tol,
+        epsrel=cfg.quadrature_tol,
+        limit=400,
+    )
 
     # truncation bound: |integrand| <= kappa ell e^{-2 kappa ell} / (1 - e^{-2 kappa ell})
     # for dirichlet and kirchhoff ends; it misses the gamma/kappa tail of delta ends
-    tail = ell * math.exp(-2.0 * kappa_max * ell) * (2.0 * kappa_max * ell + 1.0) / (
-        4.0 * ell**2
-    ) / (1.0 - math.exp(-2.0 * kappa_max * ell))
-    fit_err = residual + abs(coeffs[-1]) * max(taus) ** powers[-1]
-    estimated_error = quad_err + abs(ENERGY_PREFACTOR) * tail + fit_err
+    x = 2.0 * kappa_max * ell
+    tail = (x + 1.0) * math.exp(-x) / (-4.0 * ell * math.expm1(-x))
 
     return CasimirResult(
-        energy=limit,
-        fit_coefficients=tuple(coeffs),
-        per_tau_samples=samples,
+        energy=ENERGY_PREFACTOR * integral,
+        fit_coefficients=(),
+        per_tau_samples=(),
         method=Method.GREEN_TRACE,
-        estimated_error=float(estimated_error),
+        estimated_error=ENERGY_PREFACTOR * (quad_err + tail),
         kappa_max=float(kappa_max),
         quadrature_tol=float(cfg.quadrature_tol),
     )
@@ -317,14 +295,14 @@ def casimir_mode_sum(
     tail is negligible at the smallest regulator.
     """
     cfg = cfg or RegularizationConfig()
-    taus = cfg.tau_values or geometric_taus(DEFAULT_TAU_MAX[Method.MODE_SUM])
-    if total_len <= 0:
-        raise InputError("total_len must be positive")
+    taus = cfg.tau_values or geometric_taus(DEFAULT_TAU_MAX)
+    if not 0 < total_len < math.inf:
+        raise InputError("total_len must be positive and finite")
     eigs = np.asarray(sorted(float(k) for k in eigenvalues))
     if len(eigs) == 0:
         raise InsufficientSpectrumError("empty eigenvalue list")
-    if np.any(eigs <= 0):
-        raise InsufficientSpectrumError("eigenvalues must be positive")
+    if not np.all((eigs > 0) & (eigs < math.inf)):
+        raise InsufficientSpectrumError("eigenvalues must be positive and finite")
     tau_min = min(taus)
     k_top = float(eigs[-1])
     if k_top * tau_min < 30.0:

@@ -19,7 +19,6 @@ from pathlib import Path
 from . import __version__
 from .casimir import (
     CasimirResult,
-    Method,
     RegularizationConfig,
     casimir_green_method,
     casimir_mode_sum,
@@ -33,7 +32,6 @@ from .scattering import build_vertex_smatrix, cavity_amplitudes
 from .spectrum import find_eigenvalues
 from .util import complex_to_json, dumps_json, fmt_float, worker_count
 
-_METHODS = {"green": Method.GREEN_TRACE, "modesum": Method.MODE_SUM}
 _SPECTRUM_TOL = 1e-10
 _TAIL_MARGIN = 34.0  # k_max * tau_min for mode-sum spectra; precondition is 30
 
@@ -92,13 +90,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
+#: Regulator flags (as argparse destinations) that each route reads.
+_ROUTE_FLAGS = {
+    "green": ("quad_tol", "kappa_max"),
+    "modesum": ("tau_min", "tau_max", "tau_steps", "fit_order"),
+}
+
+
 def _add_regularization_flags(sub) -> None:
-    sub.add_argument("--tau-min", type=_finite_float, default=None)
-    sub.add_argument("--tau-max", type=_finite_float, default=None)
-    sub.add_argument("--tau-steps", type=int, default=None)
-    sub.add_argument("--quad-tol", type=_finite_float, default=1e-10)
-    sub.add_argument("--kappa-max", type=_finite_float, default=None)
-    sub.add_argument("--fit-order", type=int, default=5)
+    # no defaults here: an absent flag leaves RegularizationConfig's default
+    sub.add_argument("--tau-min", type=_finite_float)
+    sub.add_argument("--tau-max", type=_finite_float)
+    sub.add_argument("--tau-steps", type=int)
+    sub.add_argument("--quad-tol", type=_finite_float)
+    sub.add_argument("--kappa-max", type=_finite_float)
+    sub.add_argument("--fit-order", type=int)
+
+
+def _refuse_unread_flags(args, methods: list[str]) -> None:
+    """A regulator flag that none of the chosen routes reads is an input error."""
+    for route, dests in _ROUTE_FLAGS.items():
+        given = [dest for dest in dests if getattr(args, dest) is not None]
+        if given and route not in methods:
+            raise InputError(f"--{given[0].replace('_', '-')} applies to --method {route} only")
 
 
 def _resolve_taus(tau_min: float, tau_max: float, steps: int) -> tuple[float, ...]:
@@ -115,13 +129,13 @@ def _resolve_taus(tau_min: float, tau_max: float, steps: int) -> tuple[float, ..
     return geometric_taus(tau_max, steps, (tau_min / tau_max) ** (1.0 / (steps - 1)))
 
 
-def _tau_window(args, method: str) -> tuple[float, float, int]:
+def _tau_window(args) -> tuple[float, float, int]:
     given = [args.tau_min is not None, args.tau_max is not None, args.tau_steps is not None]
     if any(given) and not all(given):
         raise InputError("--tau-min, --tau-max and --tau-steps must be given together")
     if all(given):
         return args.tau_min, args.tau_max, args.tau_steps
-    return default_tau_window(_METHODS[method])
+    return default_tau_window()
 
 
 def _load_graph(path: str) -> Graph:
@@ -184,29 +198,32 @@ def _casimir_result_json(res: CasimirResult) -> dict:
     }
 
 
+def _given(**settings) -> dict:
+    """The settings a flag gave; the others keep RegularizationConfig's defaults."""
+    return {name: value for name, value in settings.items() if value is not None}
+
+
 def _method_setup(method: str, args) -> tuple[RegularizationConfig, dict]:
-    """Resolved regulator settings of one route and the manifest parameters
-    echoing them."""
-    tau_min, tau_max, steps = _tau_window(args, method)
+    """Resolved settings of one route and the manifest parameters echoing
+    the ones it reads."""
+    if method == "green":
+        cfg = RegularizationConfig(**_given(quadrature_tol=args.quad_tol, kappa_max=args.kappa_max))
+        return cfg, {"quad_tol": cfg.quadrature_tol, "kappa_max": cfg.kappa_max}
+    tau_min, tau_max, steps = _tau_window(args)
     cfg = RegularizationConfig(
-        tau_values=_resolve_taus(tau_min, tau_max, steps),
-        quadrature_tol=args.quad_tol,
-        kappa_max=args.kappa_max,
-        fit_order=args.fit_order,
+        tau_values=_resolve_taus(tau_min, tau_max, steps), **_given(fit_order=args.fit_order)
     )
+    spectrum_k_max = _TAIL_MARGIN / cfg.tau_values[-1]
+    if spectrum_k_max == math.inf:  # checked once, not on every sweep row
+        raise InputError(f"--tau-min is too small: the cutoff {_TAIL_MARGIN:g}/tau-min overflows")
     params = {
         "tau_min": tau_min,
         "tau_max": tau_max,
         "tau_steps": steps,
-        "quad_tol": args.quad_tol,
-        "kappa_max": args.kappa_max,
-        "fit_order": args.fit_order,
+        "fit_order": cfg.fit_order,
+        "spectrum_k_max": spectrum_k_max,
+        "spectrum_tol": _SPECTRUM_TOL,
     }
-    if method == "modesum":
-        params["spectrum_k_max"] = _TAIL_MARGIN / cfg.tau_values[-1]
-        if params["spectrum_k_max"] == math.inf:  # checked once, not on every sweep row
-            raise InputError(f"--tau-min is too small: the cutoff {_TAIL_MARGIN:g}/tau-min overflows")
-        params["spectrum_tol"] = _SPECTRUM_TOL
     return cfg, params
 
 
@@ -218,8 +235,9 @@ def _run_method(g: Graph, method: str, cfg: RegularizationConfig, params: dict) 
 
 
 def _cmd_casimir(args) -> int:
-    g = _load_graph(args.graph)
     methods = ["green", "modesum"] if args.method == "both" else [args.method]
+    _refuse_unread_flags(args, methods)
+    g = _load_graph(args.graph)
     setups = {m: _method_setup(m, args) for m in methods}
     results = [_run_method(g, m, *setups[m]) for m in methods]
     params: dict = {"method": args.method}
@@ -246,6 +264,7 @@ def _cmd_sweep(args) -> int:
         raise InputError("--to must exceed --from")
     if args.steps < 2:
         raise InputError("--steps must be >= 2")
+    _refuse_unread_flags(args, [args.method])
     g = _load_graph(args.graph)
     span = args.scale_to - args.scale_from
     scales = [args.scale_from + span * i / (args.steps - 1) for i in range(args.steps)]

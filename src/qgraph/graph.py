@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import GraphFormatError, InputError, UnsupportedTopologyError
@@ -109,9 +110,9 @@ class Graph:
         return not self.leads
 
     def scaled(self, factor: float) -> "Graph":
-        """New graph with every bond length multiplied by ``factor`` > 0."""
-        if factor <= 0:
-            raise InputError("scale factor must be positive")
+        """New graph with every bond length multiplied by a finite ``factor`` > 0."""
+        if not 0 < factor < math.inf:
+            raise InputError("scale factor must be positive and finite")
         bonds = tuple(
             Bond(b.from_vertex, b.to_vertex, b.length * factor, b.potential) for b in self.bonds
         )
@@ -145,7 +146,9 @@ def validate(g: Graph) -> list[str]:
                 diags.append(f"bond {i}: unknown vertex {endpoint}")
         if b.from_vertex == b.to_vertex:
             diags.append(f"bond {i}: loops unsupported")
-        if b.length <= 0:
+        if not math.isfinite(b.length):
+            diags.append(f"bond {i}: non-finite length")
+        elif b.length <= 0:
             diags.append(f"bond {i}: non-positive length")
         key = (min(b.from_vertex, b.to_vertex), max(b.from_vertex, b.to_vertex))
         if b.from_vertex != b.to_vertex and key in pairs:
@@ -253,8 +256,6 @@ def parse_graph(text: str) -> Graph:
             if required not in entry:
                 raise GraphFormatError(f"bond {i}: missing field '{required}'")
         length = _expect_number(entry["length"], f"bond {i}: length")
-        if length <= 0:
-            raise GraphFormatError(f"bond {i}: non-positive length")
         potential = _expect_number(entry.get("potential", 0.0), f"bond {i}: potential")
         bonds.append(
             Bond(

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,13 @@ REFUSED_ARGUMENTS = {
     "find_eigenvalues-k_max": lambda: qg.find_eigenvalues(_INTERVAL, 0.0),
     "config-quadrature_tol": lambda: qg.RegularizationConfig(quadrature_tol=0),
     "config-fit_order": lambda: qg.RegularizationConfig(fit_order=0),
+    "extrapolate_tau-fit_order": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], 0),
     "scaled": lambda: _INTERVAL.scaled(0.0),
+    "scaled-nan": lambda: _INTERVAL.scaled(math.nan),
+    "scaled-inf": lambda: _INTERVAL.scaled(math.inf),
     "casimir_mode_sum-total_len": lambda: qg.casimir_mode_sum([1.0], 0.0),
+    "casimir_mode_sum-total_len-nan": lambda: qg.casimir_mode_sum([1.0], math.nan),
+    "casimir_mode_sum-total_len-inf": lambda: qg.casimir_mode_sum([1.0], math.inf),
     "vertex_reflection_transmission-valency": lambda: qg.vertex_reflection_transmission(
         0, qg.KIRCHHOFF, 1.0
     ),

@@ -160,7 +160,7 @@ class TestCasimirCommand:
 
     def test_partial_tau_flags_rejected(self, graph_file, tmp_path):
         code = main(
-            ["casimir", "--graph", graph_file(INTERVAL), "--method", "green",
+            ["casimir", "--graph", graph_file(INTERVAL), "--method", "modesum",
              "--tau-min", "0.01", "--output", str(tmp_path / "x.json")]
         )
         assert code == 1
@@ -396,18 +396,21 @@ def test_nonfinite_flags_are_input_errors(argv, graph_file, tmp_path, capsys):
     assert not out.exists()
 
 
-GREEN_REGULATOR_FLAGS = {
-    "quad-tol": ["--quad-tol", "0"],
-    "kappa-max": ["--kappa-max", "-1"],
-    "fit-order": ["--fit-order", "0"],
+REGULATOR_FLAGS = {
+    "quad-tol": ["--method", "green", "--quad-tol", "0"],
+    "kappa-max": ["--method", "green", "--kappa-max", "-1"],
+    "fit-order": ["--method", "modesum", "--fit-order", "0"],
     # the geometric sequence underflows to 0 after tau-max
-    "tau-underflow": ["--tau-min", "1e-300", "--tau-max", "1e300", "--tau-steps", "8"],
+    "tau-underflow": ["--method", "modesum", "--tau-min", "1e-300", "--tau-max", "1e300", "--tau-steps", "8"],
+    # a flag the chosen route does not read
+    "green-tau": ["--method", "green", "--tau-min", "0.01", "--tau-max", "0.1", "--tau-steps", "8"],
+    "green-fit-order": ["--method", "green", "--fit-order", "5"],
+    "modesum-kappa-max": ["--method", "modesum", "--kappa-max", "20"],
 }
 REFUSED_FLAGS = {
-    **{f"casimir-{name}": ["casimir", "--method", "green", *flags]
-       for name, flags in GREEN_REGULATOR_FLAGS.items()},
-    **{f"sweep-{name}": ["sweep", "--from", "1", "--to", "2", "--steps", "2", "--method", "green", *flags]
-       for name, flags in GREEN_REGULATOR_FLAGS.items()},
+    **{f"casimir-{name}": ["casimir", *flags] for name, flags in REGULATOR_FLAGS.items()},
+    **{f"sweep-{name}": ["sweep", "--from", "1", "--to", "2", "--steps", "2", *flags]
+       for name, flags in REGULATOR_FLAGS.items()},
     "casimir-modesum-quad-tol": ["casimir", "--method", "modesum", "--quad-tol", "-1"],
     # 34/tau-min overflows: refused once, not as a NaN row per scale
     "sweep-modesum-tiny-tau-min": ["sweep", "--from", "1", "--to", "2", "--steps", "3", "--method", "modesum",
@@ -450,17 +453,33 @@ class TestDeterminism:
         graph = graph_file(INTERVAL)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["casimir", "--graph", graph, "--method", "green",
-                     "--tau-min", "0.013", "--tau-max", "0.17", "--tau-steps", "9",
                      "--quad-tol", "1e-11", "--output", str(out1)]) == 0
         manifest = json.loads(out1.read_text())["manifest"]
         p = manifest["parameters"]
+        assert set(p) == {"method", "quad_tol", "kappa_max"}
         argv = ["casimir", "--graph", manifest["graph_path"], "--method", p["method"],
-                "--tau-min", fmt_float(p["tau_min"]), "--tau-max", fmt_float(p["tau_max"]),
-                "--tau-steps", str(p["tau_steps"]), "--quad-tol", fmt_float(p["quad_tol"]),
-                "--fit-order", str(p["fit_order"]), "--output", str(out2)]
+                "--quad-tol", fmt_float(p["quad_tol"]), "--output", str(out2)]
         if p["kappa_max"] is not None:
             argv += ["--kappa-max", fmt_float(p["kappa_max"])]
         assert main(argv) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_both_methods_take_every_regulator_flag(self, graph_file, tmp_path):
+        # each route's manifest echoes only what it reads, and reproduces the output
+        graph = graph_file(INTERVAL)
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["casimir", "--graph", graph, "--method", "both",
+                     "--tau-min", "0.013", "--tau-max", "0.17", "--tau-steps", "9", "--fit-order", "4",
+                     "--quad-tol", "1e-11", "--kappa-max", "15", "--output", str(out1)]) == 0
+        manifest = json.loads(out1.read_text())["manifest"]
+        green, mode = manifest["parameters"]["green"], manifest["parameters"]["modesum"]
+        assert set(green) == {"quad_tol", "kappa_max"}
+        assert set(mode) == {"tau_min", "tau_max", "tau_steps", "fit_order", "spectrum_k_max", "spectrum_tol"}
+        assert main(["casimir", "--graph", manifest["graph_path"], "--method", "both",
+                     "--tau-min", fmt_float(mode["tau_min"]), "--tau-max", fmt_float(mode["tau_max"]),
+                     "--tau-steps", str(mode["tau_steps"]), "--fit-order", str(mode["fit_order"]),
+                     "--quad-tol", fmt_float(green["quad_tol"]), "--kappa-max", fmt_float(green["kappa_max"]),
+                     "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_sweep_manifest_reproduces_output(self, graph_file, tmp_path):
@@ -529,7 +548,7 @@ def test_invalid_thread_env_is_input_error(command, graph_file, tmp_path, monkey
     assert not out.exists()
 
 
-@pytest.mark.parametrize("method, start", [("green", 0.1), ("modesum", 0.2)])
+@pytest.mark.parametrize("method, start", [("modesum", 0.2)])
 def test_default_regulator_window_is_the_library_default(method, start, graph_file, tmp_path):
     out = tmp_path / "cas.json"
     assert main(["casimir", "--graph", graph_file(INTERVAL), "--method", method,

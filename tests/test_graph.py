@@ -57,6 +57,8 @@ def test_parse_delta_coupling_roundtrip():
         (lambda d: d.replace('"length": 1.0', '"length": 1.0, "color": 3'), "unknown key"),
         (lambda d: d.replace('"to": 1', '"to": 7'), "unknown vertex 7"),
         (lambda d: d.replace("}\n", "", 1), "syntax error at line"),
+        (lambda d: d.replace('"length": 1.0', '"length": NaN'), "bond 0: non-finite length"),
+        (lambda d: d.replace('"length": 1.0', '"length": 1e400'), "bond 0: non-finite length"),
     ],
 )
 def test_parse_errors(mutation, message):
