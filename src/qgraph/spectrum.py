@@ -16,18 +16,26 @@ and bond b = (u, w) adds tan(h) s s^T - cot(h) a a^T, with h = k l_b / 2 and
 s, a = (e_u +- e_w)/sqrt(2) (e = 0 at a Dirichlet end); its coefficient of
 modulus >= 1 moves into a border coordinate with diagonal -1/coefficient,
 which keeps the form bounded at the bond Dirichlet values k l_b = n pi and
-adds one to n_+ per positive border diagonal.  Around a simple root N(k)
-is N(lo) or N(hi), and the sign of det of the fixed-size form gives its parity
-at about a quarter of the cost of eigenvalues; a full count just beside each root
-checks what the parity cannot see.  Such an interval is split at the Illinois
+adds one to n_+ per positive border diagonal.  The form changes branch only
+at its special points, where k l_b is a multiple of pi/2: a border diagonal
+vanishes at k l_b = n pi, and a border coordinate switches, which makes K
+jump, where |tan(k l_b / 2)| = 1.  An interval whose only special point is p
+is split at p - eps and p + eps, eps a quarter of the stopping width, so a
+root on p (as on equilateral graphs and equal stars) closes in two steps and
+no bracket keeps p.  Around a simple root N(k) is N(lo) or N(hi), and the
+sign of det of the fixed-size form gives its parity at about a quarter of
+the cost of eigenvalues; a full count just beside each root checks what the
+parity cannot see.  Such an interval takes the split beside p only where p
+is a border switch, and not while both its ends are full counts (the
+midpoint halves it first); otherwise it is split at the Illinois
 false-position point of det K (Dowell & Jarratt, BIT 11, 168 (1971)), from
 log|det K| at its ends, and at the midpoint when an end has no det value (a
-full count gave it), when det K has one sign at both ends (a border switch,
-where K jumps, lies between) or when two steps passed without the bracket
-halving (Brent's safeguard: at most three steps per halving).  Intervals with
-more roots are bisected on the full count.  The count difference across a
-final interval is the multiplicity of its root, which the bond-scattering
-form then confirms.
+full count gave it), when det K has one sign at both ends or when two steps
+passed without the bracket halving (Brent's safeguard: at most three steps
+per halving).  Other intervals with more roots are bisected on the full
+count.  The count difference across a final interval, summed over final
+intervals that share an end, is the multiplicity of its root, which the
+bond-scattering form then confirms.
 """
 
 from __future__ import annotations
@@ -62,8 +70,8 @@ class SpectrumResult:
 
 def dirichlet_eigenvalues(length: float, n_max: int) -> list[float]:
     """Analytic spectrum of a single bond with Dirichlet ends: n pi / L."""
-    if length <= 0:
-        raise InputError("length must be positive")
+    if not 0 < length < math.inf:
+        raise InputError("length must be positive and finite")
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     return [n * math.pi / length for n in range(1, n_max + 1)]
@@ -71,8 +79,8 @@ def dirichlet_eigenvalues(length: float, n_max: int) -> list[float]:
 
 def weyl_count(g: Graph, k: float) -> float:
     """Leading smooth eigenvalue count, total_length * k / pi."""
-    if k < 0:
-        raise InputError("k must be >= 0")
+    if not 0 <= k < math.inf:
+        raise InputError("k must be >= 0 and finite")
     return total_length(g) * k / math.pi
 
 
@@ -203,21 +211,38 @@ class _MatchingCount:
 
 def secular_function(g: Graph, k: float) -> complex:
     """det(I - S(k) D(k)); zeros on the positive real axis are eigenvalues."""
-    if k <= 0:
-        raise InputError("k must be positive")
+    if not 0 < k < math.inf:
+        raise InputError("k must be positive and finite")
     sm = _SecularMatrix(g)
     return complex(np.linalg.det(np.eye(sm.dim) - sm.matrices(np.array([float(k)]))[0]))
+
+
+def _special_points(lengths: np.ndarray, k_top: float, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct k in (0, k_top] where some k l_b is a multiple of pi / 2,
+    the only places where the bordered form changes branch, closing with inf;
+    points closer than ``width`` count as one.  Also whether each is a border
+    switch (an odd multiple for some bond), where K jumps."""
+    lengths = np.unique(lengths)
+    js = [np.arange(1, int(k_top * ell / (0.5 * math.pi)) + 1) for ell in lengths]
+    points = np.concatenate([j * (0.5 * math.pi) / ell for j, ell in zip(js, lengths)] + [[math.inf]])
+    odd = np.concatenate([j % 2 == 1 for j in js] + [[False]])
+    order = np.argsort(points)
+    points, odd = points[order], odd[order]
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(points) > width]))
+    return points[starts], np.logical_or.reduceat(odd, starts)
 
 
 def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResult:
     """All eigenvalues in (0, k_max], in increasing order with multiplicity.
 
-    A simple root's interval is split on the sign of det of the count's form,
-    at the safeguarded false-position point of the module docstring, any other
-    is bisected on the full count; both stop at width 1e-14 max(1, k_max) and
-    return the midpoint.  ``tol`` bounds the accepted residual
-    of each root: the m-th smallest singular value of I - S D for a root of
-    multiplicity m.  Raises :class:`NumericalError` if a residual exceeds
+    An interval whose only special point (k l_b a multiple of pi/2) is p is
+    split just beside p; otherwise a simple root's interval is split on the
+    sign of det of the count's form, at the safeguarded false-position point
+    of the module docstring, and any other is bisected on the full count.
+    All stop at width 1e-14 max(1, k_max); final intervals that share an end
+    are one root, at the midpoint of their union.  ``tol`` bounds the accepted
+    residual of each root: the m-th smallest singular value of I - S D for a
+    root of multiplicity m.  Raises :class:`NumericalError` if a residual exceeds
     ``tol``, if the multiplicities do not add up to the count across
     (0, k_max] or to the full count just beside each root, or if the count
     leaves the Weyl bound |N - L k_max / pi| <= V + B.
@@ -233,33 +258,44 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
     k_lo = 1e-6 * math.pi / total_length(g)
     k_top = k_max * (1.0 + 1e-12) + 1e-12
     width = 1e-14 * max(1.0, k_max)
+    eps = 0.25 * width
+    special, switch = _special_points(counter.lengths, k_top, width)
     # columns are intervals (lo, hi]; the rows hold k, N(k), sign det K and
     # log|det K| at both ends (sign 0 where a full count gave the point)
     n_lo, n_top = counter.count(np.array([k_lo, k_top]))
     ends = np.array([[k_lo, k_top], [n_lo, n_top], [0.0, 0.0], [0.0, 0.0]])[..., None]
     # per column: the width when it last halved, steps since then, end kept by the last split
     halved, stale, kept = np.array([k_top - k_lo]), np.zeros(1), np.full(1, -1)
-    roots, mults, full_points, sign_points = [], [], 2, 0
+    finals, full_points, sign_points = [], 2, 0
     while ends.size:
         n_in = ends[1, 1] - ends[1, 0]
         done = (n_in > 0) & (ends[0, 1] - ends[0, 0] <= width)
-        roots.append(0.5 * (ends[0, 0, done] + ends[0, 1, done]))
-        mults.append(n_in[done])
+        finals.append(ends[:2, :, done])
         live = (n_in > 0) & ~done
         ends, halved, stale, kept = ends[..., live], halved[live], stale[live], kept[live]
         (lo, hi), (c_lo, c_hi), signs, logs = ends
+        # split beside the only special point p, first on the side that leaves
+        # the larger piece without p; a simple root's interval only if p is a
+        # border switch and an end is a det-sign point
+        first = np.searchsorted(special, lo, side="right")
+        p = special[first]
+        simple = c_hi - c_lo == 1
+        at_p = (np.searchsorted(special, hi) - first == 1) & (~simple | switch[first] & np.any(signs != 0, axis=0))
+        left = (lo < p - eps) & ((p - lo >= hi - p) | (hi <= p + eps))
         # N(mid) is N(lo) or N(hi) around a simple root: its parity decides, and
         # mid is the false-position point of det K unless an end has no det,
         # det K keeps its sign (a border switch lies between) or two steps
         # passed without the bracket halving
-        simple = c_hi - c_lo == 1
-        regula = simple & (signs[0] * signs[1] < 0) & (stale < 2)
-        x = np.clip(lo + (hi - lo) * expit(logs[0] - logs[1]), lo + 0.25 * width, hi - 0.25 * width)
+        regula = simple & ~at_p & (signs[0] * signs[1] < 0) & (stale < 2)
+        x = np.clip(lo + (hi - lo) * expit(logs[0] - logs[1]), lo + eps, hi - eps)
         mid = np.zeros((4, lo.size))
         mid[0] = np.where(regula, x, 0.5 * (lo + hi))
-        mid[1, ~simple] = counter.count(mid[0, ~simple])
-        parity, mid[2, simple], mid[3, simple] = counter.parity(mid[0, simple])
-        mid[1, simple] = c_lo[simple] + (parity != c_lo[simple] % 2)
+        mid[0, at_p] = np.where(left, p - eps, p + eps)[at_p]
+        if not simple.all():
+            mid[1, ~simple] = counter.count(mid[0, ~simple])
+        if simple.any():
+            parity, mid[2, simple], mid[3, simple] = counter.parity(mid[0, simple])
+            mid[1, simple] = c_lo[simple] + (parity != c_lo[simple] % 2)
         full_points, sign_points = full_points + int(np.sum(~simple)), sign_points + int(np.sum(simple))
         # Illinois: an end kept by two splits in a row counts at half its |det|
         ends[3] -= math.log(2.0) * (kept == np.arange(2)[:, None])
@@ -269,9 +305,14 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
         halved, stale = np.where(halves, span, halved), np.where(halves, 0, stale + 1)
         kept = np.repeat([0, 1], lo.size)
 
-    levels, roots, mults = len(roots) - 1, np.concatenate(roots), np.concatenate(mults).astype(int)
-    order = np.argsort(roots)
-    roots, mults = roots[order], mults[order]
+    # a root split across final intervals that share an end is one root: its
+    # multiplicities add up, and it sits at the midpoint of their union
+    levels = len(finals) - 1
+    (lo, hi), (c_lo, c_hi) = np.concatenate(finals, axis=2)
+    order = np.argsort(lo)
+    lo, hi, mults = lo[order], hi[order], (c_hi - c_lo)[order].astype(int)
+    starts = np.flatnonzero(lo != np.concatenate([[-math.inf], hi[:-1]]))
+    roots, mults = 0.5 * (lo[starts] + np.maximum.reduceat(hi, starts)), np.add.reduceat(mults, starts)
     # the parity cannot see a count that dips inside a simple root's interval,
     # so the full count must step by each multiplicity just beside each root
     gaps = np.diff(np.concatenate([[k_lo], roots, [k_top]]))

@@ -15,6 +15,12 @@ def test_public_names_resolve_and_are_unique():
 _INTERVAL = qg.Graph(((0, qg.DIRICHLET), (1, qg.DIRICHLET)), (qg.Bond(0, 1, 1.0),))
 REFUSED_ARGUMENTS = {
     "find_eigenvalues-k_max": lambda: qg.find_eigenvalues(_INTERVAL, 0.0),
+    "dirichlet_eigenvalues-length-nan": lambda: qg.dirichlet_eigenvalues(math.nan, 3),
+    "dirichlet_eigenvalues-length-inf": lambda: qg.dirichlet_eigenvalues(math.inf, 3),
+    "weyl_count-k-nan": lambda: qg.weyl_count(_INTERVAL, math.nan),
+    "weyl_count-k-inf": lambda: qg.weyl_count(_INTERVAL, math.inf),
+    "secular_function-k-nan": lambda: qg.secular_function(_INTERVAL, math.nan),
+    "secular_function-k-inf": lambda: qg.secular_function(_INTERVAL, math.inf),
     "config-quadrature_tol": lambda: qg.RegularizationConfig(quadrature_tol=0),
     "config-fit_order": lambda: qg.RegularizationConfig(fit_order=0),
     "extrapolate_tau-fit_order": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], 0),

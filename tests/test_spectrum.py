@@ -406,36 +406,58 @@ def test_useless_det_magnitudes_leave_the_roots_and_bound_the_levels(monkeypatch
     assert res.diagnostics["bisection_levels"] <= 3 * math.ceil(math.log2((k_top - k_lo) / width))
 
 
+def _dirichlet_kirchhoff_interval(ell):
+    return qg.Graph(((0, qg.DIRICHLET), (1, qg.KIRCHHOFF)), (qg.Bond(0, 1, ell),))
+
+
 @pytest.mark.parametrize("ell,k_max", [(1.0, 100.0), (0.37, 200.0)])
 def test_dirichlet_kirchhoff_roots_sit_where_the_form_jumps(ell, k_max):
     # the roots (j + 1/2) pi / ell have |tan(k ell / 2)| = 1, where a border
-    # coordinate switches and K jumps, so det K gives no false-position step
-    g = qg.Graph(((0, qg.DIRICHLET), (1, qg.KIRCHHOFF)), (qg.Bond(0, 1, ell),))
+    # coordinate switches and K jumps; false position cannot see across the
+    # jump, so each root's interval is split just beside it instead
     expected = (np.arange(int(k_max * ell / math.pi + 0.5)) + 0.5) * math.pi / ell
-    assert qg.find_eigenvalues(g, k_max).eigenvalues == pytest.approx(expected.tolist(), abs=1e-12, rel=0)
+    res = qg.find_eigenvalues(_dirichlet_kirchhoff_interval(ell), k_max)
+    assert res.eigenvalues == pytest.approx(expected.tolist(), abs=1e-12, rel=0)
+
+
+def test_roots_on_border_switches_take_few_det_sign_points():
+    # bisection to the stopping width takes 42 det-sign points per root here
+    res = qg.find_eigenvalues(_dirichlet_kirchhoff_interval(1.0), 100.0)
+    assert res.diagnostics["sign_points"] <= 3 * len(res.eigenvalues)
+
+
+def _assert_multiplicities_are_amplitude_nullities(g, k_max):
+    eigs = qg.find_eigenvalues(g, k_max).eigenvalues
+    roots, mults = np.unique(eigs, return_counts=True)
+    sv = np.linalg.svd(_amplitude_matrices(g, roots), compute_uv=False)
+    nullity = np.sum(sv < 1e-8 * sv[:, :1], axis=1)
+    assert np.array_equal(nullity, mults), g
 
 
 def test_random_compact_graphs_have_the_amplitude_nullity_as_multiplicity():
-    # Dirichlet, Kirchhoff and delta vertices; lengths are multiples of 1/2 in
-    # about a third of the graphs, which gives degenerate roots and roots on
-    # bond Dirichlet values.  The oracle is the nullity of the pole-free
-    # amplitude system, independent of the eigenvalue count.
+    # Dirichlet, Kirchhoff and delta vertices; lengths are multiples of 1/2,
+    # or of 1/4 in the second set, in about a third of the graphs, which gives
+    # degenerate roots and roots on bond Dirichlet values and border switches.
+    # The oracle is the nullity of the pole-free amplitude system, independent
+    # of the eigenvalue count.
     def coupling(rng):
         kind = int(rng.integers(3))
         return qg.delta(rng.uniform(-2.0, 3.0)) if kind == 2 else (qg.DIRICHLET, qg.KIRCHHOFF)[kind]
 
-    rng = np.random.default_rng(40)
-    for _ in range(40):
-        n_vertices = int(rng.integers(2, 7))
-        n_bonds = int(rng.integers(n_vertices - 1, n_vertices * (n_vertices - 1) // 2 + 1))
-        commensurate = rng.random() < 0.35
-        length = (lambda r: 0.5 * int(r.integers(1, 4))) if commensurate else (lambda r: r.uniform(0.3, 2.0))
-        g = _random_graph(rng, n_vertices, n_bonds, coupling, length)
-        eigs = qg.find_eigenvalues(g, 12.0).eigenvalues
-        roots, mults = np.unique(eigs, return_counts=True)
-        sv = np.linalg.svd(_amplitude_matrices(g, roots), compute_uv=False)
-        nullity = np.sum(sv < 1e-8 * sv[:, :1], axis=1)
-        assert np.array_equal(nullity, mults), g
+    for seed, unit in ((40, 0.5), (41, 0.25)):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n_vertices = int(rng.integers(2, 7))
+            n_bonds = int(rng.integers(n_vertices - 1, n_vertices * (n_vertices - 1) // 2 + 1))
+            commensurate = rng.random() < 0.35
+            length = (
+                (lambda r: unit * int(r.integers(1, round(1.5 / unit) + 1)))
+                if commensurate
+                else (lambda r: r.uniform(0.3, 2.0))
+            )
+            _assert_multiplicities_are_amplitude_nullities(
+                _random_graph(rng, n_vertices, n_bonds, coupling, length), 12.0
+            )
 
 
 def _sierpinski(level):
@@ -501,3 +523,39 @@ def test_equilateral_kirchhoff_graphs_match_von_below(edges, n_vertices):
     eigs = np.array(qg.find_eigenvalues(g, k_max).eigenvalues)
     assert len(eigs) == len(expected)
     assert np.max(np.abs(eigs - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "edges, n_vertices, k_max",
+    [
+        (*_sierpinski(1), 30.0),
+        ([(a, b) for a in range(5) for b in range(a + 1, 5)], 5, 24.0),
+        ([(a, b) for a in range(4) for b in range(a + 1, 4)], 4, 36.0),
+    ],
+    ids=["sierpinski-1", "K5", "K4"],
+)
+def test_a_degenerate_root_comes_back_as_one_root(edges, n_vertices, k_max):
+    # final intervals that share an end hold one root; taken apart, pi came
+    # back as 1 + 2, 5 pi as 1 + 4 and 6.608 pi as 2 + 1, about 1e-13 apart
+    g = qg.Graph(tuple((v, qg.KIRCHHOFF) for v in range(n_vertices)), tuple(qg.Bond(a, b, 1.0) for a, b in edges))
+    _assert_multiplicities_are_amplitude_nullities(g, k_max)
+
+
+@pytest.mark.parametrize("n_arms", [3, 4])
+def test_equal_star_roots_on_special_points_take_few_points(n_arms):
+    # at star-modesum's cutoff the roots n pi / ell (multiplicity N - 1) sit on
+    # the bond Dirichlet values and (n + 1/2) pi / ell on the border switches;
+    # bisection to the stopping width takes 47 levels and about 40 points per root
+    from qgraph.casimir import DEFAULT_TAU_MAX
+
+    ell, k_max = 0.6, 34.0 / qg.geometric_taus(DEFAULT_TAU_MAX)[-1]
+    vertices = ((0, qg.KIRCHHOFF),) + tuple((i, qg.DIRICHLET) for i in range(1, n_arms + 1))
+    g = qg.Graph(vertices, tuple(qg.Bond(0, i, ell) for i in range(1, n_arms + 1)))
+    res = qg.find_eigenvalues(g, k_max)
+    top = k_max * ell / math.pi
+    n, half = np.arange(1, int(top) + 1), np.arange(int(top + 0.5)) + 0.5
+    expected = np.sort(np.concatenate([np.repeat(n, n_arms - 1), half])) * math.pi / ell
+    assert res.eigenvalues == pytest.approx(expected.tolist(), rel=1e-12, abs=0)
+    points = res.diagnostics["count_points"] + res.diagnostics["sign_points"]
+    assert points <= 8 * len(set(res.eigenvalues))
+    assert res.diagnostics["bisection_levels"] <= 15
