@@ -11,12 +11,16 @@ Green-trace route
     dropping them: what is left is absolutely integrable on (0, kappa_max],
     so the energy is one quadrature at tau = 0, with no regulator sequence
     and no fit (Bordag, Mohideen & Mostepanenko, Phys. Rep. 353, 1 (2001)).
-    With dirichlet or kirchhoff ends the integrand decays like
-    exp(-2 kappa ell); with delta ends (gamma != 0) it keeps a gamma/kappa
-    tail, which neither the truncation at kappa_max nor the reported
-    ``estimated_error`` accounts for.  The overall normalization is frozen
-    once against the Dirichlet cavity benchmark E = -pi/(24 ell) and is
-    exactly 1/pi; every other configuration is a prediction.
+    A delta end (gamma != 0) leaves a third, gamma/(kappa + gamma), whose
+    integral grows like gamma ln(kappa_max): the self-energy of a delta
+    vertex on a half-line (the ell -> infinity limit of the vertex term and
+    the heat-kernel boundary term of Bordag et al.).  It does not depend on
+    ell, so it exerts no force, and it is subtracted too.  With every end
+    the integrand then decays like exp(-2 kappa ell), and the energy is the
+    log-det integral (1/2 pi) int_0^inf log(1 - r^2 exp(-2 kappa ell)) dkappa
+    with r = (kappa - gamma)/(kappa + gamma).  The overall normalization is
+    frozen once against the Dirichlet cavity benchmark E = -pi/(24 ell) and
+    is exactly 1/pi; every other configuration is a prediction.
 
 Mode-sum route (independent oracle)
     E(tau) = (1/2) sum_n k_n exp(-k_n tau) - L_total/(2 pi tau^2), followed by
@@ -210,7 +214,8 @@ def reflection_at_infinity(coupling: VertexCoupling) -> float:
 
 def _rotated_integrand(coupling: VertexCoupling, ell: float):
     """kappa^2 * (subtracted trace)(i kappa) at tau = 0, in a form stable at
-    both ends of the contour."""
+    both ends of the contour.  For a delta end it is also less the vertex
+    self-energy gamma/(kappa + gamma), subtracted in closed form."""
     if coupling.is_dirichlet or coupling.effective_gamma() == 0.0:
         # end reflection is exactly -1 (dirichlet) or +1 (single-edge kirchhoff)
 
@@ -230,15 +235,14 @@ def _rotated_integrand(coupling: VertexCoupling, ell: float):
     def f(kappa: float) -> float:
         if kappa <= 0.0:
             kappa = 1e-300
-        r = (kappa - gamma) / (kappa + gamma)
+        kg = kappa + gamma
+        r = (kappa - gamma) / kg
         e2 = math.exp(-2.0 * kappa * ell)
-        one_minus_e2 = -math.expm1(-2.0 * kappa * ell)
-        # grouped so every piece is a sum of same-sign terms near kappa = 0
-        den = one_minus_e2 + e2 * (4.0 * kappa * gamma) / (kappa + gamma) ** 2
-        one_plus_re2 = one_minus_e2 + e2 * (2.0 * kappa) / (kappa + gamma)
-        bounce = -kappa * ell * r * r * e2 / den
-        vertex = gamma * one_plus_re2 / ((kappa + gamma) * den)
-        return bounce + vertex
+        # 1 - r^2 e2, grouped so every piece is a sum of same-sign terms near kappa = 0
+        den = -math.expm1(-2.0 * kappa * ell) + e2 * (4.0 * kappa * gamma) / (kg * kg)
+        # the bounce term -kappa ell r^2 e2 / den plus the vertex term less the
+        # self-energy, gamma (1 + r e2) / (kg den) - gamma / kg = 2 gamma kappa r e2 / (kg^2 den)
+        return (2.0 * gamma * kappa / (kg * kg) - kappa * ell * r) * r * e2 / den
 
     return f
 
@@ -254,7 +258,8 @@ def casimir_green_method(g: Graph, cfg: RegularizationConfig | None = None) -> C
     """
     cfg = cfg or RegularizationConfig()
     coupling, ell = two_vertex_form(g)
-    if coupling.kind.value == "delta" and coupling.gamma < 0:
+    gamma = 0.0 if coupling.is_dirichlet else coupling.effective_gamma()
+    if gamma < 0:
         raise UnsupportedTopologyError(
             "attractive couplings (gamma < 0) put a bound-state pole on the "
             "rotated contour; not supported"
@@ -269,10 +274,10 @@ def casimir_green_method(g: Graph, cfg: RegularizationConfig | None = None) -> C
         limit=400,
     )
 
-    # truncation bound: |integrand| <= kappa ell e^{-2 kappa ell} / (1 - e^{-2 kappa ell})
-    # for dirichlet and kirchhoff ends; it misses the gamma/kappa tail of delta ends
+    # truncation bound: |integrand| <= (kappa ell + 1/2) e^{-2 kappa ell} / (1 - e^{-2 kappa ell}),
+    # the 1/2 bounding the subtracted vertex term of delta ends (0 for the others)
     x = 2.0 * kappa_max * ell
-    tail = (x + 1.0) * math.exp(-x) / (-4.0 * ell * math.expm1(-x))
+    tail = (x + 1.0 + (gamma != 0.0)) * math.exp(-x) / (-4.0 * ell * math.expm1(-x))
 
     return CasimirResult(
         energy=ENERGY_PREFACTOR * integral,

@@ -15,27 +15,35 @@ non-Dirichlet vertices.  Vertex v adds -gamma_v / k on the diagonal of A/k
 and bond b = (u, w) adds tan(h) s s^T - cot(h) a a^T, with h = k l_b / 2 and
 s, a = (e_u +- e_w)/sqrt(2) (e = 0 at a Dirichlet end); its coefficient of
 modulus >= 1 moves into a border coordinate with diagonal -1/coefficient,
-which keeps the form bounded at the bond Dirichlet values k l_b = n pi and
-adds one to n_+ per positive border diagonal.  The form changes branch only
-at its special points, where k l_b is a multiple of pi/2: a border diagonal
-vanishes at k l_b = n pi, and a border coordinate switches, which makes K
-jump, where |tan(k l_b / 2)| = 1.  An interval whose only special point is p
-is split at p - eps and p + eps, eps a quarter of the stopping width, so a
-root on p (as on equilateral graphs and equal stars) closes in two steps and
-no bracket keeps p.  Around a simple root N(k) is N(lo) or N(hi), and the
-sign of det of the fixed-size form gives its parity at about a quarter of
-the cost of eigenvalues; a full count just beside each root checks what the
-parity cannot see.  Such an interval takes the split beside p only where p
-is a border switch, and not while both its ends are full counts (the
-midpoint halves it first); otherwise it is split at the Illinois
-false-position point of det K (Dowell & Jarratt, BIT 11, 168 (1971)), from
-log|det K| at its ends, and at the midpoint when an end has no det value (a
-full count gave it), when det K has one sign at both ends or when two steps
-passed without the bracket halving (Brent's safeguard: at most three steps
-per halving).  Other intervals with more roots are bisected on the full
-count.  The count difference across a final interval, summed over final
-intervals that share an end, is the multiplicity of its root, which the
-bond-scattering form then confirms.
+which keeps the bordered form K bounded at the bond Dirichlet values
+k l_b = n pi and adds one to n_+ per positive border diagonal.  Only bonds
+near those values need their border coordinate: one whose diagonal d_b has
+|d_b| >= 0.1 is eliminated by its Schur complement, which puts the bond's
+plain tan or cot term back on the vertex block.  By Haynsworth's inertia
+additivity (Linear Algebra Appl. 1, 73 (1968)),
+N(k) = sum_b floor(k l_b / pi) - #{kept d_b > 0} - #pad + n_+ of the
+reduced form, and det K is the product of the eliminated d_b times its
+det; each batch is padded with +1 diagonals to one order, about V_free plus
+a few.  The form changes branch only at its special points, where k l_b is
+a multiple of pi/2: a border diagonal vanishes at k l_b = n pi, and a border
+coordinate switches, which makes K jump, where |tan(k l_b / 2)| = 1.  An
+interval whose only special point is p is split at p - eps and p + eps, eps
+a quarter of the stopping width, so a root on p (as on equilateral graphs
+and equal stars) closes in two steps and no bracket keeps p.  Around a
+simple root N(k) is N(lo) or N(hi), and the sign of det of the reduced form
+gives its parity at about a third of the cost of eigenvalues; a full count
+just beside each root checks what the parity cannot see, and a point where
+det is exactly 0 (on a root) moves by eps.  Such an interval takes the split
+beside p only where p is a border switch, and not while both its ends are
+full counts (the midpoint halves it first); otherwise it is split at the
+Illinois false-position point of det K (Dowell & Jarratt, BIT 11, 168
+(1971)), from log|det K| at its ends, and at the midpoint when an end has
+no det value (a full count gave it), when det K has one sign at both ends
+or when two steps passed without the bracket halving (Brent's safeguard: at
+most three steps per halving).  Other intervals with more roots are
+bisected on the full count.  The count difference across a final interval,
+summed over final intervals that share an end, is the multiplicity of its
+root, which the bond-scattering form then confirms.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit
 
 from .errors import InputError, NumericalError, UnsupportedTopologyError
@@ -55,7 +64,8 @@ from .scattering import vertex_amplitudes
 class SpectrumResult:
     """Sorted positive eigenvalues (repeated per multiplicity) with per-root
     secular residuals, the Weyl-count audit and ``diagnostics``: numbers of
-    full-count and det-sign points and of bisection levels, worst residual."""
+    full-count and det-sign points and of bisection levels, the mean order
+    of the count's form over those points, worst residual."""
 
     eigenvalues: tuple[float, ...]
     k_max: float
@@ -147,66 +157,104 @@ class _SecularMatrix:
         return np.linalg.svd(np.eye(self.dim) - self.matrices(ks), compute_uv=False)[:, ::-1]
 
 
+#: Border coordinates whose diagonal has at least this modulus are eliminated
+#: into the vertex block (module docstring); above 1 none are, which gives the
+#: bordered form.
+_PIVOT = 0.1
+
+
 class _MatchingCount:
-    """Vectorized exact eigenvalue count N(k) from the bordered matching form
-    of the module docstring."""
+    """Vectorized exact eigenvalue count N(k) from the Schur-reduced matching
+    form of the module docstring.  ``points`` and ``order_sum`` tally the
+    points evaluated and the orders of their forms."""
 
     def __init__(self, g: Graph):
         free = [vid for vid in g.vertex_ids() if not g.coupling(vid).is_dirichlet]
         index = {vid: i for i, vid in enumerate(free)}
         self.lengths = np.array([b.length for b in g.bonds])
         self._gamma = np.array([g.coupling(vid).effective_gamma() for vid in free])
-        # rows e_u / sqrt(2) and e_w / sqrt(2) per bond; they combine to s and a
-        ends = np.zeros((2, len(g.bonds), len(free)))
-        for i, b in enumerate(g.bonds):
-            for side, vid in enumerate((b.from_vertex, b.to_vertex)):
-                if vid in index:
-                    ends[side, i, index[vid]] = math.sqrt(0.5)
-        self._s, self._a = ends[0] + ends[1], ends[0] - ends[1]
+        # the two ends of each bond in the vertex block; a Dirichlet end has
+        # the index one past it
+        self._ends = np.array([[index.get(b.from_vertex, len(free)), index.get(b.to_vertex, len(free))]
+                               for b in g.bonds])
+        # the patterns s s^T of every bond, then a a^T, as the columns of one
+        # sparse map from the bond coefficients to the flattened vertex block:
+        # with s, a = (e_u +- e_w) / sqrt(2), both are 1/2 at (u, u) and
+        # (w, w), and s s^T is 1/2 and a a^T -1/2 at (u, w) and (w, u)
+        v, first, second = len(free), self._ends[:, [0, 0, 1, 1]], self._ends[:, [0, 1, 0, 1]]
+        bond, pair = np.nonzero((first < v) & (second < v))
+        values = np.concatenate([np.full(len(bond), 0.5), np.array([0.5, -0.5, -0.5, 0.5])[pair]])
+        at = (np.tile(first[bond, pair] * v + second[bond, pair], 2), np.concatenate([bond, len(g.bonds) + bond]))
+        self._patterns = sparse.csr_array((values, at), shape=(v * v, 2 * len(g.bonds)))
+        self.points = self.order_sum = 0
 
-    def _form(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The bordered form K at each k, and N(k) - n_+(K)."""
+    def _form(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The reduced form at each k, N(k) - n_+(form), and the border
+        diagonals with 1 in place of those kept."""
         ks = np.asarray(ks, dtype=float)
         kl = np.outer(ks, self.lengths)
         t = np.tan(0.5 * kl)
         # floor(k l / pi) from the nearest integer m and the side of m pi that
         # the computed tan(k l / 2) indicates (tan > 0 just below odd m), so
         # that it jumps where the border entries below change sign
-        m = np.rint(kl / math.pi)
+        m = np.rint(kl / math.pi).astype(np.int64)
         floor = m - ((m % 2 == 1) == (t > 0))
 
+        # the border vector is s where tan(k l / 2) is steep and a otherwise;
+        # the kept coefficient and the border diagonal are both d, and an
+        # eliminated border coordinate adds -1/d on its own pattern
         steep = np.abs(t) >= 1.0
-        # the kept coefficient and the border diagonal are both this value
         d = np.where(steep, -1.0 / t, t)
+        out = np.abs(d) >= _PIVOT
+        eliminated = np.where(out, d, 1.0)
+        schur = np.where(out, -1.0, 0.0) / eliminated
+        coef = np.hstack([np.where(steep, schur, d), np.where(steep, d, schur)])
         # scaling vertex rows and columns by |gamma / k|^-1/2 where that is
         # below one is a congruence: the inertia stays, and near-zero
         # eigenvalues stay resolved beside strong couplings
         gk = np.outer(1.0 / ks, self._gamma)
-        w = np.maximum(1.0, np.abs(gk))[:, None, :] ** -0.5
-        kept = np.where(steep[..., None], self._a, self._s) * w
-        border = np.where(steep[..., None], self._s, self._a) * w
+        w = np.maximum(1.0, np.abs(gk)) ** -0.5
+        n, v = gk.shape
 
-        v, size = gk.shape[1], gk.shape[1] + d.shape[1]
-        form = np.zeros((len(ks), size, size))
-        form[:, :v, :v] = np.swapaxes(kept * d[..., None], 1, 2) @ kept
-        form[:, v:, :v] = border
-        form[:, :v, v:] = np.swapaxes(border, 1, 2)
-        diag = np.arange(size)
-        form[:, diag, diag] += np.hstack([np.clip(-gk, -1.0, 1.0), d])
-        return form, floor.sum(axis=1).astype(int) - np.sum(d > 0.0, axis=1)
+        # the kept border coordinates, in bond order at each k, then pads with
+        # diagonal +1 and no border entries up to the batch's largest count
+        at, bond = np.nonzero(~out)
+        kept = np.bincount(at, minlength=n)
+        size = v + int(kept.max(initial=0))
+        row = v + np.arange(len(at)) - (np.cumsum(kept) - kept)[at]
+        form = np.zeros((n, size, size))
+        form[:, :v, :v] = (self._patterns @ coef.T).T.reshape(n, v, v) * w[:, :, None] * w[:, None, :]
+        diag = form.reshape(n, size * size)[:, :: size + 1]
+        diag[:, :v] += np.maximum(np.minimum(-gk, 1.0), -1.0)
+        diag[:, v:] = 1.0
+        # a border row and column, s or a times the scaling, is w / sqrt(2) at
+        # the first end of its bond and -+ w / sqrt(2) at the second; a
+        # Dirichlet end (index v) writes 0 into the border block, before the
+        # border diagonal
+        ends = self._ends[bond].T
+        value = np.hstack([math.sqrt(0.5) * w, np.zeros((n, 1))])[at, ends]
+        value[1] = np.where(steep[at, bond], value[1], -value[1])
+        flat, start = form.reshape(-1), at * size * size
+        flat[start + row * size + ends] = flat[start + ends * size + row] = value
+        flat[start + row * (size + 1)] = d[at, bond]
+        self.points, self.order_sum = self.points + n, self.order_sum + n * size
+        return form, (floor - (~out & (d > 0.0))).sum(axis=1) - (size - v - kept), eliminated
 
     def count(self, ks: np.ndarray) -> np.ndarray:
         """Number of eigenvalues below each k, counting the zero mode and
         bound states (k > 0, off the exact roots)."""
-        form, offset = self._form(ks)
+        form, offset, _ = self._form(ks)
         return offset + np.sum(np.linalg.eigvalsh(form) > 0.0, axis=1)
 
     def parity(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """count(ks) mod 2 from sign det K = (-1)^n_-(K), n_+ + n_- = size off the
-        roots, with sign det K and log|det K|."""
-        form, offset = self._form(ks)
+        """count(ks) mod 2 from sign det = (-1)^n_- of the reduced form, n_+ +
+        n_- = its order off the roots, with sign det K and log|det K| of the
+        bordered form K: those of the reduced form times the eliminated
+        border diagonals."""
+        form, offset, eliminated = self._form(ks)
         sign, logdet = np.linalg.slogdet(form)
-        return (offset + form.shape[-1] - (sign < 0)) % 2, sign, logdet
+        return ((offset + form.shape[-1] - (sign < 0)) % 2, sign * np.prod(np.sign(eliminated), axis=1),
+                logdet + np.sum(np.log(np.abs(eliminated)), axis=1))
 
 
 def secular_function(g: Graph, k: float) -> complex:
@@ -237,8 +285,10 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
 
     An interval whose only special point (k l_b a multiple of pi/2) is p is
     split just beside p; otherwise a simple root's interval is split on the
-    sign of det of the count's form, at the safeguarded false-position point
-    of the module docstring, and any other is bisected on the full count.
+    sign of det of the count's Schur-reduced form, at the safeguarded
+    false-position point of the module docstring, and any other is bisected
+    on the full count; a det-sign point with det exactly 0 moves by a quarter
+    of the stopping width towards the middle.
     All stop at width 1e-14 max(1, k_max); final intervals that share an end
     are one root, at the midpoint of their union.  ``tol`` bounds the accepted
     residual of each root: the m-th smallest singular value of I - S D for a
@@ -296,7 +346,15 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
         if simple.any():
             parity, mid[2, simple], mid[3, simple] = counter.parity(mid[0, simple])
             mid[1, simple] = c_lo[simple] + (parity != c_lo[simple] % 2)
-        full_points, sign_points = full_points + int(np.sum(~simple)), sign_points + int(np.sum(simple))
+        # det K = 0 puts a point on a root, where its sign tells no parity:
+        # the point moves by eps towards the middle, off the root
+        hit = simple & (mid[2] == 0)
+        if hit.any():
+            mid[0, hit] += np.where(mid[0, hit] < 0.5 * (lo + hi)[hit], eps, -eps)
+            parity, mid[2, hit], mid[3, hit] = counter.parity(mid[0, hit])
+            mid[1, hit] = c_lo[hit] + (parity != c_lo[hit] % 2)
+        full_points += int(np.sum(~simple))
+        sign_points += int(np.sum(simple) + np.sum(hit))
         # Illinois: an end kept by two splits in a row counts at half its |det|
         ends[3] -= math.log(2.0) * (kept == np.arange(2)[:, None])
         ends = np.concatenate([np.stack([ends[:, 0], mid], 1), np.stack([mid, ends[:, 1]], 1)], 2)
@@ -342,6 +400,7 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
         )
     eigenvalues = np.repeat(roots, mults)
     diagnostics = dict(count_points=full_points + beside.size, sign_points=sign_points, bisection_levels=levels,
+                       form_order=counter.order_sum / counter.points,
                        worst_residual=float(residuals.max(initial=0.0)))
     return SpectrumResult(tuple(eigenvalues.tolist()), float(k_max),
                           tuple(np.repeat(residuals, mults).tolist()), weyl, diagnostics)

@@ -101,13 +101,15 @@ class TestCasimirIntegrand:
         # agree with kappa^2 times the generic subtracted-trace integrand
         from qgraph.casimir import _rotated_integrand
 
+        # (a delta end also drops its vertex self-energy gamma/(kappa + gamma))
         ell, tau = 1.3, 0.0
         f = _rotated_integrand(coupling, ell)
         n_inf = reflection_at_infinity(coupling)
+        gamma = 0.0 if coupling.is_dirichlet else coupling.effective_gamma()
         for kappa in (0.3, 1.0, 2.5, 7.0):
             ca = qg.cavity_amplitudes(coupling, ell, 1j * kappa)
             generic = kappa**2 * qg.casimir_integrand(tau, ca, reflection_at_infinity=n_inf)
-            assert f(kappa) == pytest.approx(generic.real, rel=1e-10)
+            assert f(kappa) == pytest.approx(generic.real - gamma / (kappa + gamma), rel=1e-10)
             assert generic.imag == pytest.approx(0.0, abs=1e-12)
 
 
@@ -208,6 +210,30 @@ class TestGreenMethod:
         assert error <= 1e-8 * math.pi / (24 * ell)
         assert error <= res.estimated_error
         assert res.fit_coefficients == () and res.per_tau_samples == ()
+
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("gamma", [0.5, 3.0])
+    def test_delta_energy_matches_log_det_within_estimated_error(self, gamma, ell):
+        # the log-det energy (1/2 pi) int log(1 - r^2 e^{-2 kappa ell}) d kappa,
+        # r = (kappa - gamma)/(kappa + gamma), shares no code with the Green route
+        def integrand(kappa):
+            r = (kappa - gamma) / (kappa + gamma)
+            return math.log1p(-r * r * math.exp(-2.0 * kappa * ell))
+
+        log_det = quad(integrand, 0.0, math.inf, epsabs=1e-15, epsrel=1e-12, limit=200)[0] / (2 * math.pi)
+        g = qg.Graph(((0, qg.delta(gamma)), (1, qg.delta(gamma))), (qg.Bond(0, 1, ell),))
+        res = qg.casimir_green_method(g)
+        assert abs(res.energy - log_det) <= max(res.estimated_error, 1e-9)
+
+    @pytest.mark.parametrize("gamma", [0.5, 3.0])
+    def test_delta_energy_does_not_grow_with_kappa_max(self, gamma):
+        # with the vertex self-energy left in, the energy grew by
+        # (gamma/pi) ln((kappa_max + gamma)/gamma) over this range
+        g = qg.Graph(((0, qg.delta(gamma)), (1, qg.delta(gamma))), (qg.Bond(0, 1, 1.0),))
+        energies = [
+            qg.casimir_green_method(g, RegularizationConfig(kappa_max=k)).energy for k in (40.0, 200.0, 1000.0)
+        ]
+        assert max(energies) - min(energies) <= 1e-10
 
     def test_one_quadrature_and_no_tau_fit(self, monkeypatch):
         import qgraph.casimir as casimir

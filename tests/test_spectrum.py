@@ -372,9 +372,43 @@ def test_diagnostics_repeat_and_count_the_det_sign_points():
     g = _random_delta_graph_24()
     first, second = (qg.find_eigenvalues(g, 30.0) for _ in range(2))
     assert first.diagnostics == second.diagnostics
-    assert set(first.diagnostics) == {"count_points", "sign_points", "bisection_levels", "worst_residual"}
+    assert set(first.diagnostics) == {"count_points", "sign_points", "bisection_levels", "form_order",
+                                      "worst_residual"}
     assert first.diagnostics["sign_points"] > first.diagnostics["count_points"]
+    # 13 free vertices and 24 bonds: the bordered form has order 37, and the
+    # reduced form keeps the border coordinates of a few bonds
+    assert 13 <= first.diagnostics["form_order"] <= 13 + 24 / 2
     assert first.diagnostics["worst_residual"] == max(first.residuals)
+
+
+def test_a_det_sign_point_on_a_root_moves_beside_it(monkeypatch):
+    # slogdet gives sign 0 at a point exactly on a root, which says nothing of
+    # the parity; read as an end without a det value, it used to leave the
+    # root's bracket to midpoint bisection
+    from qgraph.spectrum import _MatchingCount
+
+    g = _random_delta_graph_24()
+    k_max, width = 30.0, 1e-14 * 30.0
+    exact = qg.find_eigenvalues(g, k_max)
+    roots = np.array(exact.eigenvalues)
+    gaps = np.minimum(np.diff(roots, prepend=0.0), np.diff(roots, append=math.inf))
+    root = roots[np.flatnonzero(gaps > 0.05)[10]]
+    parity, hits = _MatchingCount.parity, []
+
+    def on_root(self, ks):
+        par, sign, logdet = parity(self, ks)
+        near = np.flatnonzero(np.abs(np.asarray(ks) - root) < 1e-8)
+        if near.size and not hits:
+            hits.append(near[0])
+            sign[near[0]], logdet[near[0]] = 0.0, -math.inf
+        return par, sign, logdet
+
+    monkeypatch.setattr(_MatchingCount, "parity", on_root)
+    res = qg.find_eigenvalues(g, k_max)
+    assert hits
+    assert len(res.eigenvalues) == len(roots)
+    assert np.max(np.abs(np.subtract(res.eigenvalues, roots))) <= width
+    assert res.diagnostics["bisection_levels"] <= exact.diagnostics["bisection_levels"] + 2
 
 
 def test_false_position_takes_few_det_sign_points_per_root():
@@ -549,9 +583,7 @@ def test_equal_star_roots_on_special_points_take_few_points(n_arms):
     from qgraph.casimir import DEFAULT_TAU_MAX
 
     ell, k_max = 0.6, 34.0 / qg.geometric_taus(DEFAULT_TAU_MAX)[-1]
-    vertices = ((0, qg.KIRCHHOFF),) + tuple((i, qg.DIRICHLET) for i in range(1, n_arms + 1))
-    g = qg.Graph(vertices, tuple(qg.Bond(0, i, ell) for i in range(1, n_arms + 1)))
-    res = qg.find_eigenvalues(g, k_max)
+    res = qg.find_eigenvalues(_equal_star(n_arms, ell), k_max)
     top = k_max * ell / math.pi
     n, half = np.arange(1, int(top) + 1), np.arange(int(top + 0.5)) + 0.5
     expected = np.sort(np.concatenate([np.repeat(n, n_arms - 1), half])) * math.pi / ell
@@ -559,3 +591,58 @@ def test_equal_star_roots_on_special_points_take_few_points(n_arms):
     points = res.diagnostics["count_points"] + res.diagnostics["sign_points"]
     assert points <= 8 * len(set(res.eigenvalues))
     assert res.diagnostics["bisection_levels"] <= 15
+
+
+def _equal_star(n_arms, ell):
+    vertices = ((0, qg.KIRCHHOFF),) + tuple((i, qg.DIRICHLET) for i in range(1, n_arms + 1))
+    return qg.Graph(vertices, tuple(qg.Bond(0, i, ell) for i in range(1, n_arms + 1)))
+
+
+def _delta_triangle(gamma):
+    return qg.Graph(tuple((v, qg.delta(gamma)) for v in range(3)),
+                    (qg.Bond(0, 1, 1.0), qg.Bond(1, 2, 0.7), qg.Bond(0, 2, 1.3)))
+
+
+def _random_strong_delta_graph():
+    # |gamma| log-uniform from 1e-3 to 1e3, both signs
+    return _random_graph(
+        np.random.default_rng(11), 8, 14,
+        lambda rng: qg.delta(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)),
+        lambda rng: rng.uniform(0.3, 2.0),
+    )
+
+
+@pytest.mark.parametrize(
+    "graph, k_max",
+    [
+        (_random_delta_graph_24(), 30.0),
+        (_random_strong_delta_graph(), 30.0),
+        (_equal_star(3, 0.6), 60.0),
+        (_equal_star(4, 0.6), 60.0),
+        (_dirichlet_kirchhoff_interval(1.0), 100.0),
+        (_delta_triangle(1e6), 30.0),
+        (_delta_triangle(-1e6), 30.0),
+    ],
+    ids=["delta-24", "delta-strong", "star3", "star4", "dirichlet-kirchhoff", "delta-triangle+1e6",
+         "delta-triangle-1e6"],
+)
+def test_reduced_form_matches_the_bordered_form(graph, k_max, monkeypatch):
+    # a pivot above 1 eliminates no border coordinate, which gives the
+    # bordered form; the points are 2,000 random k and p -+ eps beside every
+    # special point p, where the reduced form keeps the small border diagonals
+    from qgraph import spectrum
+
+    counter = spectrum._MatchingCount(graph)
+    eps = 0.25e-14 * k_max
+    special = spectrum._special_points(counter.lengths, k_max, 4 * eps)[0][:-1]
+    ks = np.concatenate([np.random.default_rng(7).uniform(1e-3, k_max, 2000), special - eps, special + eps])
+    roots = np.array(qg.find_eigenvalues(graph, k_max).eigenvalues)
+    reduced = counter.count(ks), *counter.parity(ks)
+    monkeypatch.setattr(spectrum, "_PIVOT", 2.0)
+    bordered = counter.count(ks), *counter.parity(ks)
+    for new, old in zip(reduced[:3], bordered[:3]):
+        assert np.array_equal(new, old)
+    # within 1e-9 of a root log|det K| is rounding in either form
+    off = np.min(np.abs(ks[:, None] - roots[None, :]), axis=1, initial=math.inf) > 1e-9
+    assert np.sum(off) >= 2000
+    assert reduced[3][off] == pytest.approx(bordered[3][off], rel=1e-9)
