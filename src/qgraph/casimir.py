@@ -10,7 +10,8 @@ Green-trace route
     divergences with no finite part.  The regulator is needed only to justify
     dropping them: what is left is absolutely integrable on (0, kappa_max],
     so the energy is one quadrature at tau = 0, with no regulator sequence
-    and no fit (Bordag, Mohideen & Mostepanenko, Phys. Rep. 353, 1 (2001)).
+    and no fit (Bordag, Mohideen & Mostepanenko, Phys. Rep. 353, 1 (2001)),
+    and no function of this route takes tau.
     A delta end (gamma != 0) leaves a third, gamma/(kappa + gamma), whose
     integral grows like gamma ln(kappa_max): the self-energy of a delta
     vertex on a half-line (the ell -> infinity limit of the vertex term and
@@ -27,14 +28,15 @@ Mode-sum route (independent oracle)
     a tau -> 0 extrapolation (:func:`extrapolate_tau`) on an even-power
     basis.  The subtracted Weyl term is added back into the reported 1/tau^2
     fit amplitude so the divergence coefficient can be checked against
-    L_total/(2 pi).
+    L_total/(2 pi).  :func:`geometric_taus` makes every tau window, and
+    ``DEFAULT_TAU_WINDOW`` is the default of the library and the CLI alike.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,8 +50,6 @@ from .errors import (
     UnsupportedTopologyError,
 )
 from .graph import Graph, VertexCoupling, two_vertex_form
-from .greens import trace_gamma
-from .scattering import CavityAmplitudes
 
 #: Frozen overall normalization of the Green-trace route (see module docstring).
 ENERGY_PREFACTOR = 1.0 / math.pi
@@ -63,27 +63,26 @@ class Method(enum.Enum):
     MODE_SUM = "ModeSum"
 
 
-#: Largest regulator of the mode sum's default window (see RegularizationConfig).
-DEFAULT_TAU_MAX = 0.2
-_TAU_STEPS = 8
-_TAU_RATIO_LOG2 = -0.5
-_TAU_RATIO = 2.0 ** _TAU_RATIO_LOG2
+#: Mode-sum regulator window (tau_min, tau_max, steps): 0.2 down by 2^-0.5, 8 steps.
+DEFAULT_TAU_WINDOW = (0.2 * 2.0**-3.5, 0.2, 8)
 
 
-def geometric_taus(
-    start: float, count: int = _TAU_STEPS, ratio: float = _TAU_RATIO
-) -> tuple[float, ...]:
-    """Decreasing geometric regulator sequence, e.g. 0.2, 0.141, 0.1, ..."""
-    return tuple(start * ratio**j for j in range(count))
+def _require_count(name: str, value, minimum: int) -> None:
+    """Refuse a count that is not an integer (a bool included) or is below minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InputError(f"{name} must be >= {minimum}")
 
 
-def default_tau_window() -> tuple[float, float, int]:
-    """(tau_min, tau_max, steps) spanned by the default ``geometric_taus(DEFAULT_TAU_MAX)``.
-
-    tau_min is tau_max times the exact power of two ratio^(steps - 1), which
-    is within an ulp of, not bitwise, the last regulator of the sequence.
-    """
-    return DEFAULT_TAU_MAX * 2.0 ** (_TAU_RATIO_LOG2 * (_TAU_STEPS - 1)), DEFAULT_TAU_MAX, _TAU_STEPS
+def geometric_taus(tau_min: float, tau_max: float, steps: int) -> tuple[float, ...]:
+    """Geometric regulator sequence from tau_max down to tau_min: the one tau
+    generator, so an echoed (tau_min, tau_max, steps) reproduces it bit for bit."""
+    _require_count("tau_steps", steps, 3)
+    if not 0 < tau_min < tau_max < math.inf:
+        raise InputError("tau_min and tau_max must satisfy 0 < tau_min < tau_max < inf")
+    ratio = (tau_min / tau_max) ** (1.0 / (steps - 1))
+    return tuple(tau_max * ratio**j for j in range(steps))
 
 
 @dataclass(frozen=True)
@@ -91,36 +90,34 @@ class RegularizationConfig:
     """Settings of the two energy routes, and the one home of their defaults.
 
     The mode sum reads only ``tau_values`` and ``fit_order``; the Green
-    route reads only ``quadrature_tol`` and ``kappa_max``.  ``tau_values``
-    must be strictly decreasing positive values, at least three of them;
-    ``None`` selects the default (geometric with ratio 1/sqrt(2), 8 points,
-    starting at ``DEFAULT_TAU_MAX`` = 0.2).  ``kappa_max`` of ``None``
+    route reads only ``quadrature_tol`` and ``kappa_max``.  ``tau_values``,
+    the only regulator field, must be strictly decreasing positive values,
+    at least three of them; the default is ``geometric_taus(*DEFAULT_TAU_WINDOW)``,
+    0.2 down by factors of 2^-0.5 in 8 steps.  ``kappa_max`` of ``None``
     resolves to max(1, -ln(quadrature_tol)/(2 ell)), a truncation with
     exp(-2 kappa_max ell)/kappa_max < quadrature_tol but not the smallest.
     A field out of range raises :class:`InputError`.
     """
 
-    tau_values: tuple[float, ...] | None = None
+    tau_values: tuple[float, ...] = geometric_taus(*DEFAULT_TAU_WINDOW)
     quadrature_tol: float = 1e-10
     kappa_max: float | None = None
     fit_order: int = 5
 
     def __post_init__(self):
-        if self.tau_values is not None:
-            taus = tuple(float(t) for t in self.tau_values)
-            if len(taus) < 3:
-                raise InputError("tau_values needs at least 3 entries")
-            if any(not 0 < t < math.inf for t in taus):
-                raise InputError("tau_values must be positive and finite")
-            if any(b >= a for a, b in zip(taus, taus[1:])):
-                raise InputError("tau_values must be strictly decreasing")
-            object.__setattr__(self, "tau_values", taus)
+        taus = tuple(float(t) for t in self.tau_values)
+        if len(taus) < 3:
+            raise InputError("tau_values needs at least 3 entries")
+        if any(not 0 < t < math.inf for t in taus):
+            raise InputError("tau_values must be positive and finite")
+        if any(b >= a for a, b in zip(taus, taus[1:])):
+            raise InputError("tau_values must be strictly decreasing")
+        object.__setattr__(self, "tau_values", taus)
         if not 0 < self.quadrature_tol < math.inf:
             raise InputError("quadrature_tol must be positive and finite")
         if self.kappa_max is not None and not 0 < self.kappa_max < math.inf:
             raise InputError("kappa_max must be positive and finite")
-        if self.fit_order < 1:
-            raise InputError("fit_order must be >= 1")
+        _require_count("fit_order", self.fit_order, 1)
 
 
 @dataclass(frozen=True)
@@ -155,8 +152,7 @@ def extrapolate_tau(
     residual.  Raises :class:`ExtrapolationError` on a rank-deficient system
     or when the residual exceeds a 1e-6 fraction of the sample scale.
     """
-    if fit_order < 1:
-        raise InputError("fit_order must be >= 1")
+    _require_count("fit_order", fit_order, 1)
     samples = [(float(t), float(v)) for t, v in samples]
     powers = [-2] + [2 * j for j in range(fit_order)]
     if len(samples) < len(powers):
@@ -188,28 +184,6 @@ def extrapolate_tau(
         )
     limit = float(coeffs[1])
     return limit, [float(c) for c in coeffs], residual
-
-
-def casimir_integrand(tau: float, ca: CavityAmplitudes, reflection_at_infinity: float = 0.0) -> complex:
-    """Regulated trace integrand of the two-vertex graph at k = ``ca.k``.
-
-    The closed-form diagonal trace with the free-line term ell/(2ik)
-    subtracted (the piece surviving when r = 0), times the
-    regulator exp(ik tau).  ``reflection_at_infinity`` additionally removes
-    the constant vertex term n_inf/(2 k^2), the high-frequency limit of the
-    end reflection; without it the integrand keeps a power-law tail on
-    the imaginary axis.
-    """
-    if tau < 0:
-        raise InputError("tau must be >= 0")
-    k = ca.k
-    value = trace_gamma(ca) - ca.ell / (2j * k) - reflection_at_infinity / (2 * k * k)
-    return value * cmath.exp(1j * k * tau)
-
-
-def reflection_at_infinity(coupling: VertexCoupling) -> float:
-    """High-frequency limit of the single-edge reflection on the rotated axis."""
-    return -1.0 if coupling.is_dirichlet else 1.0
 
 
 def _rotated_integrand(coupling: VertexCoupling, ell: float):
@@ -300,7 +274,7 @@ def casimir_mode_sum(
     tail is negligible at the smallest regulator.
     """
     cfg = cfg or RegularizationConfig()
-    taus = cfg.tau_values or geometric_taus(DEFAULT_TAU_MAX)
+    taus = cfg.tau_values
     if not 0 < total_len < math.inf:
         raise InputError("total_len must be positive and finite")
     eigs = np.asarray(sorted(float(k) for k in eigenvalues))

@@ -18,11 +18,11 @@ from pathlib import Path
 
 from . import __version__
 from .casimir import (
+    DEFAULT_TAU_WINDOW,
     CasimirResult,
     RegularizationConfig,
     casimir_green_method,
     casimir_mode_sum,
-    default_tau_window,
     geometric_taus,
 )
 from .errors import InputError, NumericalError, QGraphError, UnsupportedTopologyError
@@ -115,27 +115,13 @@ def _refuse_unread_flags(args, methods: list[str]) -> None:
             raise InputError(f"--{given[0].replace('_', '-')} applies to --method {route} only")
 
 
-def _resolve_taus(tau_min: float, tau_max: float, steps: int) -> tuple[float, ...]:
-    """Geometric regulator sequence from tau_max down to tau_min.
-
-    This resolver is the single code path for both defaults and flags, so a
-    manifest echoing (tau_min, tau_max, tau_steps) reproduces the sequence
-    bit-exactly; for the default window it is the library's default sequence.
-    """
-    if steps < 3:
-        raise InputError("--tau-steps must be >= 3")
-    if not (0 < tau_min < tau_max):
-        raise InputError("--tau-min and --tau-max must satisfy 0 < tau-min < tau-max")
-    return geometric_taus(tau_max, steps, (tau_min / tau_max) ** (1.0 / (steps - 1)))
-
-
 def _tau_window(args) -> tuple[float, float, int]:
     given = [args.tau_min is not None, args.tau_max is not None, args.tau_steps is not None]
     if any(given) and not all(given):
         raise InputError("--tau-min, --tau-max and --tau-steps must be given together")
     if all(given):
         return args.tau_min, args.tau_max, args.tau_steps
-    return default_tau_window()
+    return DEFAULT_TAU_WINDOW
 
 
 def _load_graph(path: str) -> Graph:
@@ -211,7 +197,7 @@ def _method_setup(method: str, args) -> tuple[RegularizationConfig, dict]:
         return cfg, {"quad_tol": cfg.quadrature_tol, "kappa_max": cfg.kappa_max}
     tau_min, tau_max, steps = _tau_window(args)
     cfg = RegularizationConfig(
-        tau_values=_resolve_taus(tau_min, tau_max, steps), **_given(fit_order=args.fit_order)
+        tau_values=geometric_taus(tau_min, tau_max, steps), **_given(fit_order=args.fit_order)
     )
     spectrum_k_max = _TAIL_MARGIN / cfg.tau_values[-1]
     if spectrum_k_max == math.inf:  # checked once, not on every sweep row

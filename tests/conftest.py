@@ -26,12 +26,12 @@ def dirichlet_interval(ell: float) -> qg.Graph:
 
 def interval_mode_sum_config() -> qg.RegularizationConfig:
     """Default-window config used for the tight interval benchmarks."""
-    return qg.RegularizationConfig(tau_values=qg.geometric_taus(0.2), fit_order=5)
+    return qg.RegularizationConfig(tau_values=qg.geometric_taus(*qg.DEFAULT_TAU_WINDOW), fit_order=5)
 
 
 def analytic_interval_spectrum(ell: float, cfg: qg.RegularizationConfig) -> list[float]:
     """Dirichlet spectrum reaching k_max * tau_min >= 34 for the given window."""
-    tau_min = min(cfg.tau_values or qg.geometric_taus(0.2))
+    tau_min = min(cfg.tau_values)
     k_max = 34.0 / tau_min
     n_max = int(math.ceil(k_max * ell / math.pi)) + 1
     return qg.dirichlet_eigenvalues(ell, n_max)

@@ -208,7 +208,7 @@ def test_criterion_8_divergence_coefficient(star3_graph):
     interval_res = qg.casimir_mode_sum(analytic_interval_spectrum(1.0, cfg), 1.0, cfg)
     err_interval = abs(interval_res.fit_coefficients[0] - 1.0 / (2 * math.pi)) / (1.0 / (2 * math.pi))
 
-    star_cfg = qg.RegularizationConfig(tau_values=qg.geometric_taus(0.5), fit_order=5)
+    star_cfg = qg.RegularizationConfig(tau_values=qg.geometric_taus(0.5 * 2**-3.5, 0.5, 8), fit_order=5)
     spectrum = qg.find_eigenvalues(star3_graph, 34.0 / min(star_cfg.tau_values))
     star_res = qg.casimir_mode_sum(spectrum.eigenvalues, 3.0, star_cfg)
     err_star = abs(star_res.fit_coefficients[0] - 3.0 / (2 * math.pi)) / (3.0 / (2 * math.pi))

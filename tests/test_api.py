@@ -23,7 +23,18 @@ REFUSED_ARGUMENTS = {
     "secular_function-k-inf": lambda: qg.secular_function(_INTERVAL, math.inf),
     "config-quadrature_tol": lambda: qg.RegularizationConfig(quadrature_tol=0),
     "config-fit_order": lambda: qg.RegularizationConfig(fit_order=0),
+    "config-fit_order-float": lambda: qg.RegularizationConfig(fit_order=5.0),
+    "config-fit_order-bool": lambda: qg.RegularizationConfig(fit_order=True),
     "extrapolate_tau-fit_order": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], 0),
+    "extrapolate_tau-fit_order-float": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], 1.5),
+    "extrapolate_tau-fit_order-bool": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], True),
+    "geometric_taus-steps": lambda: qg.geometric_taus(0.05, 0.2, 2),
+    "geometric_taus-steps-float": lambda: qg.geometric_taus(0.05, 0.2, 8.0),
+    "geometric_taus-steps-bool": lambda: qg.geometric_taus(0.05, 0.2, True),
+    "geometric_taus-order": lambda: qg.geometric_taus(0.2, 0.05, 8),
+    "geometric_taus-tau_min": lambda: qg.geometric_taus(0.0, 0.2, 8),
+    "geometric_taus-tau_min-nan": lambda: qg.geometric_taus(math.nan, 0.2, 8),
+    "geometric_taus-tau_max-inf": lambda: qg.geometric_taus(0.05, math.inf, 8),
     "scaled": lambda: _INTERVAL.scaled(0.0),
     "scaled-nan": lambda: _INTERVAL.scaled(math.nan),
     "scaled-inf": lambda: _INTERVAL.scaled(math.inf),
@@ -32,9 +43,6 @@ REFUSED_ARGUMENTS = {
     "casimir_mode_sum-total_len-inf": lambda: qg.casimir_mode_sum([1.0], math.inf),
     "vertex_reflection_transmission-valency": lambda: qg.vertex_reflection_transmission(
         0, qg.KIRCHHOFF, 1.0
-    ),
-    "casimir_integrand-tau": lambda: qg.casimir_integrand(
-        -0.1, qg.cavity_amplitudes(qg.DIRICHLET, 1.0, 1j)
     ),
 }
 

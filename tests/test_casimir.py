@@ -12,13 +12,13 @@ from qgraph import (
     RegularizationConfig,
     UnsupportedTopologyError,
 )
-from qgraph.casimir import ENERGY_PREFACTOR, geometric_taus, reflection_at_infinity
+from qgraph.casimir import DEFAULT_TAU_WINDOW, ENERGY_PREFACTOR, geometric_taus
 from tests.conftest import analytic_interval_spectrum, dirichlet_interval, interval_mode_sum_config
 
 
 class TestExtrapolateTau:
     def test_recovers_exact_divergent_model(self):
-        taus = geometric_taus(0.2)
+        taus = geometric_taus(*DEFAULT_TAU_WINDOW)
         samples = [(t, 1.0 / t**2 - 0.5) for t in taus]
         limit, coeffs, residual = qg.extrapolate_tau(samples, fit_order=2)
         assert limit == pytest.approx(-0.5, abs=1e-10)
@@ -43,7 +43,7 @@ class TestExtrapolateTau:
 
     def test_residual_failure_carries_samples(self):
         # samples with an odd 1/tau term cannot be described by the even basis
-        taus = geometric_taus(0.2)
+        taus = geometric_taus(*DEFAULT_TAU_WINDOW)
         samples = [(t, 1.0 / t - 0.3) for t in taus]
         with pytest.raises(ExtrapolationError) as err:
             qg.extrapolate_tau(samples, fit_order=2)
@@ -58,25 +58,23 @@ def test_config_rejects_nonpositive_and_nonfinite(field, value):
         RegularizationConfig(**kwargs)
 
 
+def _subtracted_trace(coupling, ell, kappa):
+    """Generic reference of the Green-route integrand: kappa^2 times the trace
+    less the free-line term ell/(2ik) and the vertex term n_inf/(2k^2), at
+    k = i kappa, with n_inf = -1 for dirichlet ends and +1 otherwise."""
+    ca = qg.cavity_amplitudes(coupling, ell, 1j * kappa)
+    n_inf = -1.0 if coupling.is_dirichlet else 1.0
+    k = ca.k
+    return kappa**2 * (qg.trace_gamma(ca) - ell / (2j * k) - n_inf / (2 * k * k))
+
+
 class TestCasimirIntegrand:
-    def test_vanishes_without_scatterers(self):
-        ca = qg.CavityAmplitudes(0j, 1.0 + 0j, 1.0, 1.0 + 0j)
-        assert qg.casimir_integrand(0.1, ca) == pytest.approx(0.0, abs=1e-15)
-
-    def test_golden_value_on_imaginary_axis(self):
-        # closed form (1 - coth(1)/2) e^{-0.01} = 0.34006465069146587 of the
-        # subtracted trace of the unit dirichlet interval at k = i, tau = 0.01
-        ca = qg.cavity_amplitudes(qg.DIRICHLET, 1.0, 1j)
-        value = qg.casimir_integrand(0.01, ca)
-        assert value.real == pytest.approx((1.0 - 0.5 / math.tanh(1.0)) * math.exp(-0.01), abs=1e-15)
-        assert value.imag == pytest.approx(0.0, abs=1e-14)
-
     def test_exponential_decay_bound(self):
         # with the free-line and constant vertex terms removed the cavity
         # integrand obeys |I| <= C e^{-2 kappa ell} / kappa on the rotated axis
         from qgraph.casimir import _rotated_integrand
 
-        ell, tau = 1.0, 0.0
+        ell = 1.0
         bound_constant = 1.1 * ell
         f = _rotated_integrand(qg.DIRICHLET, ell)
         for kappa in np.linspace(5.0, 50.0, 46):
@@ -86,29 +84,21 @@ class TestCasimirIntegrand:
         # precision can still resolve it (the trace is O(1/kappa) before the
         # cancelling subtractions)
         for kappa in np.linspace(5.0, 15.0, 11):
-            ca = qg.cavity_amplitudes(qg.DIRICHLET, ell, 1j * kappa)
-            value = qg.casimir_integrand(tau, ca, reflection_at_infinity(qg.DIRICHLET))
+            value = _subtracted_trace(qg.DIRICHLET, ell, kappa) / kappa**2
             assert abs(value) <= bound_constant * math.exp(-2 * kappa * ell) / kappa
-
-    def test_negative_tau_rejected(self):
-        ca = qg.cavity_amplitudes(qg.DIRICHLET, 1.0, 1j)
-        with pytest.raises(ValueError):
-            qg.casimir_integrand(-0.1, ca)
 
     @pytest.mark.parametrize("coupling", [qg.DIRICHLET, qg.KIRCHHOFF, qg.delta(0.8)], ids=str)
     def test_engine_integrand_matches_trace_route(self, coupling):
         # dual route inside the green engine: the stable closed form must
-        # agree with kappa^2 times the generic subtracted-trace integrand
+        # agree with kappa^2 times the generic subtracted trace
         from qgraph.casimir import _rotated_integrand
 
         # (a delta end also drops its vertex self-energy gamma/(kappa + gamma))
-        ell, tau = 1.3, 0.0
+        ell = 1.3
         f = _rotated_integrand(coupling, ell)
-        n_inf = reflection_at_infinity(coupling)
         gamma = 0.0 if coupling.is_dirichlet else coupling.effective_gamma()
         for kappa in (0.3, 1.0, 2.5, 7.0):
-            ca = qg.cavity_amplitudes(coupling, ell, 1j * kappa)
-            generic = kappa**2 * qg.casimir_integrand(tau, ca, reflection_at_infinity=n_inf)
+            generic = _subtracted_trace(coupling, ell, kappa)
             assert f(kappa) == pytest.approx(generic.real - gamma / (kappa + gamma), rel=1e-10)
             assert generic.imag == pytest.approx(0.0, abs=1e-12)
 
@@ -307,7 +297,7 @@ class TestCrossMethod:
 
 def test_three_star_mode_sum_divergence_coefficient(star3_graph):
     # total length 3: the 1/tau^2 amplitude of the raw regulated sum is 3/(2 pi)
-    cfg = RegularizationConfig(tau_values=geometric_taus(0.5), fit_order=5)
+    cfg = RegularizationConfig(tau_values=geometric_taus(0.5 * 2**-3.5, 0.5, 8), fit_order=5)
     k_need = 34.0 / min(cfg.tau_values)
     spectrum = qg.find_eigenvalues(star3_graph, k_need)
     res = qg.casimir_mode_sum(spectrum.eigenvalues, qg.total_length(star3_graph), cfg)
@@ -323,3 +313,24 @@ def test_three_star_mode_sum_energy_matches_zeta_oracle(star3_graph):
     spectrum = qg.find_eigenvalues(star3_graph, k_need)
     res = qg.casimir_mode_sum(spectrum.eigenvalues, 3.0, cfg)
     assert res.energy == pytest.approx(-math.pi / 16, rel=1e-7)
+
+
+def test_default_window_is_the_half_octave_sequence():
+    # the one generator reproduces 0.2 (2^-0.5)^j bit for bit
+    assert RegularizationConfig().tau_values == tuple(0.2 * (2.0**-0.5) ** j for j in range(8))
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 3.0, 30.0, 300.0])
+def test_delta_mode_sum_refuses_or_agrees_with_green(gamma):
+    # a delta vertex adds a log(tau) term to the regulated sum (its self-energy,
+    # which the Green route subtracts), so the even-power fit must either
+    # refuse or, where that term is tiny, agree within the summed errors
+    g = qg.Graph(((0, qg.delta(gamma)), (1, qg.delta(gamma))), (qg.Bond(0, 1, 1.0),))
+    cfg = RegularizationConfig()
+    green = qg.casimir_green_method(g, cfg)
+    spectrum = qg.find_eigenvalues(g, 34.0 / min(cfg.tau_values))
+    try:
+        mode = qg.casimir_mode_sum(spectrum.eigenvalues, 1.0, cfg)
+    except ExtrapolationError:
+        return
+    assert abs(mode.energy - green.energy) <= mode.estimated_error + green.estimated_error

@@ -158,6 +158,14 @@ class TestCasimirCommand:
         result = json.loads(out.read_text())["results"][0]
         assert abs(result["energy"] + math.pi / 24) <= result["estimated_error"]
 
+    def test_delta_graph_both_methods_is_numerical_failure(self, graph_file, tmp_path, capsys):
+        # the mode sum's even-power fit refuses a delta graph (see the README)
+        out = tmp_path / "cas.json"
+        graph = graph_file(two_vertex({"kind": "delta", "gamma": 0.5}))
+        assert main(["casimir", "--graph", graph, "--method", "both", "--output", str(out)]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_partial_tau_flags_rejected(self, graph_file, tmp_path):
         code = main(
             ["casimir", "--graph", graph_file(INTERVAL), "--method", "modesum",
@@ -548,13 +556,15 @@ def test_invalid_thread_env_is_input_error(command, graph_file, tmp_path, monkey
     assert not out.exists()
 
 
-@pytest.mark.parametrize("method, start", [("modesum", 0.2)])
-def test_default_regulator_window_is_the_library_default(method, start, graph_file, tmp_path):
+def test_default_regulator_window_is_the_library_default(graph_file, tmp_path):
     out = tmp_path / "cas.json"
-    assert main(["casimir", "--graph", graph_file(INTERVAL), "--method", method,
+    assert main(["casimir", "--graph", graph_file(INTERVAL), "--method", "modesum",
                  "--output", str(out)]) == 0
-    samples = json.loads(out.read_text())["results"][0]["per_tau_samples"]
-    assert [t for t, _ in samples] == list(qg.geometric_taus(start))
+    payload = json.loads(out.read_text())
+    samples = payload["results"][0]["per_tau_samples"]
+    assert [t for t, _ in samples] == list(qg.RegularizationConfig().tau_values)
+    params = payload["manifest"]["parameters"]
+    assert (params["tau_min"], params["tau_max"], params["tau_steps"]) == qg.DEFAULT_TAU_WINDOW
 
 
 def test_version_flag(capsys):

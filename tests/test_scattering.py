@@ -33,8 +33,8 @@ def test_zero_wavenumber_rejected():
 
 
 def test_cavity_at_zero_wavenumber_rejected():
-    # the cavity's one k = 0 check serves two_vertex_green, trace_gamma and
-    # casimir_integrand, which read k from the amplitudes
+    # the cavity's one k = 0 check serves two_vertex_green and trace_gamma,
+    # which read k from the amplitudes
     with pytest.raises(SingularWavenumberError):
         qg.CavityAmplitudes(0j, 1 + 0j, 1.0, 0j)
 

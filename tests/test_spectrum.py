@@ -580,9 +580,7 @@ def test_equal_star_roots_on_special_points_take_few_points(n_arms):
     # at star-modesum's cutoff the roots n pi / ell (multiplicity N - 1) sit on
     # the bond Dirichlet values and (n + 1/2) pi / ell on the border switches;
     # bisection to the stopping width takes 47 levels and about 40 points per root
-    from qgraph.casimir import DEFAULT_TAU_MAX
-
-    ell, k_max = 0.6, 34.0 / qg.geometric_taus(DEFAULT_TAU_MAX)[-1]
+    ell, k_max = 0.6, 34.0 / qg.geometric_taus(*qg.DEFAULT_TAU_WINDOW)[-1]
     res = qg.find_eigenvalues(_equal_star(n_arms, ell), k_max)
     top = k_max * ell / math.pi
     n, half = np.arange(1, int(top) + 1), np.arange(int(top + 0.5)) + 0.5
