@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ExtrapolationError,
@@ -105,7 +104,10 @@ class RegularizationConfig:
     fit_order: int = 5
 
     def __post_init__(self):
-        taus = tuple(float(t) for t in self.tau_values)
+        try:
+            taus = tuple(float(t) for t in self.tau_values)
+        except (TypeError, ValueError) as err:
+            raise InputError(f"tau_values must be a sequence of numbers, got {self.tau_values!r}") from err
         if len(taus) < 3:
             raise InputError("tau_values needs at least 3 entries")
         if any(not 0 < t < math.inf for t in taus):
@@ -230,6 +232,10 @@ def casimir_green_method(g: Graph, cfg: RegularizationConfig | None = None) -> C
     tau = 0; ``estimated_error`` is the quadrature error plus a bound on the
     truncated tail.  Reads ``quadrature_tol`` and ``kappa_max`` of ``cfg``.
     """
+    # imported here, not with the module: scipy.integrate takes most of a
+    # CLI call's start-up, and only this route needs it
+    from scipy.integrate import quad
+
     cfg = cfg or RegularizationConfig()
     coupling, ell = two_vertex_form(g)
     gamma = 0.0 if coupling.is_dirichlet else coupling.effective_gamma()

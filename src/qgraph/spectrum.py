@@ -52,8 +52,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.special import expit
 
 from .errors import InputError, NumericalError, UnsupportedTopologyError
 from .graph import Graph, require_zero_potential, total_length, validate
@@ -165,8 +163,12 @@ _PIVOT = 0.1
 
 class _MatchingCount:
     """Vectorized exact eigenvalue count N(k) from the Schur-reduced matching
-    form of the module docstring.  ``points`` and ``order_sum`` tally the
-    points evaluated and the orders of their forms."""
+    form of the module docstring.  Its vertex block is two dense products
+    over the batch: the bond coefficients' half sums times the bond-end
+    incidence give the diagonal, and their half differences times the
+    bond-pair incidence give the entries between the two free ends of each
+    bond.  ``points`` and ``order_sum`` tally the points evaluated and the
+    orders of their forms."""
 
     def __init__(self, g: Graph):
         free = [vid for vid in g.vertex_ids() if not g.coupling(vid).is_dirichlet]
@@ -177,15 +179,15 @@ class _MatchingCount:
         # the index one past it
         self._ends = np.array([[index.get(b.from_vertex, len(free)), index.get(b.to_vertex, len(free))]
                                for b in g.bonds])
-        # the patterns s s^T of every bond, then a a^T, as the columns of one
-        # sparse map from the bond coefficients to the flattened vertex block:
-        # with s, a = (e_u +- e_w) / sqrt(2), both are 1/2 at (u, u) and
-        # (w, w), and s s^T is 1/2 and a a^T -1/2 at (u, w) and (w, u)
-        v, first, second = len(free), self._ends[:, [0, 0, 1, 1]], self._ends[:, [0, 1, 0, 1]]
-        bond, pair = np.nonzero((first < v) & (second < v))
-        values = np.concatenate([np.full(len(bond), 0.5), np.array([0.5, -0.5, -0.5, 0.5])[pair]])
-        at = (np.tile(first[bond, pair] * v + second[bond, pair], 2), np.concatenate([bond, len(g.bonds) + bond]))
-        self._patterns = sparse.csr_array((values, at), shape=(v * v, 2 * len(g.bonds)))
+        # with s, a = (e_u +- e_w) / sqrt(2), s s^T and a a^T are both 1/2 at
+        # (u, u) and (w, w); at (u, w) and (w, u) s s^T is 1/2 and a a^T -1/2.
+        # Each pair u < w of free ends has one column of the bond-pair
+        # incidence, so parallel bonds add up
+        v = len(free)
+        self._incidence = np.sum(self._ends[:, :, None] == np.arange(v), axis=1, dtype=float)
+        pairs = np.sort(self._ends, axis=1)
+        self._pairs = np.unique(pairs[pairs[:, 1] < v], axis=0)
+        self._pair_incidence = np.all(pairs[:, None] == self._pairs, axis=2).astype(float)
         self.points = self.order_sum = 0
 
     def _form(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,7 +210,7 @@ class _MatchingCount:
         out = np.abs(d) >= _PIVOT
         eliminated = np.where(out, d, 1.0)
         schur = np.where(out, -1.0, 0.0) / eliminated
-        coef = np.hstack([np.where(steep, schur, d), np.where(steep, d, schur)])
+        c_s, c_a = np.where(steep, schur, d), np.where(steep, d, schur)
         # scaling vertex rows and columns by |gamma / k|^-1/2 where that is
         # below one is a congruence: the inertia stays, and near-zero
         # eigenvalues stay resolved beside strong couplings
@@ -223,9 +225,10 @@ class _MatchingCount:
         size = v + int(kept.max(initial=0))
         row = v + np.arange(len(at)) - (np.cumsum(kept) - kept)[at]
         form = np.zeros((n, size, size))
-        form[:, :v, :v] = (self._patterns @ coef.T).T.reshape(n, v, v) * w[:, :, None] * w[:, None, :]
+        pu, pw = self._pairs.T
+        form[:, pu, pw] = form[:, pw, pu] = 0.5 * (c_s - c_a) @ self._pair_incidence * w[:, pu] * w[:, pw]
         diag = form.reshape(n, size * size)[:, :: size + 1]
-        diag[:, :v] += np.maximum(np.minimum(-gk, 1.0), -1.0)
+        diag[:, :v] = 0.5 * (c_s + c_a) @ self._incidence * w * w + np.maximum(np.minimum(-gk, 1.0), -1.0)
         diag[:, v:] = 1.0
         # a border row and column, s or a times the scaling, is w / sqrt(2) at
         # the first end of its bond and -+ w / sqrt(2) at the second; a
@@ -278,6 +281,12 @@ def _special_points(lengths: np.ndarray, k_top: float, width: float) -> tuple[np
     points, odd = points[order], odd[order]
     starts = np.flatnonzero(np.concatenate([[True], np.diff(points) > width]))
     return points[starts], np.logical_or.reduceat(odd, starts)
+
+
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), from exp(-|x|) so that it cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x < 0, e, 1.0) / (1.0 + e)
 
 
 def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResult:
@@ -337,7 +346,7 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
         # det K keeps its sign (a border switch lies between) or two steps
         # passed without the bracket halving
         regula = simple & ~at_p & (signs[0] * signs[1] < 0) & (stale < 2)
-        x = np.clip(lo + (hi - lo) * expit(logs[0] - logs[1]), lo + eps, hi - eps)
+        x = np.clip(lo + (hi - lo) * _logistic(logs[0] - logs[1]), lo + eps, hi - eps)
         mid = np.zeros((4, lo.size))
         mid[0] = np.where(regula, x, 0.5 * (lo + hi))
         mid[0, at_p] = np.where(left, p - eps, p + eps)[at_p]

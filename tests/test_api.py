@@ -23,6 +23,9 @@ REFUSED_ARGUMENTS = {
     "secular_function-k-inf": lambda: qg.secular_function(_INTERVAL, math.inf),
     "config-quadrature_tol": lambda: qg.RegularizationConfig(quadrature_tol=0),
     "config-fit_order": lambda: qg.RegularizationConfig(fit_order=0),
+    "config-tau_values-none": lambda: qg.RegularizationConfig(tau_values=None),
+    "config-tau_values-number": lambda: qg.RegularizationConfig(tau_values=0.2),
+    "config-tau_values-strings": lambda: qg.RegularizationConfig(tau_values=("a", "b", "c")),
     "config-fit_order-float": lambda: qg.RegularizationConfig(fit_order=5.0),
     "config-fit_order-bool": lambda: qg.RegularizationConfig(fit_order=True),
     "extrapolate_tau-fit_order": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], 0),

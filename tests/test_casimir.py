@@ -226,6 +226,8 @@ class TestGreenMethod:
         assert max(energies) - min(energies) <= 1e-10
 
     def test_one_quadrature_and_no_tau_fit(self, monkeypatch):
+        import scipy.integrate
+
         import qgraph.casimir as casimir
 
         calls = []
@@ -237,7 +239,7 @@ class TestGreenMethod:
         def no_fit(*args, **kwargs):
             raise AssertionError("the Green route fits no regulator sequence")
 
-        monkeypatch.setattr(casimir, "quad", counting_quad)
+        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
         monkeypatch.setattr(casimir, "extrapolate_tau", no_fit)
         qg.casimir_green_method(qg.Graph(((0, qg.delta(0.7)), (1, qg.delta(0.7))), (qg.Bond(0, 1, 1.0),)))
         assert len(calls) == 1

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -572,3 +576,34 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert qg.__version__ in capsys.readouterr().out
+
+
+_SCIPY_MODULES_PER_STEP = """
+import json, sys
+import qgraph, qgraph.cli
+
+graph, out = sys.argv[1], sys.argv[2]
+steps = {}
+def loaded(step):
+    steps[step] = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+loaded("import")
+assert qgraph.cli.main(["spectrum", "--graph", graph, "--kmax", "10", "--output", out]) == 0
+loaded("spectrum")
+assert qgraph.cli.main(["casimir", "--graph", graph, "--method", "modesum", "--output", out]) == 0
+loaded("modesum")
+assert qgraph.cli.main(["casimir", "--graph", graph, "--method", "green", "--output", out]) == 0
+loaded("green")
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_loads_only_for_the_green_route(graph_file, tmp_path):
+    # a fresh interpreter: this one has scipy loaded by the tests themselves
+    src = str(Path(qg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _SCIPY_MODULES_PER_STEP, graph_file(INTERVAL),
+                          str(tmp_path / "out.json")], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    steps = json.loads(run.stdout)
+    assert (steps["import"], steps["spectrum"], steps["modesum"]) == ([], [], [])
+    assert "scipy.integrate" in steps["green"]

@@ -644,3 +644,85 @@ def test_reduced_form_matches_the_bordered_form(graph, k_max, monkeypatch):
     off = np.min(np.abs(ks[:, None] - roots[None, :]), axis=1, initial=math.inf) > 1e-9
     assert np.sum(off) >= 2000
     assert reduced[3][off] == pytest.approx(bordered[3][off], rel=1e-9)
+
+
+def _sparse_vertex_block(counter, ks):
+    """The vertex block of the count's form, built by a scipy.sparse map from
+    the bond coefficients of s s^T and a a^T to the flattened block, and the
+    same block of the terms' moduli: the reference of ``_MatchingCount._form``."""
+    from scipy import sparse
+
+    from qgraph import spectrum
+
+    v, n_bonds = len(counter._gamma), len(counter.lengths)
+    first, second = counter._ends[:, [0, 0, 1, 1]], counter._ends[:, [0, 1, 0, 1]]
+    bond, pair = np.nonzero((first < v) & (second < v))
+    values = np.concatenate([np.full(len(bond), 0.5), np.array([0.5, -0.5, -0.5, 0.5])[pair]])
+    at = (np.tile(first[bond, pair] * v + second[bond, pair], 2), np.concatenate([bond, n_bonds + bond]))
+    patterns = sparse.csr_array((values, at), shape=(v * v, 2 * n_bonds))
+    t = np.tan(0.5 * np.outer(ks, counter.lengths))
+    steep = np.abs(t) >= 1.0
+    d = np.where(steep, -1.0 / t, t)
+    out = np.abs(d) >= spectrum._PIVOT
+    schur = np.where(out, -1.0, 0.0) / np.where(out, d, 1.0)
+    coef = np.hstack([np.where(steep, schur, d), np.where(steep, d, schur)])
+    gk = np.outer(1.0 / ks, counter._gamma)
+    w = np.maximum(1.0, np.abs(gk)) ** -0.5
+    block = (patterns @ coef.T).T.reshape(len(ks), v, v) * w[:, :, None] * w[:, None, :]
+    block[:, np.arange(v), np.arange(v)] += np.clip(-gk, -1.0, 1.0)
+    scale = (abs(patterns) @ np.abs(coef).T).T.reshape(len(ks), v, v) * w[:, :, None] * w[:, None, :]
+    scale[:, np.arange(v), np.arange(v)] += np.abs(np.clip(-gk, -1.0, 1.0))
+    return block, scale
+
+
+def _parallel_bonds():
+    # the graph model refuses multi-edges, but the form must still add the
+    # patterns of two bonds that share both ends
+    return qg.Graph(((0, qg.delta(1.5)), (1, qg.KIRCHHOFF), (2, qg.DIRICHLET)),
+                    (qg.Bond(0, 1, 1.0), qg.Bond(1, 0, 0.7), qg.Bond(1, 2, 1.3), qg.Bond(0, 2, 0.4)))
+
+
+@pytest.mark.parametrize(
+    "graph, k_max",
+    [
+        (_random_delta_graph_24(), 30.0),
+        (_random_strong_delta_graph(), 30.0),
+        (_equal_star(3, 0.6), 60.0),
+        (_equal_star(4, 0.6), 60.0),
+        (_dirichlet_kirchhoff_interval(1.0), 100.0),
+        (_delta_triangle(1e6), 30.0),
+        (_delta_triangle(-1e6), 30.0),
+        (_parallel_bonds(), 30.0),
+    ],
+    ids=["delta-24", "delta-strong", "star3", "star4", "dirichlet-kirchhoff", "delta-triangle+1e6",
+         "delta-triangle-1e6", "parallel-bonds"],
+)
+def test_vertex_block_matches_the_sparse_pattern_map(graph, k_max):
+    from qgraph import spectrum
+
+    counter = spectrum._MatchingCount(graph)
+    eps = 0.25e-14 * k_max
+    special = spectrum._special_points(counter.lengths, k_max, 4 * eps)[0][:-1]
+    ks = np.concatenate([np.random.default_rng(7).uniform(1e-3, k_max, 2000), special - eps, special + eps])
+    v = len(counter._gamma)
+    block, (reference, scale) = counter._form(ks)[0][:, :v, :v], _sparse_vertex_block(counter, ks)
+    # the two add a cell's terms in different orders, so they agree relative
+    # to the sum of the terms' moduli, not to a sum the terms cancel in (on
+    # the equal stars the centre's diagonal nearly vanishes at |tan| = 1)
+    assert np.all(np.abs(block - reference) <= 1e-15 * scale)
+    assert np.array_equal(block, np.swapaxes(block, 1, 2))
+
+
+def test_false_position_logistic_matches_expit():
+    from scipy.special import expit
+
+    from qgraph.spectrum import _logistic
+
+    x = np.concatenate([np.linspace(-1e3, 1e3, 2_000_001), np.random.default_rng(3).uniform(-1e3, 1e3, 10**6),
+                        [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324]])
+    # within two ulps: numpy's exp and the C library's, which expit uses,
+    # differ by one ulp at about 3% of the points; below x = -708 the values
+    # are subnormal, and expit flushes them to 0 below -709.78, where its
+    # exp(-x) overflows
+    np.testing.assert_allclose(_logistic(x), expit(x), rtol=2.0**-51, atol=np.finfo(float).tiny)
+    assert np.array_equal(_logistic(np.array([-np.inf, np.inf])), [0.0, 1.0])
