@@ -19,7 +19,8 @@ class InputError(QGraphError, ValueError):
 
 
 class GraphFormatError(InputError):
-    """A graph description document failed to parse or validate."""
+    """A graph description document failed to parse, or a :class:`Graph`
+    was given an invalid structure; the message names every violation."""
 
 
 class UnsupportedTopologyError(InputError):

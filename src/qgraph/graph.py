@@ -9,7 +9,10 @@ exactly delta with gamma = 0; dirichlet is the gamma -> infinity limit and is
 kept symbolic so downstream formulas can apply the limit analytically instead
 of overflowing.
 
-Graphs are immutable after construction and safe to share across threads.
+A :class:`Graph` checks its structure when it is built and raises
+:class:`GraphFormatError` naming every violation, so any graph that exists is
+valid.  Graphs are immutable after construction and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import GraphFormatError, InputError, UnsupportedTopologyError
@@ -68,13 +72,11 @@ def delta(gamma: float) -> VertexCoupling:
 
 @dataclass(frozen=True)
 class Bond:
-    """Bond between two vertices; ``potential`` is the stored magnetic
-    parameter A_b, which every shipped computation requires to be zero."""
+    """Bond between two vertices."""
 
     from_vertex: int
     to_vertex: int
     length: float
-    potential: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -86,13 +88,24 @@ class Lead:
 
 @dataclass(frozen=True)
 class Graph:
+    """Vertices with their couplings, bonds and leads.  Construction raises
+    :class:`GraphFormatError` naming every violation: a duplicate vertex id,
+    a bond end or lead on an unknown vertex, a loop, a parallel bond, a
+    non-finite or non-positive length, or a vertex without bonds or leads."""
+
     vertices: tuple[tuple[int, VertexCoupling], ...]
     bonds: tuple[Bond, ...]
     leads: tuple[Lead, ...] = ()
     _coupling_by_id: dict = field(init=False, repr=False, compare=False, hash=False)
+    _valency: Counter = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_coupling_by_id", {vid: c for vid, c in self.vertices})
+        ends = [v for b in self.bonds for v in (b.from_vertex, b.to_vertex)]
+        object.__setattr__(self, "_valency", Counter(ends + [lead.vertex for lead in self.leads]))
+        diags = _violations(self)
+        if diags:
+            raise GraphFormatError("; ".join(diags))
 
     def coupling(self, vertex_id: int) -> VertexCoupling:
         return self._coupling_by_id[vertex_id]
@@ -101,21 +114,18 @@ class Graph:
         return [vid for vid, _ in self.vertices]
 
     def valency(self, vertex_id: int) -> int:
-        n = sum(1 for b in self.bonds if vertex_id in (b.from_vertex, b.to_vertex))
-        n += sum(1 for lead in self.leads if lead.vertex == vertex_id)
-        return n
+        return self._valency[vertex_id]
 
     @property
     def is_compact(self) -> bool:
         return not self.leads
 
     def scaled(self, factor: float) -> "Graph":
-        """New graph with every bond length multiplied by a finite ``factor`` > 0."""
+        """New graph with every bond length multiplied by a finite ``factor`` > 0;
+        a length that overflows or underflows raises :class:`GraphFormatError`."""
         if not 0 < factor < math.inf:
             raise InputError("scale factor must be positive and finite")
-        bonds = tuple(
-            Bond(b.from_vertex, b.to_vertex, b.length * factor, b.potential) for b in self.bonds
-        )
+        bonds = tuple(Bond(b.from_vertex, b.to_vertex, b.length * factor) for b in self.bonds)
         return Graph(self.vertices, bonds, self.leads)
 
 
@@ -124,11 +134,8 @@ def total_length(g: Graph) -> float:
     return float(sum(b.length for b in g.bonds))
 
 
-def validate(g: Graph) -> list[str]:
-    """Check all structural invariants; returns one diagnostic per violation.
-
-    An empty list means the graph is valid.
-    """
+def _violations(g: Graph) -> list[str]:
+    """One diagnostic per structural violation, in O(V + B + L)."""
     diags: list[str] = []
     ids = [vid for vid, _ in g.vertices]
     known = set(ids)
@@ -167,26 +174,12 @@ def validate(g: Graph) -> list[str]:
     return diags
 
 
-def require_zero_potential(g: Graph) -> None:
-    """All shipped computations are derived for A_b = 0; reject anything else."""
-    for i, b in enumerate(g.bonds):
-        if b.potential != 0.0:
-            raise GraphFormatError(
-                f"bond {i}: nonzero potential {b.potential} is stored but unsupported "
-                "by the shipped computations (set potential = 0)"
-            )
-
-
 def two_vertex_form(g: Graph) -> tuple[VertexCoupling, float]:
-    """(coupling, bond length) of a valid compact graph of two vertices joined
-    by one bond, with the same coupling at both ends.
+    """(coupling, bond length) of a compact graph of two vertices joined by
+    one bond, with the same coupling at both ends.
     """
-    diags = validate(g)
-    if diags:
-        raise UnsupportedTopologyError("invalid graph: " + "; ".join(diags))
     if len(g.vertices) != 2 or len(g.bonds) != 1 or g.leads:
         raise UnsupportedTopologyError("only two-vertex graphs (one bond, no leads) are supported")
-    require_zero_potential(g)
     c0 = g.coupling(g.vertices[0][0])
     if c0 != g.coupling(g.vertices[1][0]):
         raise UnsupportedTopologyError("two-vertex form requires identical couplings at both vertices")
@@ -201,11 +194,12 @@ _TOP_KEYS = {"vertices", "bonds", "leads"}
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse and validate a JSON graph description (strict mode).
+    """Parse a JSON graph description (strict mode).
 
-    Unknown keys, missing fields, unknown coupling kinds, and structural
-    violations all raise :class:`GraphFormatError`.  Syntax errors carry the
-    line/column reported by the JSON parser.
+    Unknown keys, missing fields, unknown coupling kinds, a nonzero bond
+    ``potential`` (the magnetic parameter, which no computation supports) and
+    structural violations all raise :class:`GraphFormatError`.  Syntax errors
+    carry the line/column reported by the JSON parser.
     """
     try:
         doc = json.loads(text)
@@ -257,12 +251,13 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError(f"bond {i}: missing field '{required}'")
         length = _expect_number(entry["length"], f"bond {i}: length")
         potential = _expect_number(entry.get("potential", 0.0), f"bond {i}: potential")
+        if potential != 0.0:
+            raise GraphFormatError(f"bond {i}: nonzero potential {potential} is unsupported (set potential = 0)")
         bonds.append(
             Bond(
                 _expect_int(entry["from"], f"bond {i}: from"),
                 _expect_int(entry["to"], f"bond {i}: to"),
                 length,
-                potential,
             )
         )
 
@@ -275,11 +270,7 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"lead {i}: missing field 'vertex'")
         leads.append(Lead(_expect_int(entry["vertex"], f"lead {i}: vertex")))
 
-    graph = Graph(tuple(vertices), tuple(bonds), tuple(leads))
-    diags = validate(graph)
-    if diags:
-        raise GraphFormatError("; ".join(diags))
-    return graph
+    return Graph(tuple(vertices), tuple(bonds), tuple(leads))
 
 
 def emit_graph(g: Graph) -> str:
@@ -291,10 +282,7 @@ def emit_graph(g: Graph) -> str:
             cdoc["gamma"] = coupling.gamma
         doc["vertices"].append({"id": vid, "coupling": cdoc})
     for b in g.bonds:
-        bdoc = {"from": b.from_vertex, "to": b.to_vertex, "length": b.length}
-        if b.potential != 0.0:
-            bdoc["potential"] = b.potential
-        doc["bonds"].append(bdoc)
+        doc["bonds"].append({"from": b.from_vertex, "to": b.to_vertex, "length": b.length})
     for lead in g.leads:
         doc["leads"].append({"vertex": lead.vertex})
     return json.dumps(doc, indent=2)

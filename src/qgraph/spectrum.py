@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError, UnsupportedTopologyError
-from .graph import Graph, require_zero_potential, total_length, validate
+from .graph import Graph, total_length
 from .scattering import vertex_amplitudes
 
 
@@ -96,14 +96,10 @@ class _SecularMatrix:
     """Vectorized evaluator for M(k) = S(k) D(k) on the directed-bond space."""
 
     def __init__(self, g: Graph):
-        diags = validate(g)
-        if diags:
-            raise UnsupportedTopologyError("invalid graph: " + "; ".join(diags))
         if not g.is_compact:
             raise UnsupportedTopologyError("spectrum requires compact graph (no leads)")
         if not g.bonds:
             raise UnsupportedTopologyError("graph has no bonds")
-        require_zero_potential(g)
 
         directed = []
         for b in g.bonds:
@@ -121,14 +117,17 @@ class _SecularMatrix:
              for vid in vertex_ids]
         )
 
+        # directed bond a = (i, j) scatters at j into every directed bond
+        # leaving j: into (j, i) by reflection, into the others by transmission
+        leaving: dict[int, list[int]] = {}
+        for b_idx, (p, _, _) in enumerate(directed):
+            leaving.setdefault(p, []).append(b_idx)
         rows, cols, is_reflection, at_vertex = [], [], [], []
         for a, (i, j, _) in enumerate(directed):
-            for b_idx, (p, q, _) in enumerate(directed):
-                if p != j:
-                    continue
+            for b_idx in leaving[j]:
                 rows.append(b_idx)
                 cols.append(a)
-                is_reflection.append(q == i)
+                is_reflection.append(directed[b_idx][1] == i)
                 at_vertex.append(self._vertex_index[j])
         self._rows = np.array(rows)
         self._cols = np.array(cols)
@@ -163,12 +162,12 @@ _PIVOT = 0.1
 
 class _MatchingCount:
     """Vectorized exact eigenvalue count N(k) from the Schur-reduced matching
-    form of the module docstring.  Its vertex block is two dense products
-    over the batch: the bond coefficients' half sums times the bond-end
-    incidence give the diagonal, and their half differences times the
-    bond-pair incidence give the entries between the two free ends of each
-    bond.  ``points`` and ``order_sum`` tally the points evaluated and the
-    orders of their forms."""
+    form of the module docstring.  Its vertex block has on the diagonal the
+    bond coefficients' half sums times the bond-end incidence, a dense product
+    over the batch, and between the two free ends of each bond their half
+    differences, scattered directly: a graph has no parallel bonds, so each
+    such entry belongs to one bond.  ``points`` and ``order_sum`` tally the
+    points evaluated and the orders of their forms."""
 
     def __init__(self, g: Graph):
         free = [vid for vid in g.vertex_ids() if not g.coupling(vid).is_dirichlet]
@@ -180,14 +179,10 @@ class _MatchingCount:
         self._ends = np.array([[index.get(b.from_vertex, len(free)), index.get(b.to_vertex, len(free))]
                                for b in g.bonds])
         # with s, a = (e_u +- e_w) / sqrt(2), s s^T and a a^T are both 1/2 at
-        # (u, u) and (w, w); at (u, w) and (w, u) s s^T is 1/2 and a a^T -1/2.
-        # Each pair u < w of free ends has one column of the bond-pair
-        # incidence, so parallel bonds add up
+        # (u, u) and (w, w); at (u, w) and (w, u) s s^T is 1/2 and a a^T -1/2
         v = len(free)
         self._incidence = np.sum(self._ends[:, :, None] == np.arange(v), axis=1, dtype=float)
-        pairs = np.sort(self._ends, axis=1)
-        self._pairs = np.unique(pairs[pairs[:, 1] < v], axis=0)
-        self._pair_incidence = np.all(pairs[:, None] == self._pairs, axis=2).astype(float)
+        self._inner = np.all(self._ends < v, axis=1)
         self.points = self.order_sum = 0
 
     def _form(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,8 +220,8 @@ class _MatchingCount:
         size = v + int(kept.max(initial=0))
         row = v + np.arange(len(at)) - (np.cumsum(kept) - kept)[at]
         form = np.zeros((n, size, size))
-        pu, pw = self._pairs.T
-        form[:, pu, pw] = form[:, pw, pu] = 0.5 * (c_s - c_a) @ self._pair_incidence * w[:, pu] * w[:, pw]
+        pu, pw = self._ends[self._inner].T
+        form[:, pu, pw] = form[:, pw, pu] = 0.5 * (c_s - c_a)[:, self._inner] * w[:, pu] * w[:, pw]
         diag = form.reshape(n, size * size)[:, :: size + 1]
         diag[:, :v] = 0.5 * (c_s + c_a) @ self._incidence * w * w + np.maximum(np.minimum(-gk, 1.0), -1.0)
         diag[:, v:] = 1.0

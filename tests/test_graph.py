@@ -3,7 +3,7 @@ import math
 import pytest
 
 import qgraph as qg
-from qgraph import Bond, CouplingKind, Graph, GraphFormatError
+from qgraph import Bond, CouplingKind, Graph, GraphFormatError, InputError
 
 MINIMAL = """
 {
@@ -83,37 +83,36 @@ def test_dirichlet_never_a_large_float():
         qg.VertexCoupling(CouplingKind.DELTA, math.inf)
 
 
-def test_validate_valid_interval_is_clean(interval_graph):
-    assert qg.validate(interval_graph) == []
+_ENDS = ((0, qg.DIRICHLET), (1, qg.DIRICHLET))
 
 
-def test_validate_unknown_vertex():
-    g = Graph(((0, qg.DIRICHLET), (1, qg.DIRICHLET)), (Bond(0, 7, 1.0),))
-    assert "bond 0: unknown vertex 7" in qg.validate(g)
-
-
-def test_validate_rejects_loops():
-    g = Graph(((0, qg.DIRICHLET), (1, qg.DIRICHLET)), (Bond(0, 0, 1.0), Bond(0, 1, 1.0)))
-    assert "bond 0: loops unsupported" in qg.validate(g)
-
-
-def test_validate_rejects_multi_edges():
-    g = Graph(((0, qg.DIRICHLET), (1, qg.DIRICHLET)), (Bond(0, 1, 1.0), Bond(1, 0, 2.0)))
-    diags = qg.validate(g)
-    assert any("duplicate of bond 0" in d for d in diags)
-
-
-def test_validate_isolated_vertex():
-    g = Graph(
-        ((0, qg.DIRICHLET), (1, qg.DIRICHLET), (2, qg.KIRCHHOFF)),
-        (Bond(0, 1, 1.0),),
-    )
-    assert "vertex 2: isolated (valency 0)" in qg.validate(g)
+@pytest.mark.parametrize(
+    "vertices,bonds,leads,message",
+    [
+        (_ENDS, (Bond(0, 7, 1.0),), (), "bond 0: unknown vertex 7"),
+        (_ENDS, (Bond(0, 0, 1.0), Bond(0, 1, 1.0)), (), "bond 0: loops unsupported"),
+        (_ENDS, (Bond(0, 1, 1.0), Bond(1, 0, 2.0)), (), r"bond 1: duplicate of bond 0 \(multi-edges unsupported\)"),
+        (_ENDS + ((2, qg.KIRCHHOFF),), (Bond(0, 1, 1.0),), (), r"vertex 2: isolated \(valency 0\)"),
+        (_ENDS + ((0, qg.KIRCHHOFF),), (Bond(0, 1, 1.0),), (), "vertex 0: duplicate id"),
+        (_ENDS, (Bond(0, 1, -1.0),), (), "bond 0: non-positive length"),
+        (_ENDS, (Bond(0, 1, 0.0),), (), "bond 0: non-positive length"),
+        (_ENDS, (Bond(0, 1, math.nan),), (), "bond 0: non-finite length"),
+        (_ENDS, (Bond(0, 1, math.inf),), (), "bond 0: non-finite length"),
+        (_ENDS, (Bond(0, 1, 1.0),), (qg.Lead(3),), "lead 0: unknown vertex 3"),
+        # every violation is named, in order
+        (_ENDS, (Bond(0, 0, -1.0), Bond(0, 1, 1.0)), (),
+         "^bond 0: loops unsupported; bond 0: non-positive length$"),
+    ],
+    ids=["unknown-vertex", "loop", "multi-edge", "isolated", "duplicate-id", "negative-length", "zero-length",
+         "nan-length", "inf-length", "lead-unknown-vertex", "all-named"],
+)
+def test_graph_refuses_structural_violations_when_built(vertices, bonds, leads, message):
+    with pytest.raises(GraphFormatError, match=message):
+        Graph(vertices, bonds, leads)
 
 
 def test_lead_valency_counts():
     g = Graph(((0, qg.KIRCHHOFF),), (), (qg.Lead(0), qg.Lead(0), qg.Lead(0)))
-    assert qg.validate(g) == []
     assert g.valency(0) == 3
     assert not g.is_compact
 
@@ -147,9 +146,8 @@ def test_parse_emit_parse_idempotent(doc):
     assert qg.parse_graph(qg.emit_graph(g2)) == g2
 
 
-def test_accepted_documents_validate_clean():
-    g = qg.parse_graph(MINIMAL)
-    assert qg.validate(g) == []
+def test_accepted_documents_build_the_same_graph():
+    assert qg.parse_graph(MINIMAL) == Graph(_ENDS, (Bond(0, 1, 1.0),))
 
 
 def test_graph_is_immutable(interval_graph):
@@ -163,7 +161,18 @@ def test_scaled_lengths(interval_graph):
         interval_graph.scaled(0.0)
 
 
-def test_nonzero_potential_rejected_by_computations():
-    g = Graph(((0, qg.DIRICHLET), (1, qg.DIRICHLET)), (Bond(0, 1, 1.0, potential=0.3),))
-    with pytest.raises(GraphFormatError, match="potential"):
-        qg.find_eigenvalues(g, 5.0)
+@pytest.mark.parametrize(
+    "length,factor,message",
+    [(1e300, 1e10, "bond 0: non-finite length"), (1e-300, 1e-300, "bond 0: non-positive length")],
+    ids=["overflow", "underflow"],
+)
+def test_scaled_refuses_a_length_out_of_range(length, factor, message):
+    g = Graph(_ENDS, (Bond(0, 1, length),))
+    with pytest.raises(InputError, match=message):
+        g.scaled(factor)
+
+
+def test_potential_parses_only_as_zero():
+    assert qg.parse_graph(MINIMAL.replace('"length": 1.0', '"length": 1.0, "potential": 0')) == qg.parse_graph(MINIMAL)
+    with pytest.raises(GraphFormatError, match="bond 0: nonzero potential 0.3"):
+        qg.parse_graph(MINIMAL.replace('"length": 1.0', '"length": 1.0, "potential": 0.3'))
