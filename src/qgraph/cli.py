@@ -141,8 +141,11 @@ def _manifest(command: str, graph_path: str, parameters: dict) -> dict:
     }
 
 
-def _write_output(path: str, payload: dict) -> None:
-    Path(path).write_text(dumps_json(payload), encoding="utf-8")
+def _write_output(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write output file {path}: {exc}") from exc
 
 
 def _parse_complex(raw: str) -> complex:
@@ -160,15 +163,15 @@ def _cmd_spectrum(args) -> int:
     result = find_eigenvalues(g, args.kmax, args.tol)
     payload = {
         "manifest": _manifest("spectrum", args.graph, {"kmax": args.kmax, "tol": args.tol}),
-        "eigenvalues": list(result.eigenvalues),
-        "residuals": list(result.residuals),
+        "eigenvalues": result.eigenvalues,
+        "residuals": result.residuals,
         "weyl": {
             "expected": result.weyl_expected,
             "count": result.count,
-            "bound": len(g.vertices) + len(g.bonds),
+            "bound": result.weyl_bound,
         },
     }
-    _write_output(args.output, payload)
+    _write_output(args.output, dumps_json(payload))
     return 0
 
 
@@ -177,8 +180,8 @@ def _casimir_result_json(res: CasimirResult) -> dict:
         "method": res.method.value,
         "energy": res.energy,
         "estimated_error": res.estimated_error,
-        "fit_coefficients": list(res.fit_coefficients),
-        "per_tau_samples": [[t, v] for t, v in res.per_tau_samples],
+        "fit_coefficients": res.fit_coefficients,
+        "per_tau_samples": res.per_tau_samples,
         "kappa_max": res.kappa_max,
         "quadrature_tol": res.quadrature_tol,
     }
@@ -239,7 +242,7 @@ def _cmd_casimir(args) -> int:
     if len(results) == 2:
         green_e, mode_e = results[0].energy, results[1].energy
         payload["relative_difference"] = abs(green_e - mode_e) / max(abs(mode_e), 1e-300)
-    _write_output(args.output, payload)
+    _write_output(args.output, dumps_json(payload))
     return 0
 
 
@@ -279,7 +282,7 @@ def _cmd_sweep(args) -> int:
     for scale, energy, err, message in rows:
         message = message.replace(",", ";").replace("\n", " ")
         lines.append(f"{fmt_float(scale)},{fmt_float(energy)},{fmt_float(err)},{message}")
-    Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_output(args.output, "\n".join(lines) + "\n")
     return 3 if any(message for *_, message in rows) else 0
 
 
@@ -320,7 +323,7 @@ def _cmd_greens(args) -> int:
         "free_part": complex_to_json(decomposition.free_part),
         "gamma_part": complex_to_json(decomposition.gamma_part),
     }
-    _write_output(args.output, payload)
+    _write_output(args.output, dumps_json(payload))
     return 0
 
 

@@ -61,7 +61,8 @@ from .scattering import vertex_amplitudes
 @dataclass(frozen=True)
 class SpectrumResult:
     """Sorted positive eigenvalues (repeated per multiplicity) with per-root
-    secular residuals, the Weyl-count audit and ``diagnostics``: numbers of
+    secular residuals, the Weyl-count audit (``weyl_expected`` and the bound
+    V + B on the count's distance from it) and ``diagnostics``: numbers of
     full-count and det-sign points and of bisection levels, the mean order
     of the count's form over those points, worst residual."""
 
@@ -69,6 +70,7 @@ class SpectrumResult:
     k_max: float
     residuals: tuple[float, ...]
     weyl_expected: float
+    weyl_bound: int
     diagnostics: dict[str, float] = field(default_factory=dict, hash=False)
 
     @property
@@ -407,4 +409,4 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
                        form_order=counter.order_sum / counter.points,
                        worst_residual=float(residuals.max(initial=0.0)))
     return SpectrumResult(tuple(eigenvalues.tolist()), float(k_max),
-                          tuple(np.repeat(residuals, mults).tolist()), weyl, diagnostics)
+                          tuple(np.repeat(residuals, mults).tolist()), weyl, audit_bound, diagnostics)

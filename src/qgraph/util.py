@@ -1,7 +1,8 @@
-"""Small shared helpers: deterministic serialization and the QGRAPH_THREADS check."""
+"""Small shared helpers: JSON and float text, and the QGRAPH_THREADS check."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 
@@ -9,76 +10,24 @@ from .errors import InputError
 
 
 def fmt_float(x: float) -> str:
-    """Format a float with 17 significant digits (round-trip exact)."""
+    """The text ``json.dumps`` writes for a float: ``repr``, the shortest
+    decimal that reads back to the same double, or NaN, Infinity, -Infinity."""
     if isinstance(x, bool):  # bools are ints but must not reach here
         raise TypeError("bool is not a float")
     if math.isnan(x):
         return "NaN"
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
+    return repr(float(x))
 
 
 def dumps_json(obj, indent: int | None = 2) -> str:
-    """Serialize to JSON with fixed field order and 17-significant-digit floats.
+    """Serialize to JSON in dict insertion order, floats as :func:`fmt_float`.
 
-    The standard library encoder formats floats with repr(); results must be
-    byte-stable across runs and platforms with an explicit float format, so a
-    small writer is used instead.  Dict insertion order is preserved.
     ``indent=None`` produces a compact single line (no trailing newline).
+    Non-ASCII text is written as is; control characters are escaped.
     """
-    out: list[str] = []
-    _write_json(obj, out, indent, 0)
-    return "".join(out) + ("\n" if indent is not None else "")
-
-
-def _write_json(obj, out: list[str], indent: int | None, level: int) -> None:
-    compact = indent is None
-    pad = "" if compact else " " * (indent * level)
-    pad_in = "" if compact else " " * (indent * (level + 1))
-    open_nl = "" if compact else "\n"
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(_escape_string(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{" + open_nl)
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {type(key)}")
-            out.append(pad_in + _escape_string(key) + ": ")
-            _write_json(value, out, indent, level + 1)
-            last = i == len(obj) - 1
-            out.append(("" if last else ", ") if compact else (",\n" if not last else "\n"))
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[" + open_nl)
-        for i, value in enumerate(obj):
-            out.append(pad_in)
-            _write_json(value, out, indent, level + 1)
-            last = i == len(obj) - 1
-            out.append(("" if last else ", ") if compact else (",\n" if not last else "\n"))
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)} to JSON")
-
-
-def _escape_string(s: str) -> str:
-    escaped = s.replace("\\", "\\\\").replace('"', '\\"')
-    escaped = escaped.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-    return f'"{escaped}"'
+    return json.dumps(obj, indent=indent, ensure_ascii=False) + ("\n" if indent is not None else "")
 
 
 def complex_to_json(z: complex) -> dict:

@@ -111,6 +111,7 @@ class TestSpectrumCommand:
         )
         assert payload["manifest"]["command"] == "spectrum"
         assert all(r <= 1e-10 for r in payload["residuals"])
+        assert payload["weyl"]["bound"] == 3  # V + B
         assert abs(payload["weyl"]["count"] - payload["weyl"]["expected"]) <= payload["weyl"]["bound"]
 
     def test_open_graph_is_input_error(self, graph_file, tmp_path, capsys):
@@ -507,15 +508,69 @@ class TestDeterminism:
                      "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_floats_have_17_significant_digits(self, graph_file, tmp_path):
+    def test_floats_round_trip_to_library_values(self, graph_file, tmp_path):
+        def bits(values):
+            return [float(v).hex() for v in values]
+
         out = tmp_path / "g.json"
         main(["greens", "--graph", graph_file(WALL), "--k", "1.1,0", "--xi", "0.25", "--xf", "0.5",
               "--output", str(out)])
         text = out.read_text()
-        # a value with a long mantissa round-trips exactly
-        payload = json.loads(text)
-        value = payload["gamma_part"]["re"]
+        value = json.loads(text)["gamma_part"]["re"]
         assert fmt_float(value) in text
+
+        # every float of a spectrum file is the library's double, bit for bit
+        graph = graph_file(STAR3)
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--graph", graph, "--kmax", "7.3", "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        res = qg.find_eigenvalues(qg.parse_graph(json.dumps(STAR3)), 7.3)
+        assert bits(payload["eigenvalues"]) == bits(res.eigenvalues)
+        assert bits(payload["residuals"]) == bits(res.residuals)
+        assert bits([payload["weyl"]["expected"]]) == bits([res.weyl_expected])
+
+        # and so is every float of a sweep row
+        delta_graph = two_vertex({"kind": "delta", "gamma": 0.7})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--graph", graph_file(delta_graph), "--from", "0.3", "--to", "1.7",
+                     "--steps", "4", "--method", "green", "--output", str(out)]) == 0
+        g = qg.parse_graph(json.dumps(delta_graph))
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert len(rows) == 4
+        for i, (scale, energy, err, message) in enumerate(rows):
+            s = 0.3 + (1.7 - 0.3) * i / 3  # the CLI's scale grid
+            res = qg.casimir_green_method(g.scaled(s), qg.RegularizationConfig())
+            assert message == ""
+            assert bits([scale, energy, err]) == bits([s, res.energy, res.estimated_error])
+
+    def test_special_characters_in_the_graph_path_stay_valid_json(self, tmp_path):
+        path = tmp_path / 'g\x1b"\\\tå.json'
+        path.write_text(json.dumps(INTERVAL), encoding="utf-8")
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--graph", str(path), "--kmax", "5", "--output", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["manifest"]["graph_path"] == str(path)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--graph", str(path), "--from", "1", "--to", "2", "--steps", "2",
+                     "--method", "green", "--output", str(out)]) == 0
+        header = out.read_text(encoding="utf-8").splitlines()[0]
+        assert header.startswith("# manifest = ")
+        assert json.loads(header[len("# manifest = "):])["graph_path"] == str(path)
+
+
+OUTPUT_COMMANDS = {
+    "spectrum": ["spectrum", "--kmax", "5"],
+    "casimir": ["casimir", "--method", "green"],
+    "sweep": ["sweep", "--from", "1", "--to", "2", "--steps", "2", "--method", "green"],
+    "greens": ["greens", "--k", "1.3,0", "--xi", "0.25", "--xf", "0.5"],
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_COMMANDS.values(), ids=OUTPUT_COMMANDS.keys())
+def test_unwritable_output_is_input_error(argv, graph_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.out"
+    assert main([argv[0], "--graph", graph_file(INTERVAL), *argv[1:], "--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output file")
 
 
 def test_star_modesum_divergence_coefficient(graph_file, tmp_path):

@@ -121,6 +121,7 @@ class TestFindEigenvalues:
         for g in (interval_graph, star3_graph):
             bound = len(g.vertices) + len(g.bonds)
             res = qg.find_eigenvalues(g, 30.0)
+            assert res.weyl_bound == bound
             eigs = np.asarray(res.eigenvalues)
             for k in np.linspace(0.5, 30.0, 40):
                 count = int(np.sum(eigs <= k))
