@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -133,17 +134,20 @@ def _load_graph(path: str) -> Graph:
 
 
 def _manifest(command: str, graph_path: str, parameters: dict) -> dict:
+    # a path whose bytes are not UTF-8 reaches argv with lone surrogates,
+    # which no output can encode: those bytes are echoed as \xNN escapes
     return {
         "command": command,
-        "graph_path": graph_path,
+        "graph_path": os.fsencode(graph_path).decode("utf-8", "backslashreplace"),
         "tool_version": __version__,
         "parameters": parameters,
     }
 
 
 def _write_output(path: str, text: str) -> None:
+    data = text.encode("utf-8")  # before the file is opened, so a failure leaves no file
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise InputError(f"cannot write output file {path}: {exc}") from exc
 

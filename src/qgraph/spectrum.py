@@ -44,11 +44,24 @@ most three steps per halving).  Other intervals with more roots are
 bisected on the full count.  The count difference across a final interval,
 summed over final intervals that share an end, is the multiplicity of its
 root, which the bond-scattering form then confirms.
+
+The residual of a root k of multiplicity m is a certified upper bound on the
+m-th smallest singular value of N = I - S(k) D(k), independent of the count.
+At real k, S D is unitary, so N is normal with its eigenvalues in Re >= 0,
+and every singular value of A = N + c I is at least the fixed shift c > 0.
+Two steps of shifted inverse iteration (Ipsen, SIAM Rev. 39, 254 (1997)),
+X <- Q of the QR factorization of A^-1 X from a fixed seeded n x m start,
+give an orthonormal X, and by Courant-Fischer ||N X||_2 >= sigma_m(N); it
+meets sigma_m(N) to within rounding when the next singular value is not
+tiny.  The roots go in chunks whose stacks of complex matrices fit a fixed
+byte budget, ``_RESIDUAL_BYTES``, which caps the memory of that step
+whatever the graph size.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,10 +74,12 @@ from .scattering import vertex_amplitudes
 @dataclass(frozen=True)
 class SpectrumResult:
     """Sorted positive eigenvalues (repeated per multiplicity) with per-root
-    secular residuals, the Weyl-count audit (``weyl_expected`` and the bound
-    V + B on the count's distance from it) and ``diagnostics``: numbers of
-    full-count and det-sign points and of bisection levels, the mean order
-    of the count's form over those points, worst residual."""
+    secular residuals, certified upper bounds on the m-th smallest singular
+    value of I - S D (module docstring), the Weyl-count audit
+    (``weyl_expected`` and the bound V + B on the count's distance from it)
+    and ``diagnostics``: numbers of full-count and det-sign points and of
+    bisection levels, the mean order of the count's form over those points,
+    worst residual."""
 
     eigenvalues: tuple[float, ...]
     k_max: float
@@ -151,9 +166,52 @@ class _SecularMatrix:
         m[:, self._rows, self._cols] = amp * phase[:, self._cols]
         return m
 
-    def singular_values(self, ks: np.ndarray) -> np.ndarray:
-        """Singular values of I - M(k) per wavenumber, in ascending order."""
-        return np.linalg.svd(np.eye(self.dim) - self.matrices(ks), compute_uv=False)[:, ::-1]
+    def residuals(self, ks: np.ndarray, mults: np.ndarray) -> np.ndarray:
+        """The residual of the module docstring at each real k, m its entry of
+        ``mults``, from the first m columns of one fixed seeded block.  The
+        roots of each multiplicity go in chunks of at most ``_RESIDUAL_BYTES``
+        of matrices, so a root's bound depends only on its k and m."""
+        n, m_max = self.dim, int(mults.max(initial=1))
+        # the stdlib generator is loaded already; importing numpy.random
+        # would add about 14 ms to every command that finds eigenvalues
+        rng = random.Random(0)
+        start = np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n * m_max)])
+        start = start.reshape(n, m_max)
+        rows = max(1, _RESIDUAL_BYTES // (16 * n * n))
+        out = np.empty(len(ks))
+        for m in np.unique(mults):
+            at = np.flatnonzero(mults == m)
+            for chunk in (at[lo:lo + rows] for lo in range(0, len(at), rows)):
+                out[chunk] = self._bounds(ks[chunk], start[:, :m])
+        return out
+
+    def _bounds(self, ks: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """||(I - M) X||_2 at each k, X from the n x m block ``start``; the
+        stack of matrices is freed on return."""
+        a, n = self.matrices(ks), self.dim
+        np.negative(a, out=a)
+        a.reshape(len(a), n * n)[:, :: n + 1] += 1.0 + _SHIFT
+        x = start
+        for _ in range(2):
+            # the Q of X's QR factorization at each step, since the final Q is
+            # only as accurate as X is well conditioned; one column is only
+            # normalized, which is the same Q up to a phase
+            x = np.linalg.solve(a, x)
+            x = x / np.linalg.norm(x, axis=1, keepdims=True) if x.shape[-1] == 1 else np.linalg.qr(x).Q
+        # (I - M) X = A X - c X, so only one stack of matrices is held;
+        # ||B||_2 is the root of the largest eigenvalue of B^H B, which has
+        # full relative accuracy
+        b = a @ x - _SHIFT * x
+        return np.sqrt(np.linalg.eigvalsh(b.conj().transpose(0, 2, 1) @ b)[:, -1])
+
+
+#: Shift c > 0 of the residual's inverse iteration (module docstring).
+_SHIFT = 1e-10
+
+#: Byte budget of the complex matrices one chunk of roots holds in the
+#: residual step (at least one matrix per chunk): the cap on that step's
+#: memory, whatever the graph size.
+_RESIDUAL_BYTES = 8 * 2**20
 
 
 #: Border coordinates whose diagonal has at least this modulus are eliminated
@@ -297,11 +355,14 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
     of the stopping width towards the middle.
     All stop at width 1e-14 max(1, k_max); final intervals that share an end
     are one root, at the midpoint of their union.  ``tol`` bounds the accepted
-    residual of each root: the m-th smallest singular value of I - S D for a
-    root of multiplicity m.  Raises :class:`NumericalError` if a residual exceeds
-    ``tol``, if the multiplicities do not add up to the count across
-    (0, k_max] or to the full count just beside each root, or if the count
-    leaves the Weyl bound |N - L k_max / pi| <= V + B.
+    residual of each root of multiplicity m: ||(I - S D) X||_2 for the
+    orthonormal n x m block X of two steps of shifted inverse iteration, an
+    upper bound on the m-th smallest singular value of I - S D, computed in
+    chunks of at most ``_RESIDUAL_BYTES`` of matrices (module docstring).
+    Raises :class:`NumericalError` if a residual exceeds ``tol``, if the
+    multiplicities do not add up to the count across (0, k_max] or to the
+    full count just beside each root, or if the count leaves the Weyl bound
+    |N - L k_max / pi| <= V + B.
     """
     if not 0 < k_max < math.inf:
         raise InputError("k_max must be positive and finite")
@@ -397,7 +458,7 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
             f"~{weyl:.1f} (bound {audit_bound})"
         )
 
-    residuals = sm.singular_values(roots)[np.arange(len(roots)), mults - 1]
+    residuals = sm.residuals(roots, mults)
     bad = np.flatnonzero(residuals > tol)
     if bad.size:
         raise NumericalError(

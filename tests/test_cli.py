@@ -556,6 +556,29 @@ class TestDeterminism:
         assert header.startswith("# manifest = ")
         assert json.loads(header[len("# manifest = "):])["graph_path"] == str(path)
 
+    @pytest.mark.parametrize("argv", [["spectrum", "--kmax", "5"],
+                                      ["sweep", "--from", "1", "--to", "2", "--steps", "2", "--method", "green"]],
+                             ids=["spectrum", "sweep"])
+    def test_a_graph_path_that_is_not_utf8_is_echoed_escaped(self, tmp_path, argv):
+        # argv carries the byte 0xff as a lone surrogate, which UTF-8 cannot
+        # encode: the manifest writes it as the text \xff, and the file parses
+        path = tmp_path / os.fsdecode(b"g\xff.json")
+        path.write_text(json.dumps(INTERVAL), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([argv[0], "--graph", str(path), *argv[1:], "--output", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        header = text.splitlines()[0].removeprefix("# manifest = ")
+        manifest = json.loads(text)["manifest"] if argv[0] == "spectrum" else json.loads(header)
+        assert manifest["graph_path"] == str(tmp_path / "g\\xff.json")
+
+    def test_text_that_cannot_be_encoded_leaves_no_file(self, tmp_path):
+        from qgraph.cli import _write_output
+
+        out = tmp_path / "out.json"
+        with pytest.raises(UnicodeEncodeError):
+            _write_output(str(out), '{"graph_path": "g\udcff"}')
+        assert not out.exists()
+
 
 OUTPUT_COMMANDS = {
     "spectrum": ["spectrum", "--kmax", "5"],

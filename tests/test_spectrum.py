@@ -150,22 +150,6 @@ def test_spectrum_independent_of_worker_chunking(star3_graph, monkeypatch):
     assert results[0] == results[1]
 
 
-def test_residual_is_the_mth_smallest_singular_value(star3_graph):
-    # the 3-star's roots n pi are double: the residual of a root of
-    # multiplicity m is the m-th smallest singular value of I - S D, and the
-    # next one is far from zero
-    from qgraph.spectrum import _SecularMatrix
-
-    sm = _SecularMatrix(star3_graph)
-    res = qg.find_eigenvalues(star3_graph, 20.0)
-    for k, residual in zip(res.eigenvalues, res.residuals):
-        m = res.eigenvalues.count(k)
-        i_minus_sd = np.eye(sm.dim) - sm.matrices(np.array([k]))[0]
-        sv = np.linalg.svd(i_minus_sd, compute_uv=False)[::-1]
-        assert residual == sv[m - 1]
-        assert sv[m] > 1e-3
-
-
 def _amplitude_matrices(g, ks):
     """Real matching system for psi_b(x) = a_b cos kx + c_b sin kx (x from the
     bond's first vertex) and the values phi_v of the non-Dirichlet vertices.
@@ -355,6 +339,44 @@ def _random_delta_graph_24():
         np.random.default_rng(2024), 13, 24,
         lambda rng: qg.delta(rng.uniform(0.5, 3.0)), lambda rng: rng.uniform(0.5, 1.5),
     )
+
+
+@pytest.mark.parametrize("graph, k_max", [(_equal_star(3), 20.0), (_random_delta_graph_24(), 30.0)],
+                         ids=["3-star", "delta-B24"])
+def test_residual_bounds_the_mth_smallest_singular_value(graph, k_max):
+    # the residual of a root of multiplicity m is ||(I - S D) X||_2 for an
+    # orthonormal n x m block X, so it is at least the m-th smallest singular
+    # value of I - S D (Courant-Fischer); it must also lie within rounding of
+    # it, and the next singular value is far from zero.  The 3-star's roots
+    # n pi are double
+    from qgraph.spectrum import _SecularMatrix
+
+    sm = _SecularMatrix(graph)
+    res = qg.find_eigenvalues(graph, k_max)
+    roots, mults = np.unique(res.eigenvalues, return_counts=True)
+    sv = np.linalg.svd(np.eye(sm.dim) - sm.matrices(roots), compute_uv=False)[:, ::-1]
+    sigma = sv[np.arange(len(roots)), mults - 1]
+    residuals = np.array(res.residuals)[np.cumsum(mults) - 1]
+    assert np.all(sigma - 1e-15 <= residuals) and np.all(residuals <= sigma + 1e-15)
+    assert np.all(sv[np.arange(len(roots)), mults] > 1e-3)
+
+
+def test_residual_above_tol_raises(star3_graph):
+    # the 3-star's residuals are about 1e-16, above a tolerance of 1e-17
+    with pytest.raises(qg.NumericalError, match="secular residual"):
+        qg.find_eigenvalues(star3_graph, 20.0, tol=1e-17)
+
+
+def test_residual_of_a_moved_root_exceeds_tol(star3_graph):
+    # the bound is a real test of the scattering form: 1e-6 off each root of
+    # the 3-star, with the root's multiplicity, it is far above 1e-10
+    from qgraph.spectrum import _SecularMatrix
+
+    roots, mults = np.unique(qg.find_eigenvalues(star3_graph, 20.0).eigenvalues, return_counts=True)
+    sm = _SecularMatrix(star3_graph)
+    assert np.all(sm.residuals(roots, mults) <= 1e-10)
+    for shift in (-1e-6, 1e-6):
+        assert np.all(sm.residuals(roots + shift, mults) > 1e-10)
 
 
 def test_det_sign_parity_agrees_with_the_full_count():
@@ -714,3 +736,32 @@ def test_false_position_logistic_matches_expit():
     # exp(-x) overflows
     np.testing.assert_allclose(_logistic(x), expit(x), rtol=2.0**-51, atol=np.finfo(float).tiny)
     assert np.array_equal(_logistic(np.array([-np.inf, np.inf])), [0.0, 1.0])
+
+
+def test_residual_memory_is_capped_by_the_chunk_budget(monkeypatch):
+    # level-3 gasket: 42 vertices, 81 unit Kirchhoff bonds, complex 162 x 162
+    # matrices of 420 kB; a budget of three matrices splits its roots into
+    # many chunks, and a root's bound does not depend on its chunk.  Beside
+    # the stack, the n x m blocks of roots of multiplicity up to 41 and their
+    # QR take up to about the same again; all 76 roots at once take 32 MB
+    import tracemalloc
+
+    from qgraph import spectrum
+
+    edges, n_vertices = _sierpinski(3)
+    assert (n_vertices, len(edges)) == (42, 81)
+    g = qg.Graph(tuple((v, qg.KIRCHHOFF) for v in range(n_vertices)), tuple(qg.Bond(a, b, 1.0) for a, b in edges))
+    res = qg.find_eigenvalues(g, 20.0)
+    roots, mults = np.unique(res.eigenvalues, return_counts=True)
+    sm = spectrum._SecularMatrix(g)
+    budget = 3 * 16 * sm.dim**2
+    assert len(roots) == 76
+    monkeypatch.setattr(spectrum, "_RESIDUAL_BYTES", budget)
+    tracemalloc.start()
+    try:
+        residuals = sm.residuals(roots, mults)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.repeat(residuals, mults).tobytes() == np.array(res.residuals).tobytes()
+    assert peak <= 3 * budget
