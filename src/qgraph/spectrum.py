@@ -45,17 +45,21 @@ bisected on the full count.  The count difference across a final interval,
 summed over final intervals that share an end, is the multiplicity of its
 root, which the bond-scattering form then confirms.
 
-The residual of a root k of multiplicity m is a certified upper bound on the
-m-th smallest singular value of N = I - S(k) D(k), independent of the count.
-At real k, S D is unitary, so N is normal with its eigenvalues in Re >= 0,
-and every singular value of A = N + c I is at least the fixed shift c > 0.
-Two steps of shifted inverse iteration (Ipsen, SIAM Rev. 39, 254 (1997)),
-X <- Q of the QR factorization of A^-1 X from a fixed seeded n x m start,
-give an orthonormal X, and by Courant-Fischer ||N X||_2 >= sigma_m(N); it
-meets sigma_m(N) to within rounding when the next singular value is not
-tiny.  The roots go in chunks whose stacks of complex matrices fit a fixed
-byte budget, ``_RESIDUAL_BYTES``, which caps the memory of that step
-whatever the graph size.
+The residual of a root k of multiplicity m is, to within rounding, an upper
+bound on the m-th smallest singular value of N = I - S(k) D(k), independent
+of the count.  At real k, S D is unitary, so N is normal with its eigenvalues
+in Re >= 0, and every singular value of A = N + c I is at least the fixed
+shift c > 0, which only has to stay above the rounding of N and of the
+solve.  Two steps of shifted inverse iteration (Ipsen, SIAM Rev. 39, 254
+(1997)), X <- Q of the QR factorization of A^-1 X from a fixed seeded n x m
+start, give an orthonormal X, and by Courant-Fischer ||N X||_2 >=
+sigma_m(N).  The next singular value s leaves about ((sigma_m + c) /
+(s + c))^2 of the start's weight off the m smallest singular directions, so
+the bound meets sigma_m(N) to within rounding when s >> sigma_m + c; when s
+is tiny too, it can exceed sigma_m by a fraction of s (by up to 1.4e-13 on
+stars whose roots are split by 1e-13).  The roots go in chunks whose stacks
+of complex matrices fit a fixed byte budget, ``_RESIDUAL_BYTES``, which caps
+the memory of that step whatever the graph size.
 """
 
 from __future__ import annotations
@@ -74,8 +78,8 @@ from .scattering import vertex_amplitudes
 @dataclass(frozen=True)
 class SpectrumResult:
     """Sorted positive eigenvalues (repeated per multiplicity) with per-root
-    secular residuals, certified upper bounds on the m-th smallest singular
-    value of I - S D (module docstring), the Weyl-count audit
+    secular residuals, upper bounds to within rounding on the m-th smallest
+    singular value of I - S D (module docstring), the Weyl-count audit
     (``weyl_expected`` and the bound V + B on the count's distance from it)
     and ``diagnostics``: numbers of full-count and det-sign points and of
     bisection levels, the mean order of the count's form over those points,
@@ -191,13 +195,13 @@ class _SecularMatrix:
         a, n = self.matrices(ks), self.dim
         np.negative(a, out=a)
         a.reshape(len(a), n * n)[:, :: n + 1] += 1.0 + _SHIFT
-        x = start
+        # one start block per matrix: numpy 1.x reads an n x m right-hand
+        # side of a stack as a stack of vectors
+        x = np.broadcast_to(start, (len(a),) + start.shape)
         for _ in range(2):
             # the Q of X's QR factorization at each step, since the final Q is
-            # only as accurate as X is well conditioned; one column is only
-            # normalized, which is the same Q up to a phase
-            x = np.linalg.solve(a, x)
-            x = x / np.linalg.norm(x, axis=1, keepdims=True) if x.shape[-1] == 1 else np.linalg.qr(x).Q
+            # only as accurate as X is well conditioned
+            x = np.linalg.qr(np.linalg.solve(a, x))[0]
         # (I - M) X = A X - c X, so only one stack of matrices is held;
         # ||B||_2 is the root of the largest eigenvalue of B^H B, which has
         # full relative accuracy
@@ -205,8 +209,11 @@ class _SecularMatrix:
         return np.sqrt(np.linalg.eigvalsh(b.conj().transpose(0, 2, 1) @ b)[:, -1])
 
 
-#: Shift c > 0 of the residual's inverse iteration (module docstring).
-_SHIFT = 1e-10
+#: Shift c > 0 of the residual's inverse iteration (module docstring): above
+#: the rounding of N = I - S D and of its LU solve, and small, since the
+#: bound can exceed sigma_m by a fraction of c when the next singular value is
+#: near c.
+_SHIFT = 1e-13
 
 #: Byte budget of the complex matrices one chunk of roots holds in the
 #: residual step (at least one matrix per chunk): the cap on that step's

@@ -341,24 +341,42 @@ def _random_delta_graph_24():
     )
 
 
-@pytest.mark.parametrize("graph, k_max", [(_equal_star(3), 20.0), (_random_delta_graph_24(), 30.0)],
-                         ids=["3-star", "delta-B24"])
-def test_residual_bounds_the_mth_smallest_singular_value(graph, k_max):
+def _star(arms):
+    vertices = ((0, qg.KIRCHHOFF),) + tuple((i, qg.DIRICHLET) for i in range(1, len(arms) + 1))
+    return qg.Graph(vertices, tuple(qg.Bond(0, i, ell) for i, ell in enumerate(arms, 1)))
+
+
+@pytest.mark.parametrize(
+    "graph, k_max, next_range",
+    [
+        (_equal_star(3), 20.0, (1e-3, np.inf)),
+        (_random_delta_graph_24(), 30.0, (1e-3, np.inf)),
+        # one arm 1e-10 longer splits each multiple root n pi into roots about
+        # 1e-10 apart, so the next singular value is only about 1e-10
+        (_star((1.0, 1.0, 1.0 + 1e-10)), 20.0, (0.0, 1e-8)),
+        (_star((1.0, 1.0, 1.0, 1.0 + 1e-10)), 20.0, (0.0, 1e-8)),
+    ],
+    ids=["3-star", "delta-B24", "3-star-split", "4-star-split"],
+)
+def test_residual_bounds_the_mth_smallest_singular_value(graph, k_max, next_range):
     # the residual of a root of multiplicity m is ||(I - S D) X||_2 for an
     # orthonormal n x m block X, so it is at least the m-th smallest singular
     # value of I - S D (Courant-Fischer); it must also lie within rounding of
-    # it, and the next singular value is far from zero.  The 3-star's roots
-    # n pi are double
+    # it, whether the next singular value is far from zero or, on the split
+    # stars, close to it: there a shift as large as 1e-10 would put the
+    # bound up to 1.6e-10 above sigma_m and fail the default tol.
+    # The 3-star's roots n pi are double
     from qgraph.spectrum import _SecularMatrix
 
     sm = _SecularMatrix(graph)
     res = qg.find_eigenvalues(graph, k_max)
+    assert qg.find_eigenvalues(graph, k_max, tol=1e-12) == res
     roots, mults = np.unique(res.eigenvalues, return_counts=True)
     sv = np.linalg.svd(np.eye(sm.dim) - sm.matrices(roots), compute_uv=False)[:, ::-1]
     sigma = sv[np.arange(len(roots)), mults - 1]
     residuals = np.array(res.residuals)[np.cumsum(mults) - 1]
     assert np.all(sigma - 1e-15 <= residuals) and np.all(residuals <= sigma + 1e-15)
-    assert np.all(sv[np.arange(len(roots)), mults] > 1e-3)
+    assert next_range[0] < np.min(sv[np.arange(len(roots)), mults]) < next_range[1]
 
 
 def test_residual_above_tol_raises(star3_graph):
