@@ -8,16 +8,17 @@ Green-trace route
     are removed: the bulk free-line term ell/(2ik) and the constant
     high-frequency vertex reflection n_inf/(2 k^2).  Both are pure regulator
     divergences with no finite part.  The regulator is needed only to justify
-    dropping them: what is left is absolutely integrable on (0, kappa_max],
-    so the energy is one quadrature at tau = 0, with no regulator sequence
-    and no fit (Bordag, Mohideen & Mostepanenko, Phys. Rep. 353, 1 (2001)),
-    and no function of this route takes tau.
+    dropping them: what is left is absolutely integrable on (0, x_max] in
+    x = kappa ell, x_max = -ln(quadrature_tol)/2, so the energy is one
+    quadrature at tau = 0 divided by ell, with no regulator sequence and no
+    fit (Bordag, Mohideen & Mostepanenko, Phys. Rep. 353, 1 (2001)), and the
+    same graph in other length units gives the same E ell.
     A delta end (gamma != 0) leaves a third, gamma/(kappa + gamma), whose
-    integral grows like gamma ln(kappa_max): the self-energy of a delta
+    integral grows like gamma ln(x_max): the self-energy of a delta
     vertex on a half-line (the ell -> infinity limit of the vertex term and
     the heat-kernel boundary term of Bordag et al.).  It does not depend on
     ell, so it exerts no force, and it is subtracted too.  With every end
-    the integrand then decays like exp(-2 kappa ell), and the energy is the
+    the integrand then decays like exp(-2x), and the energy is the
     log-det integral (1/2 pi) int_0^inf log(1 - r^2 exp(-2 kappa ell)) dkappa
     with r = (kappa - gamma)/(kappa + gamma).  The overall normalization is
     frozen once against the Dirichlet cavity benchmark E = -pi/(24 ell) and
@@ -46,9 +47,10 @@ from .errors import (
     ExtrapolationError,
     InputError,
     InsufficientSpectrumError,
+    NumericalError,
     UnsupportedTopologyError,
 )
-from .graph import Graph, VertexCoupling, two_vertex_form
+from .graph import Graph, two_vertex_form
 
 #: Frozen overall normalization of the Green-trace route (see module docstring).
 ENERGY_PREFACTOR = 1.0 / math.pi
@@ -89,18 +91,16 @@ class RegularizationConfig:
     """Settings of the two energy routes, and the one home of their defaults.
 
     The mode sum reads only ``tau_values`` and ``fit_order``; the Green
-    route reads only ``quadrature_tol`` and ``kappa_max``.  ``tau_values``,
-    the only regulator field, must be strictly decreasing positive values,
-    at least three of them; the default is ``geometric_taus(*DEFAULT_TAU_WINDOW)``,
-    0.2 down by factors of 2^-0.5 in 8 steps.  ``kappa_max`` of ``None``
-    resolves to max(1, -ln(quadrature_tol)/(2 ell)), a truncation with
-    exp(-2 kappa_max ell)/kappa_max < quadrature_tol but not the smallest.
-    A field out of range raises :class:`InputError`.
+    route reads only ``quadrature_tol`` in (0, 1), the tolerance of its
+    integral in x = kappa ell, which also sets its truncation (module
+    docstring).  ``tau_values``, the only regulator field, must be strictly
+    decreasing positive values, at least three of them; the default is
+    ``geometric_taus(*DEFAULT_TAU_WINDOW)``, 0.2 down by factors of 2^-0.5
+    in 8 steps.  A field out of range raises :class:`InputError`.
     """
 
     tau_values: tuple[float, ...] = geometric_taus(*DEFAULT_TAU_WINDOW)
     quadrature_tol: float = 1e-10
-    kappa_max: float | None = None
     fit_order: int = 5
 
     def __post_init__(self):
@@ -115,10 +115,8 @@ class RegularizationConfig:
         if any(b >= a for a, b in zip(taus, taus[1:])):
             raise InputError("tau_values must be strictly decreasing")
         object.__setattr__(self, "tau_values", taus)
-        if not 0 < self.quadrature_tol < math.inf:
-            raise InputError("quadrature_tol must be positive and finite")
-        if self.kappa_max is not None and not 0 < self.kappa_max < math.inf:
-            raise InputError("kappa_max must be positive and finite")
+        if not 0 < self.quadrature_tol < 1:
+            raise InputError("quadrature_tol must lie in (0, 1)")
         _require_count("fit_order", self.fit_order, 1)
 
 
@@ -130,8 +128,8 @@ class CasimirResult:
     ``fit_coefficients`` follow the fit basis order, the leading entry being
     the full 1/tau^2 amplitude of the raw regulated sum (subtracted Weyl
     term added back).  The Green route makes no regulator sequence and no
-    fit, so both are empty for it.  ``kappa_max`` and ``quadrature_tol``
-    echo the resolved settings of a Green run (zero for the mode sum).
+    fit, so both are empty for it.  A Green run echoes ``quadrature_tol`` and
+    its truncation ``kappa_max`` = x_max / ell (both zero for the mode sum).
     """
 
     energy: float
@@ -188,37 +186,36 @@ def extrapolate_tau(
     return limit, [float(c) for c in coeffs], residual
 
 
-def _rotated_integrand(coupling: VertexCoupling, ell: float):
-    """kappa^2 * (subtracted trace)(i kappa) at tau = 0, in a form stable at
-    both ends of the contour.  For a delta end it is also less the vertex
-    self-energy gamma/(kappa + gamma), subtracted in closed form."""
-    if coupling.is_dirichlet or coupling.effective_gamma() == 0.0:
+def _rotated_integrand(g: float):
+    """kappa^2 * (subtracted trace)(i kappa) at tau = 0 as a function of
+    x = kappa ell, with g = gamma ell, in a form stable at both ends of the
+    contour.  For a delta end it is also less the vertex self-energy
+    gamma/(kappa + gamma), subtracted in closed form."""
+    if g == 0.0:
         # end reflection is exactly -1 (dirichlet) or +1 (single-edge kirchhoff)
 
-        def f(kappa: float) -> float:
-            if kappa <= 0.0:
+        def f(x: float) -> float:
+            if x <= 0.0:
                 return -0.5
-            # expm1 raises OverflowError past ~709, not inf; the term is < 1e-300 here
-            x = 2.0 * kappa * ell
-            if x > 700.0:
+            # expm1 raises OverflowError past ~709, not inf, and x_max is 372
+            # at quadrature_tol = 5e-324; the term is < 1e-300 here
+            if x > 350.0:
                 return 0.0
-            return -kappa * ell / math.expm1(x)
+            return -x / math.expm1(2.0 * x)
 
         return f
 
-    gamma = coupling.effective_gamma()
-
-    def f(kappa: float) -> float:
-        if kappa <= 0.0:
-            kappa = 1e-300
-        kg = kappa + gamma
-        r = (kappa - gamma) / kg
-        e2 = math.exp(-2.0 * kappa * ell)
-        # 1 - r^2 e2, grouped so every piece is a sum of same-sign terms near kappa = 0
-        den = -math.expm1(-2.0 * kappa * ell) + e2 * (4.0 * kappa * gamma) / (kg * kg)
-        # the bounce term -kappa ell r^2 e2 / den plus the vertex term less the
-        # self-energy, gamma (1 + r e2) / (kg den) - gamma / kg = 2 gamma kappa r e2 / (kg^2 den)
-        return (2.0 * gamma * kappa / (kg * kg) - kappa * ell * r) * r * e2 / den
+    def f(x: float) -> float:
+        if x <= 0.0:
+            x = 1e-300
+        xg = x + g
+        r = (x - g) / xg
+        e2 = math.exp(-2.0 * x)
+        # 1 - r^2 e2, grouped so every piece is a sum of same-sign terms near x = 0
+        den = -math.expm1(-2.0 * x) + e2 * (4.0 * x * g) / (xg * xg)
+        # the bounce term -x r^2 e2 / den plus the vertex term less the
+        # self-energy, g (1 + r e2) / (xg den) - g / xg = 2 g x r e2 / (xg^2 den)
+        return (2.0 * g * x / (xg * xg) - x * r) * r * e2 / den
 
     return f
 
@@ -228,9 +225,10 @@ def casimir_green_method(g: Graph, cfg: RegularizationConfig | None = None) -> C
 
     ``g`` must be a two-vertex compact graph (one bond, identical couplings,
     gamma >= 0).  The energy is the frozen normalization times one adaptive
-    quadrature of the subtracted trace over kappa in (0, kappa_max] at
-    tau = 0; ``estimated_error`` is the quadrature error plus a bound on the
-    truncated tail.  Reads ``quadrature_tol`` and ``kappa_max`` of ``cfg``.
+    quadrature of the subtracted trace over x = kappa ell in (0, x_max] at
+    tau = 0, divided by ell; ``estimated_error`` is the quadrature error plus
+    a bound on the truncated tail, divided by ell.  Reads ``quadrature_tol``
+    of ``cfg``.  Raises :class:`NumericalError` if either is not finite.
     """
     # imported here, not with the module: scipy.integrate takes most of a
     # CLI call's start-up, and only this route needs it
@@ -244,30 +242,21 @@ def casimir_green_method(g: Graph, cfg: RegularizationConfig | None = None) -> C
             "attractive couplings (gamma < 0) put a bound-state pole on the "
             "rotated contour; not supported"
         )
-    kappa_max = cfg.kappa_max or max(1.0, -math.log(cfg.quadrature_tol) / (2.0 * ell))
-    integral, quad_err = quad(
-        _rotated_integrand(coupling, ell),
-        0.0,
-        kappa_max,
-        epsabs=cfg.quadrature_tol,
-        epsrel=cfg.quadrature_tol,
-        limit=400,
-    )
+    tol = cfg.quadrature_tol
+    x_max = -0.5 * math.log(tol)
+    integral, quad_err = quad(_rotated_integrand(gamma * ell), 0.0, x_max, epsabs=tol, epsrel=tol, limit=400)
 
-    # truncation bound: |integrand| <= (kappa ell + 1/2) e^{-2 kappa ell} / (1 - e^{-2 kappa ell}),
-    # the 1/2 bounding the subtracted vertex term of delta ends (0 for the others)
-    x = 2.0 * kappa_max * ell
-    tail = (x + 1.0 + (gamma != 0.0)) * math.exp(-x) / (-4.0 * ell * math.expm1(-x))
+    # truncation bound: |integrand| <= (x + 1/2) e^{-2x} / (1 - e^{-2x}), the
+    # 1/2 bounding the subtracted vertex term of delta ends (0 for the others),
+    # and e^{-2 x_max} = tol
+    tail = (2.0 * x_max + 1.0 + (gamma != 0.0)) * tol / (4.0 * (1.0 - tol))
+    energy = ENERGY_PREFACTOR * integral / ell
+    estimated_error = ENERGY_PREFACTOR * (quad_err + tail) / ell
+    if not (math.isfinite(energy) and math.isfinite(estimated_error)):
+        raise NumericalError(f"Green energy {energy!r} +- {estimated_error!r} is not finite at bond length {ell!r}")
 
-    return CasimirResult(
-        energy=ENERGY_PREFACTOR * integral,
-        fit_coefficients=(),
-        per_tau_samples=(),
-        method=Method.GREEN_TRACE,
-        estimated_error=ENERGY_PREFACTOR * (quad_err + tail),
-        kappa_max=float(kappa_max),
-        quadrature_tol=float(cfg.quadrature_tol),
-    )
+    return CasimirResult(energy=energy, fit_coefficients=(), per_tau_samples=(), method=Method.GREEN_TRACE,
+                         estimated_error=estimated_error, kappa_max=x_max / ell, quadrature_tol=float(tol))
 
 
 def casimir_mode_sum(

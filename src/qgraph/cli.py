@@ -93,7 +93,7 @@ def _build_parser() -> _Parser:
 
 #: Regulator flags (as argparse destinations) that each route reads.
 _ROUTE_FLAGS = {
-    "green": ("quad_tol", "kappa_max"),
+    "green": ("quad_tol",),
     "modesum": ("tau_min", "tau_max", "tau_steps", "fit_order"),
 }
 
@@ -104,7 +104,6 @@ def _add_regularization_flags(sub) -> None:
     sub.add_argument("--tau-max", type=_finite_float)
     sub.add_argument("--tau-steps", type=int)
     sub.add_argument("--quad-tol", type=_finite_float)
-    sub.add_argument("--kappa-max", type=_finite_float)
     sub.add_argument("--fit-order", type=int)
 
 
@@ -200,8 +199,8 @@ def _method_setup(method: str, args) -> tuple[RegularizationConfig, dict]:
     """Resolved settings of one route and the manifest parameters echoing
     the ones it reads."""
     if method == "green":
-        cfg = RegularizationConfig(**_given(quadrature_tol=args.quad_tol, kappa_max=args.kappa_max))
-        return cfg, {"quad_tol": cfg.quadrature_tol, "kappa_max": cfg.kappa_max}
+        cfg = RegularizationConfig(**_given(quadrature_tol=args.quad_tol))
+        return cfg, {"quad_tol": cfg.quadrature_tol}
     tau_min, tau_max, steps = _tau_window(args)
     cfg = RegularizationConfig(
         tau_values=geometric_taus(tau_min, tau_max, steps), **_given(fit_order=args.fit_order)

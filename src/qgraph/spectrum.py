@@ -221,6 +221,12 @@ _SHIFT = 1e-13
 _RESIDUAL_BYTES = 8 * 2**20
 
 
+#: Cap on the Weyl estimate L k_max / pi + V + B that ``find_eigenvalues``
+#: accepts.  It bounds the search's memory, about 560 bytes per root on the
+#: unit interval (0.6 GB at the cap) and more with larger vertex blocks, and
+#: that of ``_special_points``, about 2 L k_max / pi points of 48 bytes.
+_MAX_ROOTS = 10**6
+
 #: Border coordinates whose diagonal has at least this modulus are eliminated
 #: into the vertex block (module docstring); above 1 none are, which gives the
 #: bordered form.
@@ -360,13 +366,15 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
     false-position point of the module docstring, and any other is bisected
     on the full count; a det-sign point with det exactly 0 moves by a quarter
     of the stopping width towards the middle.
-    All stop at width 1e-14 max(1, k_max); final intervals that share an end
-    are one root, at the midpoint of their union.  ``tol`` bounds the accepted
+    All stop at width 1e-14 k_max, so the same graph in other length units
+    takes the same steps; final intervals that share an end are one root, at
+    the midpoint of their union.  ``tol`` bounds the accepted
     residual of each root of multiplicity m: ||(I - S D) X||_2 for the
     orthonormal n x m block X of two steps of shifted inverse iteration, an
     upper bound on the m-th smallest singular value of I - S D, computed in
     chunks of at most ``_RESIDUAL_BYTES`` of matrices (module docstring).
-    Raises :class:`NumericalError` if a residual exceeds ``tol``, if the
+    Raises :class:`InputError` if L k_max / pi + V + B exceeds ``_MAX_ROOTS``,
+    and :class:`NumericalError` if a residual exceeds ``tol``, if the
     multiplicities do not add up to the count across (0, k_max] or to the
     full count just beside each root, or if the count leaves the Weyl bound
     |N - L k_max / pi| <= V + B.
@@ -376,12 +384,15 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
     if not tol > 0:
         raise InputError("tol must be positive")
     sm = _SecularMatrix(g)
+    weyl, audit_bound = weyl_count(g, k_max), len(g.vertices) + len(g.bonds)
+    if weyl + audit_bound > _MAX_ROOTS:
+        raise InputError(f"k_max = {k_max!r} asks for about {weyl:.3g} eigenvalues, above the cap of {_MAX_ROOTS:.0e}")
     counter = _MatchingCount(g)
 
     # below k_lo sit only the zero mode and bound states, which are excluded
     k_lo = 1e-6 * math.pi / total_length(g)
-    k_top = k_max * (1.0 + 1e-12) + 1e-12
-    width = 1e-14 * max(1.0, k_max)
+    k_top = k_max * (1.0 + 1e-12)
+    width = 1e-14 * k_max
     eps = 0.25 * width
     special, switch = _special_points(counter.lengths, k_top, width)
     # columns are intervals (lo, hi]; the rows hold k, N(k), sign det K and
@@ -448,7 +459,7 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
     # the parity cannot see a count that dips inside a simple root's interval,
     # so the full count must step by each multiplicity just beside each root
     gaps = np.diff(np.concatenate([[k_lo], roots, [k_top]]))
-    offset = np.minimum(1e-9 * max(1.0, k_max), 0.5 * np.minimum(gaps[:-1], gaps[1:]))
+    offset = np.minimum(1e-9 * k_max, 0.5 * np.minimum(gaps[:-1], gaps[1:]))
     beside = np.concatenate([roots - offset, roots + offset])
     expected = n_lo + np.concatenate([np.cumsum(mults) - mults, np.cumsum(mults)])
     misses = np.count_nonzero(counter.count(beside) != expected)
@@ -457,8 +468,6 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
             f"eigenvalue count is not monotone: multiplicities add up to {mults.sum()}, "
             f"N(k_max) - N(k_lo) = {n_top - n_lo}, and {misses} counts beside the roots disagree"
         )
-    weyl = weyl_count(g, k_max)
-    audit_bound = len(g.vertices) + len(g.bonds)
     if abs(mults.sum() - weyl) > audit_bound:
         raise NumericalError(
             f"Weyl audit failed: found {mults.sum()} eigenvalues vs expected "

@@ -9,6 +9,7 @@ from qgraph import (
     ExtrapolationError,
     InsufficientSpectrumError,
     Method,
+    NumericalError,
     RegularizationConfig,
     UnsupportedTopologyError,
 )
@@ -51,11 +52,18 @@ class TestExtrapolateTau:
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("field", ["quadrature_tol", "kappa_max", "tau_values"])
+@pytest.mark.parametrize("field", ["quadrature_tol", "tau_values"])
 def test_config_rejects_nonpositive_and_nonfinite(field, value):
     kwargs = {field: (0.2, 0.1, value) if field == "tau_values" else value}
     with pytest.raises(ValueError, match=field):
         RegularizationConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [1.0, 2.0])
+def test_config_rejects_quadrature_tol_of_one_or_more(value):
+    # the truncation x_max = -ln(quadrature_tol)/2 would be 0 or negative
+    with pytest.raises(ValueError, match="quadrature_tol"):
+        RegularizationConfig(quadrature_tol=value)
 
 
 def _subtracted_trace(coupling, ell, kappa):
@@ -76,9 +84,9 @@ class TestCasimirIntegrand:
 
         ell = 1.0
         bound_constant = 1.1 * ell
-        f = _rotated_integrand(qg.DIRICHLET, ell)
+        f = _rotated_integrand(0.0)
         for kappa in np.linspace(5.0, 50.0, 46):
-            value = f(kappa) / kappa**2
+            value = f(kappa * ell) / kappa**2
             assert abs(value) <= bound_constant * math.exp(-2 * kappa * ell) / kappa
         # the generic subtracted-trace route obeys the same bound where double
         # precision can still resolve it (the trace is O(1/kappa) before the
@@ -90,16 +98,17 @@ class TestCasimirIntegrand:
     @pytest.mark.parametrize("coupling", [qg.DIRICHLET, qg.KIRCHHOFF, qg.delta(0.8)], ids=str)
     def test_engine_integrand_matches_trace_route(self, coupling):
         # dual route inside the green engine: the stable closed form must
-        # agree with kappa^2 times the generic subtracted trace
+        # agree with kappa^2 times the generic subtracted trace, evaluated at
+        # x = kappa ell
         from qgraph.casimir import _rotated_integrand
 
         # (a delta end also drops its vertex self-energy gamma/(kappa + gamma))
         ell = 1.3
-        f = _rotated_integrand(coupling, ell)
         gamma = 0.0 if coupling.is_dirichlet else coupling.effective_gamma()
+        f = _rotated_integrand(gamma * ell)
         for kappa in (0.3, 1.0, 2.5, 7.0):
             generic = _subtracted_trace(coupling, ell, kappa)
-            assert f(kappa) == pytest.approx(generic.real - gamma / (kappa + gamma), rel=1e-10)
+            assert f(kappa * ell) == pytest.approx(generic.real - gamma / (kappa + gamma), rel=1e-10)
             assert generic.imag == pytest.approx(0.0, abs=1e-12)
 
 
@@ -216,14 +225,14 @@ class TestGreenMethod:
         assert abs(res.energy - log_det) <= max(res.estimated_error, 1e-9)
 
     @pytest.mark.parametrize("gamma", [0.5, 3.0])
-    def test_delta_energy_does_not_grow_with_kappa_max(self, gamma):
-        # with the vertex self-energy left in, the energy grew by
-        # (gamma/pi) ln((kappa_max + gamma)/gamma) over this range
+    def test_delta_energy_does_not_grow_with_truncation(self, gamma):
+        # x_max = -ln(quadrature_tol)/2 runs from 9.2 to 13.8; with the vertex
+        # self-energy left in, the energy grew by (gamma/pi) ln((x + gamma)/gamma)
+        # between the truncations, 0.06 at gamma = 0.5
         g = qg.Graph(((0, qg.delta(gamma)), (1, qg.delta(gamma))), (qg.Bond(0, 1, 1.0),))
-        energies = [
-            qg.casimir_green_method(g, RegularizationConfig(kappa_max=k)).energy for k in (40.0, 200.0, 1000.0)
-        ]
-        assert max(energies) - min(energies) <= 1e-10
+        results = [qg.casimir_green_method(g, RegularizationConfig(quadrature_tol=t)) for t in (1e-8, 1e-10, 1e-12)]
+        energies = [r.energy for r in results]
+        assert max(energies) - min(energies) <= results[0].estimated_error
 
     def test_one_quadrature_and_no_tau_fit(self, monkeypatch):
         import scipy.integrate
@@ -246,10 +255,25 @@ class TestGreenMethod:
 
     @pytest.mark.parametrize("coupling", [qg.DIRICHLET, qg.KIRCHHOFF], ids=["dirichlet", "kirchhoff"])
     def test_long_bond_within_estimated_error(self, coupling):
-        # 2 kappa ell passes expm1's overflow point (about 709) inside (0, kappa_max]
         ell = 400.0
         res = qg.casimir_green_method(qg.Graph(((0, coupling), (1, coupling)), (qg.Bond(0, 1, ell),)))
         assert abs(res.energy + math.pi / (24 * ell)) <= res.estimated_error
+
+    @pytest.mark.parametrize("coupling", [qg.DIRICHLET, qg.KIRCHHOFF, qg.delta(0.7)], ids=str)
+    def test_smallest_quadrature_tol_stays_clear_of_expm1_overflow(self, coupling):
+        # x_max = 372 at the smallest double, and 2x passes expm1's overflow
+        # point (about 709) inside (0, x_max]; quad warns that it cannot reach
+        # that tolerance, which is not the point here
+        import warnings
+
+        from scipy.integrate import IntegrationWarning
+
+        g = qg.Graph(((0, coupling), (1, coupling)), (qg.Bond(0, 1, 1.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            res = qg.casimir_green_method(g, RegularizationConfig(quadrature_tol=5e-324))
+        assert res.kappa_max == pytest.approx(372.22, abs=0.01)
+        assert abs(res.energy - qg.casimir_green_method(g).energy) <= 1e-9
 
     def test_neumann_ends_match_dirichlet_energy(self):
         # both spectra are {n pi / ell}, so the energies must agree
@@ -257,21 +281,40 @@ class TestGreenMethod:
         res = qg.casimir_green_method(g)
         assert res.energy == pytest.approx(-math.pi / 24, rel=1e-6)
 
-    def test_truncation_halving_within_estimated_error(self):
-        base = qg.casimir_green_method(dirichlet_interval(1.0))
-        halved = qg.casimir_green_method(
-            dirichlet_interval(1.0),
-            RegularizationConfig(kappa_max=base.kappa_max / 2),
-        )
-        assert abs(halved.energy - base.energy) <= halved.estimated_error
+    @pytest.mark.parametrize("coupling", [qg.DIRICHLET, qg.delta(0.5)], ids=["dirichlet", "delta"])
+    def test_looser_truncation_within_estimated_error(self, coupling):
+        # tol 1e-8 truncates at x_max = 9.2 and tol 1e-12 at 13.8
+        g = qg.Graph(((0, coupling), (1, coupling)), (qg.Bond(0, 1, 1.0),))
+        loose = qg.casimir_green_method(g, RegularizationConfig(quadrature_tol=1e-8))
+        tight = qg.casimir_green_method(g, RegularizationConfig(quadrature_tol=1e-12))
+        assert loose.kappa_max < tight.kappa_max
+        assert abs(loose.energy - tight.energy) <= loose.estimated_error
 
-    def test_truncation_increase_within_estimated_error(self):
-        base = qg.casimir_green_method(dirichlet_interval(1.0))
-        bigger = qg.casimir_green_method(
-            dirichlet_interval(1.0),
-            RegularizationConfig(kappa_max=2 * base.kappa_max),
-        )
-        assert abs(bigger.energy - base.energy) <= base.estimated_error
+    LENGTHS = (1e-300, 1e-5, 1.0, 1e4, 1e6, 1e300)
+
+    @pytest.mark.parametrize("coupling", [qg.DIRICHLET, qg.KIRCHHOFF], ids=["dirichlet", "kirchhoff"])
+    def test_energy_times_length_is_scale_free(self, coupling):
+        # E ell is the same number at every length, and within its error of -pi/24
+        base = qg.casimir_green_method(qg.Graph(((0, coupling), (1, coupling)), (qg.Bond(0, 1, 1.0),)))
+        for ell in self.LENGTHS:
+            res = qg.casimir_green_method(qg.Graph(((0, coupling), (1, coupling)), (qg.Bond(0, 1, ell),)))
+            assert res.energy * ell == pytest.approx(base.energy, rel=1e-15, abs=0)
+            assert abs(res.energy + math.pi / (24 * ell)) <= res.estimated_error
+            assert res.kappa_max * ell == pytest.approx(base.kappa_max, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("gamma_ell", [0.5, 3.0])
+    def test_delta_energy_times_length_is_scale_free(self, gamma_ell):
+        energies = []
+        for ell in self.LENGTHS:
+            c = qg.delta(gamma_ell / ell)
+            energies.append(qg.casimir_green_method(qg.Graph(((0, c), (1, c)), (qg.Bond(0, 1, ell),))).energy * ell)
+        assert energies == pytest.approx([energies[2]] * len(energies), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("ell", [1e-310, 5e-324])
+    def test_energy_that_overflows_raises(self, ell):
+        # E = -pi/(24 ell) is beyond the largest double
+        with pytest.raises(NumericalError, match="not finite"):
+            qg.casimir_green_method(dirichlet_interval(ell))
 
     def test_frozen_prefactor(self):
         assert ENERGY_PREFACTOR == 1.0 / math.pi

@@ -53,6 +53,17 @@ def test_find_eigenvalues_rejects_nonpositive_and_nonfinite(interval_graph, k_ma
         qg.find_eigenvalues(interval_graph, k_max, tol)
 
 
+@pytest.mark.parametrize("k_max", [1e300, 1e12])
+def test_unbounded_k_max_is_refused_before_any_work(interval_graph, k_max):
+    # the special points alone would be about 2 k_max / pi numbers
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(qg.InputError, match="cap"):
+        qg.find_eigenvalues(interval_graph, k_max)
+    assert time.perf_counter() - start < 1.0
+
+
 class TestFindEigenvalues:
     def test_interval(self, interval_graph):
         res = qg.find_eigenvalues(interval_graph, 10.0)
@@ -477,7 +488,7 @@ def test_useless_det_magnitudes_leave_the_roots_and_bound_the_levels(monkeypatch
     res = qg.find_eigenvalues(g, k_max)
     assert len(res.eigenvalues) == len(exact.eigenvalues)
     assert np.max(np.abs(np.subtract(res.eigenvalues, exact.eigenvalues))) <= width
-    k_lo, k_top = 1e-6 * math.pi / qg.total_length(g), k_max * (1.0 + 1e-12) + 1e-12
+    k_lo, k_top = 1e-6 * math.pi / qg.total_length(g), k_max * (1.0 + 1e-12)
     assert res.diagnostics["bisection_levels"] <= 3 * math.ceil(math.log2((k_top - k_lo) / width))
 
 
@@ -493,6 +504,23 @@ def test_dirichlet_kirchhoff_roots_sit_where_the_form_jumps(ell, k_max):
     expected = (np.arange(int(k_max * ell / math.pi + 0.5)) + 0.5) * math.pi / ell
     res = qg.find_eigenvalues(_dirichlet_kirchhoff_interval(ell), k_max)
     assert res.eigenvalues == pytest.approx(expected.tolist(), abs=1e-12, rel=0)
+
+
+@pytest.mark.parametrize("end", [qg.DIRICHLET, qg.KIRCHHOFF], ids=["dirichlet", "kirchhoff"])
+def test_search_is_scale_free(end):
+    # the same interval in other length units, with k_max = 100 / ell, takes
+    # the same steps to the same roots; an absolute stopping width of 1e-14
+    # failed the residual at ell = 1e6, and np.arange raised at ell = 1e100
+    def search(ell):
+        return qg.find_eigenvalues(qg.Graph(((0, end), (1, qg.DIRICHLET)), (qg.Bond(0, 1, ell),)), 100.0 / ell)
+
+    base = search(1.0)
+    for ell in (1e-300, 1e-5, 1e4, 1e6, 1e100, 1e300):
+        res = search(ell)
+        assert res.count == base.count
+        assert res.diagnostics["bisection_levels"] == base.diagnostics["bisection_levels"]
+        assert res.diagnostics["worst_residual"] <= 1e-12
+        assert np.multiply(res.eigenvalues, ell) == pytest.approx(base.eigenvalues, rel=1e-13, abs=0)
 
 
 def test_roots_on_border_switches_take_few_det_sign_points():
