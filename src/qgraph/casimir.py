@@ -27,10 +27,13 @@ Green-trace route
 Mode-sum route (independent oracle)
     E(tau) = (1/2) sum_n k_n exp(-k_n tau) - L_total/(2 pi tau^2), followed by
     a tau -> 0 extrapolation (:func:`extrapolate_tau`) on an even-power
-    basis.  The subtracted Weyl term is added back into the reported 1/tau^2
-    fit amplitude so the divergence coefficient can be checked against
-    L_total/(2 pi).  :func:`geometric_taus` makes every tau window, and
-    ``DEFAULT_TAU_WINDOW`` is the default of the library and the CLI alike.
+    basis.  That expansion converges only for tau inside the shortest
+    periodic orbit 2 l_min (the trace formula: Berkolaiko & Kuchment,
+    Introduction to Quantum Graphs, AMS 2013), so the window is fixed in
+    units of u = 2 l_min and the fit runs on k u and L/u: the same graph in
+    other length units takes the same steps and gives the same E u.  The
+    subtracted Weyl term is added back into the reported 1/tau^2 fit
+    amplitude so the divergence coefficient can be checked against L/(2 pi u).
 """
 
 from __future__ import annotations
@@ -43,14 +46,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ExtrapolationError,
-    InputError,
-    InsufficientSpectrumError,
-    NumericalError,
-    UnsupportedTopologyError,
-)
-from .graph import Graph, two_vertex_form
+from .errors import ExtrapolationError, InputError, NumericalError, UnsupportedTopologyError
+from .graph import Graph, total_length, two_vertex_form
+from .spectrum import find_eigenvalues
 
 #: Frozen overall normalization of the Green-trace route (see module docstring).
 ENERGY_PREFACTOR = 1.0 / math.pi
@@ -64,8 +62,12 @@ class Method(enum.Enum):
     MODE_SUM = "ModeSum"
 
 
-#: Mode-sum regulator window (tau_min, tau_max, steps): 0.2 down by 2^-0.5, 8 steps.
-DEFAULT_TAU_WINDOW = (0.2 * 2.0**-3.5, 0.2, 8)
+#: Mode-sum regulator window in units of u = 2 l_min: 0.2 down by 2^-0.5, 8 steps.
+_TAU_WINDOW = tuple(0.2 * (2.0**-0.5) ** j for j in range(8))
+
+#: The mode sum's spectrum reaches k_max = _CUTOFF_MARGIN / tau_min: the
+#: missing tail is below exp(-34) of the smallest regulator's sum.
+_CUTOFF_MARGIN = 34.0
 
 
 def _require_count(name: str, value, minimum: int) -> None:
@@ -76,45 +78,21 @@ def _require_count(name: str, value, minimum: int) -> None:
         raise InputError(f"{name} must be >= {minimum}")
 
 
-def geometric_taus(tau_min: float, tau_max: float, steps: int) -> tuple[float, ...]:
-    """Geometric regulator sequence from tau_max down to tau_min: the one tau
-    generator, so an echoed (tau_min, tau_max, steps) reproduces it bit for bit."""
-    _require_count("tau_steps", steps, 3)
-    if not 0 < tau_min < tau_max < math.inf:
-        raise InputError("tau_min and tau_max must satisfy 0 < tau_min < tau_max < inf")
-    ratio = (tau_min / tau_max) ** (1.0 / (steps - 1))
-    return tuple(tau_max * ratio**j for j in range(steps))
-
-
 @dataclass(frozen=True)
 class RegularizationConfig:
     """Settings of the two energy routes, and the one home of their defaults.
 
-    The mode sum reads only ``tau_values`` and ``fit_order``; the Green
-    route reads only ``quadrature_tol`` in (0, 1), the tolerance of its
-    integral in x = kappa ell, which also sets its truncation (module
-    docstring).  ``tau_values``, the only regulator field, must be strictly
-    decreasing positive values, at least three of them; the default is
-    ``geometric_taus(*DEFAULT_TAU_WINDOW)``, 0.2 down by factors of 2^-0.5
-    in 8 steps.  A field out of range raises :class:`InputError`.
+    The mode sum reads only ``fit_order``, the number of even powers past
+    1/tau^2 in its fit; its regulator window follows from the graph (module
+    docstring).  The Green route reads only ``quadrature_tol`` in (0, 1), the
+    tolerance of its integral in x = kappa ell, which also sets its
+    truncation.  A field out of range raises :class:`InputError`.
     """
 
-    tau_values: tuple[float, ...] = geometric_taus(*DEFAULT_TAU_WINDOW)
     quadrature_tol: float = 1e-10
     fit_order: int = 5
 
     def __post_init__(self):
-        try:
-            taus = tuple(float(t) for t in self.tau_values)
-        except (TypeError, ValueError) as err:
-            raise InputError(f"tau_values must be a sequence of numbers, got {self.tau_values!r}") from err
-        if len(taus) < 3:
-            raise InputError("tau_values needs at least 3 entries")
-        if any(not 0 < t < math.inf for t in taus):
-            raise InputError("tau_values must be positive and finite")
-        if any(b >= a for a, b in zip(taus, taus[1:])):
-            raise InputError("tau_values must be strictly decreasing")
-        object.__setattr__(self, "tau_values", taus)
         if not 0 < self.quadrature_tol < 1:
             raise InputError("quadrature_tol must lie in (0, 1)")
         _require_count("fit_order", self.fit_order, 1)
@@ -127,9 +105,10 @@ class CasimirResult:
     For the mode sum, ``per_tau_samples`` are the regulated samples and
     ``fit_coefficients`` follow the fit basis order, the leading entry being
     the full 1/tau^2 amplitude of the raw regulated sum (subtracted Weyl
-    term added back).  The Green route makes no regulator sequence and no
-    fit, so both are empty for it.  A Green run echoes ``quadrature_tol`` and
-    its truncation ``kappa_max`` = x_max / ell (both zero for the mode sum).
+    term added back), both in units of u = 2 l_min: tau and the samples'
+    energies are tau/u and E(tau) u, and the leading coefficient is
+    L/(2 pi u).  The Green route makes no regulator sequence and no fit, so
+    both are empty for it.
     """
 
     energy: float
@@ -137,8 +116,6 @@ class CasimirResult:
     per_tau_samples: tuple[tuple[float, float], ...]
     method: Method
     estimated_error: float
-    kappa_max: float = 0.0
-    quadrature_tol: float = 0.0
 
 
 def extrapolate_tau(
@@ -195,8 +172,6 @@ def _rotated_integrand(g: float):
         # end reflection is exactly -1 (dirichlet) or +1 (single-edge kirchhoff)
 
         def f(x: float) -> float:
-            if x <= 0.0:
-                return -0.5
             # expm1 raises OverflowError past ~709, not inf, and x_max is 372
             # at quadrature_tol = 5e-324; the term is < 1e-300 here
             if x > 350.0:
@@ -206,8 +181,6 @@ def _rotated_integrand(g: float):
         return f
 
     def f(x: float) -> float:
-        if x <= 0.0:
-            x = 1e-300
         xg = x + g
         r = (x - g) / xg
         e2 = math.exp(-2.0 * x)
@@ -256,55 +229,48 @@ def casimir_green_method(g: Graph, cfg: RegularizationConfig | None = None) -> C
         raise NumericalError(f"Green energy {energy!r} +- {estimated_error!r} is not finite at bond length {ell!r}")
 
     return CasimirResult(energy=energy, fit_coefficients=(), per_tau_samples=(), method=Method.GREEN_TRACE,
-                         estimated_error=estimated_error, kappa_max=x_max / ell, quadrature_tol=float(tol))
+                         estimated_error=estimated_error)
 
 
-def casimir_mode_sum(
-    eigenvalues: Sequence[float], total_len: float, cfg: RegularizationConfig | None = None
-) -> CasimirResult:
+def casimir_mode_sum(g: Graph, cfg: RegularizationConfig | None = None) -> CasimirResult:
     """Zero-point energy from the cutoff-regulated eigenvalue half-sum.
 
-    For each tau, E(tau) = (1/2) sum k_n exp(-k_n tau) - L/(2 pi tau^2); the
-    spectrum must reach k_max with k_max * min(tau) >= 30 so the truncated
-    tail is negligible at the smallest regulator.
+    ``g`` must be compact with at least one bond.  With u = 2 l_min (l_min
+    the shortest bond) and the fixed window tau/u = 0.2 (2^-0.5)^j, j = 0..7,
+    the spectrum is found up to k_max = 34 / tau_min, about 306 L / l_min
+    roots, and E(tau) = (1/2) sum k_n exp(-k_n tau) - L/(2 pi tau^2) is fitted
+    in k u and L / u; the limit and ``estimated_error`` (fit residual, the
+    fit's last term at the largest tau and a bound on the tail beyond k_max)
+    are divided by u once.  Reads ``fit_order`` of ``cfg``.  Raises
+    :class:`UnsupportedTopologyError` for a graph with leads or no bonds,
+    :class:`ExtrapolationError` when the fit fails (a delta vertex), and
+    whatever :func:`find_eigenvalues` raises (:class:`InputError` above its
+    root cap).
     """
     cfg = cfg or RegularizationConfig()
-    taus = cfg.tau_values
-    if not 0 < total_len < math.inf:
-        raise InputError("total_len must be positive and finite")
-    eigs = np.asarray(sorted(float(k) for k in eigenvalues))
-    if len(eigs) == 0:
-        raise InsufficientSpectrumError("empty eigenvalue list")
-    if not np.all((eigs > 0) & (eigs < math.inf)):
-        raise InsufficientSpectrumError("eigenvalues must be positive and finite")
-    tau_min = min(taus)
-    k_top = float(eigs[-1])
-    if k_top * tau_min < 30.0:
-        raise InsufficientSpectrumError(
-            f"spectrum reaches k = {k_top:.6g} but the smallest regulator "
-            f"{tau_min:.6g} needs k_max * tau_min >= 30 (got {k_top * tau_min:.3g})"
-        )
+    if not g.is_compact or not g.bonds:
+        raise UnsupportedTopologyError("the mode sum requires a compact graph (no leads) with bonds")
+    unit = 2.0 * min(b.length for b in g.bonds)
+    taus, tau_min = _TAU_WINDOW, _TAU_WINDOW[-1]
+    spectrum = find_eigenvalues(g, _CUTOFF_MARGIN / (tau_min * unit))
+    eigs, k_top = np.asarray(spectrum.eigenvalues) * unit, spectrum.k_max * unit
 
-    weyl_amplitude = total_len / (2.0 * math.pi)
-    samples = []
-    for tau in taus:
-        raw = 0.5 * math.fsum(eigs * np.exp(-eigs * tau))
-        samples.append((tau, raw - weyl_amplitude / (tau * tau)))
-    samples = tuple(samples)
-
+    weyl_amplitude = total_length(g) / unit / (2.0 * math.pi)
+    samples = tuple(
+        (tau, 0.5 * math.fsum(eigs * np.exp(-eigs * tau)) - weyl_amplitude / (tau * tau)) for tau in taus
+    )
     limit, coeffs, residual = extrapolate_tau(samples, cfg.fit_order)
 
     # report the full 1/tau^2 amplitude of the raw sum, not the post-subtraction leftover
     coeffs = [coeffs[0] + weyl_amplitude] + coeffs[1:]
 
     tail = weyl_amplitude * math.exp(-k_top * tau_min) * (k_top / tau_min + 1.0 / tau_min**2)
-    fit_err = residual + abs(coeffs[-1]) * max(taus) ** (2 * (cfg.fit_order - 1))
-    estimated_error = tail + fit_err
+    fit_err = residual + abs(coeffs[-1]) * taus[0] ** (2 * (cfg.fit_order - 1))
 
     return CasimirResult(
-        energy=limit,
+        energy=limit / unit,
         fit_coefficients=tuple(coeffs),
         per_tau_samples=samples,
         method=Method.MODE_SUM,
-        estimated_error=float(estimated_error),
+        estimated_error=(tail + fit_err) / unit,
     )

@@ -18,23 +18,15 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .casimir import (
-    DEFAULT_TAU_WINDOW,
-    CasimirResult,
-    RegularizationConfig,
-    casimir_green_method,
-    casimir_mode_sum,
-    geometric_taus,
-)
+from .casimir import CasimirResult, RegularizationConfig, casimir_green_method, casimir_mode_sum
 from .errors import InputError, NumericalError, QGraphError, UnsupportedTopologyError
-from .graph import Graph, parse_graph, total_length, two_vertex_form
+from .graph import Graph, parse_graph, two_vertex_form
 from .greens import star_green, two_vertex_green
 from .scattering import build_vertex_smatrix, cavity_amplitudes
 from .spectrum import find_eigenvalues
 from .util import complex_to_json, dumps_json, fmt_float, worker_count
 
 _SPECTRUM_TOL = 1e-10
-_TAIL_MARGIN = 34.0  # k_max * tau_min for mode-sum spectra; precondition is 30
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,15 +86,12 @@ def _build_parser() -> _Parser:
 #: Regulator flags (as argparse destinations) that each route reads.
 _ROUTE_FLAGS = {
     "green": ("quad_tol",),
-    "modesum": ("tau_min", "tau_max", "tau_steps", "fit_order"),
+    "modesum": ("fit_order",),
 }
 
 
 def _add_regularization_flags(sub) -> None:
     # no defaults here: an absent flag leaves RegularizationConfig's default
-    sub.add_argument("--tau-min", type=_finite_float)
-    sub.add_argument("--tau-max", type=_finite_float)
-    sub.add_argument("--tau-steps", type=int)
     sub.add_argument("--quad-tol", type=_finite_float)
     sub.add_argument("--fit-order", type=int)
 
@@ -113,15 +102,6 @@ def _refuse_unread_flags(args, methods: list[str]) -> None:
         given = [dest for dest in dests if getattr(args, dest) is not None]
         if given and route not in methods:
             raise InputError(f"--{given[0].replace('_', '-')} applies to --method {route} only")
-
-
-def _tau_window(args) -> tuple[float, float, int]:
-    given = [args.tau_min is not None, args.tau_max is not None, args.tau_steps is not None]
-    if any(given) and not all(given):
-        raise InputError("--tau-min, --tau-max and --tau-steps must be given together")
-    if all(given):
-        return args.tau_min, args.tau_max, args.tau_steps
-    return DEFAULT_TAU_WINDOW
 
 
 def _load_graph(path: str) -> Graph:
@@ -185,8 +165,6 @@ def _casimir_result_json(res: CasimirResult) -> dict:
         "estimated_error": res.estimated_error,
         "fit_coefficients": res.fit_coefficients,
         "per_tau_samples": res.per_tau_samples,
-        "kappa_max": res.kappa_max,
-        "quadrature_tol": res.quadrature_tol,
     }
 
 
@@ -201,29 +179,14 @@ def _method_setup(method: str, args) -> tuple[RegularizationConfig, dict]:
     if method == "green":
         cfg = RegularizationConfig(**_given(quadrature_tol=args.quad_tol))
         return cfg, {"quad_tol": cfg.quadrature_tol}
-    tau_min, tau_max, steps = _tau_window(args)
-    cfg = RegularizationConfig(
-        tau_values=geometric_taus(tau_min, tau_max, steps), **_given(fit_order=args.fit_order)
-    )
-    spectrum_k_max = _TAIL_MARGIN / cfg.tau_values[-1]
-    if spectrum_k_max == math.inf:  # checked once, not on every sweep row
-        raise InputError(f"--tau-min is too small: the cutoff {_TAIL_MARGIN:g}/tau-min overflows")
-    params = {
-        "tau_min": tau_min,
-        "tau_max": tau_max,
-        "tau_steps": steps,
-        "fit_order": cfg.fit_order,
-        "spectrum_k_max": spectrum_k_max,
-        "spectrum_tol": _SPECTRUM_TOL,
-    }
-    return cfg, params
+    cfg = RegularizationConfig(**_given(fit_order=args.fit_order))
+    return cfg, {"fit_order": cfg.fit_order}
 
 
-def _run_method(g: Graph, method: str, cfg: RegularizationConfig, params: dict) -> CasimirResult:
-    if method == "green":
-        return casimir_green_method(g, cfg)
-    spectrum = find_eigenvalues(g, params["spectrum_k_max"], _SPECTRUM_TOL)
-    return casimir_mode_sum(spectrum.eigenvalues, total_length(g), cfg)
+def _route(method: str):
+    # looked up at each call, not stored in a table at import, so a wrapper
+    # set on this module's name (a profiler's, say) is the one that runs
+    return casimir_green_method if method == "green" else casimir_mode_sum
 
 
 def _cmd_casimir(args) -> int:
@@ -231,7 +194,7 @@ def _cmd_casimir(args) -> int:
     _refuse_unread_flags(args, methods)
     g = _load_graph(args.graph)
     setups = {m: _method_setup(m, args) for m in methods}
-    results = [_run_method(g, m, *setups[m]) for m in methods]
+    results = [_route(m)(g, setups[m][0]) for m in methods]
     params: dict = {"method": args.method}
     if args.method == "both":
         for m in methods:
@@ -262,11 +225,12 @@ def _cmd_sweep(args) -> int:
     scales = [args.scale_from + span * i / (args.steps - 1) for i in range(args.steps)]
 
     cfg, method_params = _method_setup(args.method, args)
+    route = _route(args.method)
 
     rows = []
     for scale in scales:
         try:
-            res = _run_method(g.scaled(scale), args.method, cfg, method_params)
+            res = route(g.scaled(scale), cfg)
             rows.append((scale, res.energy, res.estimated_error, ""))
         except QGraphError as exc:
             rows.append((scale, float("nan"), float("nan"), str(exc)))

@@ -43,10 +43,6 @@ class ResonantBondError(NumericalError):
     """k is a Dirichlet eigenvalue of the bond (sin kL vanishes)."""
 
 
-class InsufficientSpectrumError(NumericalError):
-    """The eigenvalue list is too short for the requested regulator window."""
-
-
 class ExtrapolationError(NumericalError):
     """The regulator extrapolation failed; carries the per-tau samples."""
 

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 import qgraph as qg
@@ -22,16 +20,3 @@ def star3_graph():
 
 def dirichlet_interval(ell: float) -> qg.Graph:
     return qg.Graph(((0, qg.DIRICHLET), (1, qg.DIRICHLET)), (qg.Bond(0, 1, ell),))
-
-
-def interval_mode_sum_config() -> qg.RegularizationConfig:
-    """Default-window config used for the tight interval benchmarks."""
-    return qg.RegularizationConfig(tau_values=qg.geometric_taus(*qg.DEFAULT_TAU_WINDOW), fit_order=5)
-
-
-def analytic_interval_spectrum(ell: float, cfg: qg.RegularizationConfig) -> list[float]:
-    """Dirichlet spectrum reaching k_max * tau_min >= 34 for the given window."""
-    tau_min = min(cfg.tau_values)
-    k_max = 34.0 / tau_min
-    n_max = int(math.ceil(k_max * ell / math.pi)) + 1
-    return qg.dirichlet_eigenvalues(ell, n_max)

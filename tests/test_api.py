@@ -23,30 +23,22 @@ REFUSED_ARGUMENTS = {
     "secular_function-k-inf": lambda: qg.secular_function(_INTERVAL, math.inf),
     "config-quadrature_tol": lambda: qg.RegularizationConfig(quadrature_tol=0),
     "config-fit_order": lambda: qg.RegularizationConfig(fit_order=0),
-    "config-tau_values-none": lambda: qg.RegularizationConfig(tau_values=None),
-    "config-tau_values-number": lambda: qg.RegularizationConfig(tau_values=0.2),
-    "config-tau_values-strings": lambda: qg.RegularizationConfig(tau_values=("a", "b", "c")),
     "config-fit_order-float": lambda: qg.RegularizationConfig(fit_order=5.0),
     "config-fit_order-bool": lambda: qg.RegularizationConfig(fit_order=True),
     "extrapolate_tau-fit_order": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], 0),
     "extrapolate_tau-fit_order-float": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], 1.5),
     "extrapolate_tau-fit_order-bool": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], True),
-    "geometric_taus-steps": lambda: qg.geometric_taus(0.05, 0.2, 2),
-    "geometric_taus-steps-float": lambda: qg.geometric_taus(0.05, 0.2, 8.0),
-    "geometric_taus-steps-bool": lambda: qg.geometric_taus(0.05, 0.2, True),
-    "geometric_taus-order": lambda: qg.geometric_taus(0.2, 0.05, 8),
-    "geometric_taus-tau_min": lambda: qg.geometric_taus(0.0, 0.2, 8),
-    "geometric_taus-tau_min-nan": lambda: qg.geometric_taus(math.nan, 0.2, 8),
-    "geometric_taus-tau_max-inf": lambda: qg.geometric_taus(0.05, math.inf, 8),
     "scaled": lambda: _INTERVAL.scaled(0.0),
     "scaled-nan": lambda: _INTERVAL.scaled(math.nan),
     "scaled-inf": lambda: _INTERVAL.scaled(math.inf),
-    "casimir_mode_sum-total_len": lambda: qg.casimir_mode_sum([1.0], 0.0),
-    "casimir_mode_sum-total_len-nan": lambda: qg.casimir_mode_sum([1.0], math.nan),
-    "casimir_mode_sum-total_len-inf": lambda: qg.casimir_mode_sum([1.0], math.inf),
     "vertex_reflection_transmission-valency": lambda: qg.vertex_reflection_transmission(
         0, qg.KIRCHHOFF, 1.0
     ),
+    "dirichlet_eigenvalues-n_max": lambda: qg.dirichlet_eigenvalues(1.0, 0),
+    "find_eigenvalues-no-bonds": lambda: qg.find_eigenvalues(qg.Graph((), ()), 1.0),
+    "bond_wavefunction-x-beyond-bond": lambda: qg.bond_wavefunction(1, 1, 1.0, 1.0, 2.0),
+    "effective_gamma-dirichlet": lambda: qg.DIRICHLET.effective_gamma(),
+    "VertexCoupling-kirchhoff-gamma": lambda: qg.VertexCoupling(qg.CouplingKind.KIRCHHOFF, 1.0),
 }
 
 

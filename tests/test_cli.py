@@ -41,6 +41,12 @@ OPEN_STAR3 = {
     "leads": [{"vertex": 0}, {"vertex": 0}, {"vertex": 0}],
 }
 
+TWO_LEAD_VERTICES = {
+    "vertices": [{"id": 0, "coupling": {"kind": "kirchhoff"}}, {"id": 1, "coupling": {"kind": "kirchhoff"}}],
+    "bonds": [],
+    "leads": [{"vertex": 0}, {"vertex": 1}],
+}
+
 WALL = {
     "vertices": [{"id": 0, "coupling": {"kind": "dirichlet"}}],
     "bonds": [],
@@ -159,13 +165,6 @@ class TestCasimirCommand:
         assert main(["casimir", "--graph", graph, "--method", "both", "--output", str(out)]) == 2
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_partial_tau_flags_rejected(self, graph_file, tmp_path):
-        code = main(
-            ["casimir", "--graph", graph_file(INTERVAL), "--method", "modesum",
-             "--tau-min", "0.01", "--output", str(tmp_path / "x.json")]
-        )
-        assert code == 1
 
 
 class TestSweepCommand:
@@ -408,8 +407,6 @@ NONFINITE_FLAGS = {
     "greens-k-inf": ["greens", "--k", "inf,0", "--xi", "0.5", "--xf", "0.5"],
     "greens-k-imag": ["greens", "--k", "1.3,1e400", "--xi", "0.5", "--xf", "0.5"],
     "casimir-quad-tol": ["casimir", "--method", "green", "--quad-tol", "nan"],
-    "casimir-tau-min": ["casimir", "--method", "modesum", "--tau-min", "nan",
-                        "--tau-max", "0.2", "--tau-steps", "8"],
     "sweep-to": ["sweep", "--from", "1", "--to", "inf", "--steps", "2", "--method", "green"],
     "sweep-from": ["sweep", "--from", "nan", "--to", "2", "--steps", "2", "--method", "green"],
 }
@@ -430,10 +427,7 @@ REGULATOR_FLAGS = {
     "kappa-max-nan": ["--method", "green", "--kappa-max", "nan"],
     "kappa-max-inf": ["--method", "green", "--kappa-max", "inf"],
     "fit-order": ["--method", "modesum", "--fit-order", "0"],
-    # the geometric sequence underflows to 0 after tau-max
-    "tau-underflow": ["--method", "modesum", "--tau-min", "1e-300", "--tau-max", "1e300", "--tau-steps", "8"],
     # a flag the chosen route does not read
-    "green-tau": ["--method", "green", "--tau-min", "0.01", "--tau-max", "0.1", "--tau-steps", "8"],
     "green-fit-order": ["--method", "green", "--fit-order", "5"],
     "modesum-kappa-max": ["--method", "modesum", "--kappa-max", "20"],
 }
@@ -442,9 +436,12 @@ REFUSED_FLAGS = {
     **{f"sweep-{name}": ["sweep", "--from", "1", "--to", "2", "--steps", "2", *flags]
        for name, flags in REGULATOR_FLAGS.items()},
     "casimir-modesum-quad-tol": ["casimir", "--method", "modesum", "--quad-tol", "-1"],
-    # 34/tau-min overflows: refused once, not as a NaN row per scale
-    "sweep-modesum-tiny-tau-min": ["sweep", "--from", "1", "--to", "2", "--steps", "3", "--method", "modesum",
-                                   "--tau-min", "1e-310", "--tau-max", "1", "--tau-steps", "3"],
+    "sweep-from-above-to": ["sweep", "--from", "2", "--to", "1", "--steps", "2", "--method", "green"],
+    "sweep-one-step": ["sweep", "--from", "1", "--to", "2", "--steps", "1", "--method", "green"],
+    # a later --graph replaces the interval's
+    "graph-is-a-directory": ["casimir", "--method", "green", "--graph", "."],
+    "graph-is-missing": ["casimir", "--method", "green", "--graph", "no-such-dir/graph.json"],
+    "greens-leads-at-two-vertices": ["greens", "--k", "1,0", "--xi", "0", "--xf", "0", "--graph", TWO_LEAD_VERTICES],
     "spectrum-kmax-negative": ["spectrum", "--kmax", "-1"],
     "spectrum-tol-zero": ["spectrum", "--kmax", "10", "--tol", "0"],
     # about 3e299 roots: refused before numpy is asked for the special points
@@ -456,6 +453,7 @@ REFUSED_FLAGS = {
 def test_refused_flags_end_in_an_error_line(argv, graph_file, tmp_path, capsys):
     # a library refusal reaches main as an InputError: exit 1, no traceback
     out = tmp_path / "x.out"
+    argv = [graph_file(a, "other.json") if isinstance(a, dict) else a for a in argv]
     assert main([argv[0], "--graph", graph_file(INTERVAL), *argv[1:], "--output", str(out)]) == 1
     assert any(line.startswith("error: ") for line in capsys.readouterr().err.splitlines())
     assert not out.exists()
@@ -470,6 +468,19 @@ def test_kappa_max_is_an_unknown_flag(command, graph_file, tmp_path, capsys):
         argv += ["--from", "1", "--to", "2", "--steps", "2"]
     assert main(argv) == 1
     assert "unrecognized arguments: --kappa-max 15" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--tau-min", "--tau-max", "--tau-steps"])
+@pytest.mark.parametrize("command", ["casimir", "sweep"])
+def test_tau_flags_are_unknown(command, flag, graph_file, tmp_path, capsys):
+    # the mode sum's window follows from the graph's shortest bond
+    out = tmp_path / "x.out"
+    argv = [command, "--graph", graph_file(INTERVAL), "--method", "modesum", flag, "0.1", "--output", str(out)]
+    if command == "sweep":
+        argv += ["--from", "1", "--to", "2", "--steps", "2"]
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -509,17 +520,14 @@ class TestDeterminism:
         # each route's manifest echoes only what it reads, and reproduces the output
         graph = graph_file(INTERVAL)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["casimir", "--graph", graph, "--method", "both",
-                     "--tau-min", "0.013", "--tau-max", "0.17", "--tau-steps", "9", "--fit-order", "4",
+        assert main(["casimir", "--graph", graph, "--method", "both", "--fit-order", "4",
                      "--quad-tol", "1e-11", "--output", str(out1)]) == 0
         manifest = json.loads(out1.read_text())["manifest"]
         green, mode = manifest["parameters"]["green"], manifest["parameters"]["modesum"]
         assert set(green) == {"quad_tol"}
-        assert set(mode) == {"tau_min", "tau_max", "tau_steps", "fit_order", "spectrum_k_max", "spectrum_tol"}
+        assert set(mode) == {"fit_order"}
         assert main(["casimir", "--graph", manifest["graph_path"], "--method", "both",
-                     "--tau-min", fmt_float(mode["tau_min"]), "--tau-max", fmt_float(mode["tau_max"]),
-                     "--tau-steps", str(mode["tau_steps"]), "--fit-order", str(mode["fit_order"]),
-                     "--quad-tol", fmt_float(green["quad_tol"]),
+                     "--fit-order", str(mode["fit_order"]), "--quad-tol", fmt_float(green["quad_tol"]),
                      "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
@@ -625,17 +633,14 @@ def test_unwritable_output_is_input_error(argv, graph_file, tmp_path, capsys):
 
 
 def test_star_modesum_divergence_coefficient(graph_file, tmp_path):
+    # total length 3 in units of u = 2 l_min = 2: L/(2 pi u) = 3/(4 pi)
     out = tmp_path / "cas.json"
-    code = main(
-        ["casimir", "--graph", graph_file(STAR3), "--method", "modesum",
-         "--tau-min", "0.0625", "--tau-max", "0.5", "--tau-steps", "8",
-         "--output", str(out)]
-    )
+    code = main(["casimir", "--graph", graph_file(STAR3), "--method", "modesum", "--output", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
     result = payload["results"][0]
     assert math.isfinite(result["energy"])
-    assert result["fit_coefficients"][0] == pytest.approx(3.0 / (2 * math.pi), rel=0.01)
+    assert result["fit_coefficients"][0] == pytest.approx(3.0 / (4 * math.pi), rel=0.01)
 
 
 def test_results_independent_of_worker_count(graph_file, tmp_path, monkeypatch):
@@ -666,15 +671,31 @@ def test_invalid_thread_env_is_input_error(command, graph_file, tmp_path, monkey
     assert not out.exists()
 
 
-def test_default_regulator_window_is_the_library_default(graph_file, tmp_path):
+def test_modesum_output_is_the_library_result(graph_file, tmp_path):
+    # the manifest echoes only fit_order; the window follows from the graph
     out = tmp_path / "cas.json"
-    assert main(["casimir", "--graph", graph_file(INTERVAL), "--method", "modesum",
+    assert main(["casimir", "--graph", graph_file(STAR3), "--method", "modesum",
                  "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
-    samples = payload["results"][0]["per_tau_samples"]
-    assert [t for t, _ in samples] == list(qg.RegularizationConfig().tau_values)
-    params = payload["manifest"]["parameters"]
-    assert (params["tau_min"], params["tau_max"], params["tau_steps"]) == qg.DEFAULT_TAU_WINDOW
+    res = qg.casimir_mode_sum(qg.parse_graph(json.dumps(STAR3)))
+    assert payload["results"] == [{
+        "method": "ModeSum", "energy": res.energy, "estimated_error": res.estimated_error,
+        "fit_coefficients": list(res.fit_coefficients), "per_tau_samples": [list(p) for p in res.per_tau_samples],
+    }]
+    assert payload["manifest"]["parameters"] == {"method": "modesum", "fit_order": 5}
+
+
+def test_green_output_at_the_smallest_lengths_is_strict_json(graph_file, tmp_path):
+    # every number of the file is finite, however short the bond
+    out = tmp_path / "cas.json"
+    assert main(["casimir", "--graph", graph_file(two_vertex({"kind": "dirichlet"}, 1e-308)),
+                 "--method", "green", "--output", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"non-finite constant {constant} in the output")
+
+    result = json.loads(out.read_text(), parse_constant=refuse)["results"][0]
+    assert result["energy"] == pytest.approx(-math.pi / 24e-308, rel=1e-8)
 
 
 def test_version_flag(capsys):

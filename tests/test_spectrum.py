@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 import qgraph as qg
+import qgraph.casimir as casimir
 from qgraph import UnsupportedTopologyError
 
 
@@ -649,7 +650,8 @@ def test_equal_star_roots_on_special_points_take_few_points(n_arms):
     # at star-modesum's cutoff the roots n pi / ell (multiplicity N - 1) sit on
     # the bond Dirichlet values and (n + 1/2) pi / ell on the border switches;
     # bisection to the stopping width takes 47 levels and about 40 points per root
-    ell, k_max = 0.6, 34.0 / qg.geometric_taus(*qg.DEFAULT_TAU_WINDOW)[-1]
+    ell = 0.6
+    k_max = casimir._CUTOFF_MARGIN / (casimir._TAU_WINDOW[-1] * 2 * ell)
     res = qg.find_eigenvalues(_equal_star(n_arms, ell), k_max)
     top = k_max * ell / math.pi
     n, half = np.arange(1, int(top) + 1), np.arange(int(top + 0.5)) + 0.5
