@@ -4,7 +4,6 @@ for one-dimensional metric graphs."""
 from .casimir import (
     CasimirResult,
     Method,
-    RegularizationConfig,
     casimir_green_method,
     casimir_mode_sum,
     extrapolate_tau,
@@ -77,7 +76,6 @@ __all__ = [
     "PoleProximityError",
     "QGraphError",
     "RTPair",
-    "RegularizationConfig",
     "ResonantBondError",
     "SingularWavenumberError",
     "SpectrumResult",

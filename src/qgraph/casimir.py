@@ -9,10 +9,11 @@ Green-trace route
     high-frequency vertex reflection n_inf/(2 k^2).  Both are pure regulator
     divergences with no finite part.  The regulator is needed only to justify
     dropping them: what is left is absolutely integrable on (0, x_max] in
-    x = kappa ell, x_max = -ln(quadrature_tol)/2, so the energy is one
-    quadrature at tau = 0 divided by ell, with no regulator sequence and no
-    fit (Bordag, Mohideen & Mostepanenko, Phys. Rep. 353, 1 (2001)), and the
-    same graph in other length units gives the same E ell.
+    x = kappa ell, x_max = -ln(1e-10)/2 = 11.51 for the fixed quadrature
+    tolerance 1e-10, so the energy is one quadrature at tau = 0 divided by
+    ell, with no regulator sequence and no fit (Bordag, Mohideen &
+    Mostepanenko, Phys. Rep. 353, 1 (2001)), and the same graph in other
+    length units gives the same E ell.
     A delta end (gamma != 0) leaves a third, gamma/(kappa + gamma), whose
     integral grows like gamma ln(x_max): the self-energy of a delta
     vertex on a half-line (the ell -> infinity limit of the vertex term and
@@ -27,13 +28,14 @@ Green-trace route
 Mode-sum route (independent oracle)
     E(tau) = (1/2) sum_n k_n exp(-k_n tau) - L_total/(2 pi tau^2), followed by
     a tau -> 0 extrapolation (:func:`extrapolate_tau`) on an even-power
-    basis.  That expansion converges only for tau inside the shortest
-    periodic orbit 2 l_min (the trace formula: Berkolaiko & Kuchment,
-    Introduction to Quantum Graphs, AMS 2013), so the window is fixed in
-    units of u = 2 l_min and the fit runs on k u and L/u: the same graph in
-    other length units takes the same steps and gives the same E u.  The
-    subtracted Weyl term is added back into the reported 1/tau^2 fit
-    amplitude so the divergence coefficient can be checked against L/(2 pi u).
+    basis of fixed order 5 past 1/tau^2.  That expansion converges only for
+    tau inside the shortest periodic orbit 2 l_min (the trace formula:
+    Berkolaiko & Kuchment, Introduction to Quantum Graphs, AMS 2013), so the
+    window is fixed in units of u = 2 l_min, and the spectrum is found and
+    fitted on the graph in those units: the same graph in other length units
+    takes the same steps and gives the same E u.  The subtracted Weyl term
+    is added back into the reported 1/tau^2 fit amplitude so the divergence
+    coefficient can be checked against L/(2 pi u).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ExtrapolationError, InputError, NumericalError, UnsupportedTopologyError
-from .graph import Graph, total_length, two_vertex_form
+from .graph import CouplingKind, Graph, delta, total_length, two_vertex_form
 from .spectrum import find_eigenvalues
 
 #: Frozen overall normalization of the Green-trace route (see module docstring).
@@ -56,14 +58,20 @@ ENERGY_PREFACTOR = 1.0 / math.pi
 #: Fit residual above this fraction of the sample scale is an extrapolation failure.
 RESIDUAL_FRACTION = 1e-6
 
+#: Absolute and relative tolerance of the Green route's quadrature in
+#: x = kappa ell; it also sets the truncation x_max = -ln(tol)/2 = 11.51.
+_QUADRATURE_TOL = 1e-10
+
 
 class Method(enum.Enum):
     GREEN_TRACE = "GreenTrace"
     MODE_SUM = "ModeSum"
 
 
-#: Mode-sum regulator window in units of u = 2 l_min: 0.2 down by 2^-0.5, 8 steps.
+#: Mode-sum regulator window in units of u = 2 l_min: 0.2 down by 2^-0.5, 8
+#: steps, fitted with _FIT_ORDER even powers past 1/tau^2.
 _TAU_WINDOW = tuple(0.2 * (2.0**-0.5) ** j for j in range(8))
+_FIT_ORDER = 5
 
 #: The mode sum's spectrum reaches k_max = _CUTOFF_MARGIN / tau_min: the
 #: missing tail is below exp(-34) of the smallest regulator's sum.
@@ -76,26 +84,6 @@ def _require_count(name: str, value, minimum: int) -> None:
         raise InputError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise InputError(f"{name} must be >= {minimum}")
-
-
-@dataclass(frozen=True)
-class RegularizationConfig:
-    """Settings of the two energy routes, and the one home of their defaults.
-
-    The mode sum reads only ``fit_order``, the number of even powers past
-    1/tau^2 in its fit; its regulator window follows from the graph (module
-    docstring).  The Green route reads only ``quadrature_tol`` in (0, 1), the
-    tolerance of its integral in x = kappa ell, which also sets its
-    truncation.  A field out of range raises :class:`InputError`.
-    """
-
-    quadrature_tol: float = 1e-10
-    fit_order: int = 5
-
-    def __post_init__(self):
-        if not 0 < self.quadrature_tol < 1:
-            raise InputError("quadrature_tol must lie in (0, 1)")
-        _require_count("fit_order", self.fit_order, 1)
 
 
 @dataclass(frozen=True)
@@ -172,10 +160,6 @@ def _rotated_integrand(g: float):
         # end reflection is exactly -1 (dirichlet) or +1 (single-edge kirchhoff)
 
         def f(x: float) -> float:
-            # expm1 raises OverflowError past ~709, not inf, and x_max is 372
-            # at quadrature_tol = 5e-324; the term is < 1e-300 here
-            if x > 350.0:
-                return 0.0
             return -x / math.expm1(2.0 * x)
 
         return f
@@ -193,21 +177,21 @@ def _rotated_integrand(g: float):
     return f
 
 
-def casimir_green_method(g: Graph, cfg: RegularizationConfig | None = None) -> CasimirResult:
+def casimir_green_method(g: Graph) -> CasimirResult:
     """Zero-point energy from the rotated Green-trace integral.
 
     ``g`` must be a two-vertex compact graph (one bond, identical couplings,
     gamma >= 0).  The energy is the frozen normalization times one adaptive
-    quadrature of the subtracted trace over x = kappa ell in (0, x_max] at
-    tau = 0, divided by ell; ``estimated_error`` is the quadrature error plus
-    a bound on the truncated tail, divided by ell.  Reads ``quadrature_tol``
-    of ``cfg``.  Raises :class:`NumericalError` if either is not finite.
+    quadrature of the subtracted trace over x = kappa ell in (0, 11.51] at
+    tau = 0 and tolerance ``_QUADRATURE_TOL``, divided by ell;
+    ``estimated_error`` is the quadrature error plus a bound on the truncated
+    tail, divided by ell.  Raises :class:`NumericalError` if either is not
+    finite.
     """
     # imported here, not with the module: scipy.integrate takes most of a
     # CLI call's start-up, and only this route needs it
     from scipy.integrate import quad
 
-    cfg = cfg or RegularizationConfig()
     coupling, ell = two_vertex_form(g)
     gamma = 0.0 if coupling.is_dirichlet else coupling.effective_gamma()
     if gamma < 0:
@@ -215,7 +199,7 @@ def casimir_green_method(g: Graph, cfg: RegularizationConfig | None = None) -> C
             "attractive couplings (gamma < 0) put a bound-state pole on the "
             "rotated contour; not supported"
         )
-    tol = cfg.quadrature_tol
+    tol = _QUADRATURE_TOL
     x_max = -0.5 * math.log(tol)
     integral, quad_err = quad(_rotated_integrand(gamma * ell), 0.0, x_max, epsabs=tol, epsrel=tol, limit=400)
 
@@ -232,45 +216,55 @@ def casimir_green_method(g: Graph, cfg: RegularizationConfig | None = None) -> C
                          estimated_error=estimated_error)
 
 
-def casimir_mode_sum(g: Graph, cfg: RegularizationConfig | None = None) -> CasimirResult:
+def casimir_mode_sum(g: Graph) -> CasimirResult:
     """Zero-point energy from the cutoff-regulated eigenvalue half-sum.
 
     ``g`` must be compact with at least one bond.  With u = 2 l_min (l_min
     the shortest bond) and the fixed window tau/u = 0.2 (2^-0.5)^j, j = 0..7,
-    the spectrum is found up to k_max = 34 / tau_min, about 306 L / l_min
-    roots, and E(tau) = (1/2) sum k_n exp(-k_n tau) - L/(2 pi tau^2) is fitted
-    in k u and L / u; the limit and ``estimated_error`` (fit residual, the
-    fit's last term at the largest tau and a bound on the tail beyond k_max)
-    are divided by u once.  Reads ``fit_order`` of ``cfg``.  Raises
-    :class:`UnsupportedTopologyError` for a graph with leads or no bonds,
-    :class:`ExtrapolationError` when the fit fails (a delta vertex), and
-    whatever :func:`find_eigenvalues` raises (:class:`InputError` above its
-    root cap).
+    the spectrum of the graph in units of u (lengths over u, delta strengths
+    times u) is found up to k_max = 34 / tau_min = 1,923, about 306 L / l_min
+    roots, and E(tau) = (1/2) sum k_n exp(-k_n tau) - L/(2 pi tau^2) is
+    fitted in those units with ``_FIT_ORDER`` = 5 even powers past 1/tau^2;
+    the limit and ``estimated_error`` (fit residual, the fit's last term at
+    the largest tau and a bound on the tail beyond k_max) are divided by u
+    once.  Raises :class:`UnsupportedTopologyError` for a graph with leads or no
+    bonds, or whose shortest bond is too short for 1/u to be finite (below
+    about 2.8e-309), :class:`ExtrapolationError` when the fit fails (a
+    delta vertex), :class:`NumericalError` if the energy or its error is not
+    finite, and whatever :func:`find_eigenvalues` raises
+    (:class:`InputError` above its root cap).
     """
-    cfg = cfg or RegularizationConfig()
     if not g.is_compact or not g.bonds:
         raise UnsupportedTopologyError("the mode sum requires a compact graph (no leads) with bonds")
-    unit = 2.0 * min(b.length for b in g.bonds)
+    l_min = min(b.length for b in g.bonds)
+    unit = 2.0 * l_min
+    if not math.isfinite(1.0 / unit):
+        raise UnsupportedTopologyError(f"the shortest bond, {l_min!r}, is too short to take as the mode sum's unit")
+    # the graph in units of u: lengths over u, delta strengths (1/length) times u
+    couplings = tuple((v, delta(c.gamma * unit) if c.kind is CouplingKind.DELTA else c) for v, c in g.vertices)
     taus, tau_min = _TAU_WINDOW, _TAU_WINDOW[-1]
-    spectrum = find_eigenvalues(g, _CUTOFF_MARGIN / (tau_min * unit))
-    eigs, k_top = np.asarray(spectrum.eigenvalues) * unit, spectrum.k_max * unit
+    spectrum = find_eigenvalues(Graph(couplings, g.scaled(1.0 / unit).bonds), _CUTOFF_MARGIN / tau_min)
+    eigs, k_top = np.asarray(spectrum.eigenvalues), spectrum.k_max
 
     weyl_amplitude = total_length(g) / unit / (2.0 * math.pi)
     samples = tuple(
         (tau, 0.5 * math.fsum(eigs * np.exp(-eigs * tau)) - weyl_amplitude / (tau * tau)) for tau in taus
     )
-    limit, coeffs, residual = extrapolate_tau(samples, cfg.fit_order)
+    limit, coeffs, residual = extrapolate_tau(samples, _FIT_ORDER)
 
     # report the full 1/tau^2 amplitude of the raw sum, not the post-subtraction leftover
     coeffs = [coeffs[0] + weyl_amplitude] + coeffs[1:]
 
     tail = weyl_amplitude * math.exp(-k_top * tau_min) * (k_top / tau_min + 1.0 / tau_min**2)
-    fit_err = residual + abs(coeffs[-1]) * taus[0] ** (2 * (cfg.fit_order - 1))
+    fit_err = residual + abs(coeffs[-1]) * taus[0] ** (2 * (_FIT_ORDER - 1))
+    energy, estimated_error = limit / unit, (tail + fit_err) / unit
+    if not (math.isfinite(energy) and math.isfinite(estimated_error)):
+        raise NumericalError(f"mode-sum energy {energy!r} +- {estimated_error!r} is not finite at l_min = {l_min!r}")
 
     return CasimirResult(
-        energy=limit / unit,
+        energy=energy,
         fit_coefficients=tuple(coeffs),
         per_tau_samples=samples,
         method=Method.MODE_SUM,
-        estimated_error=(tail + fit_err) / unit,
+        estimated_error=estimated_error,
     )

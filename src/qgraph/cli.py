@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .casimir import CasimirResult, RegularizationConfig, casimir_green_method, casimir_mode_sum
+from .casimir import CasimirResult, casimir_green_method, casimir_mode_sum
 from .errors import InputError, NumericalError, QGraphError, UnsupportedTopologyError
 from .graph import Graph, parse_graph, two_vertex_form
 from .greens import star_green, two_vertex_green
@@ -59,7 +59,6 @@ def _build_parser() -> _Parser:
     casimir = sub.add_parser("casimir", help="vacuum energy of a graph")
     casimir.add_argument("--graph", required=True, metavar="PATH")
     casimir.add_argument("--method", required=True, choices=["green", "modesum", "both"])
-    _add_regularization_flags(casimir)
     casimir.add_argument("--output", required=True, metavar="PATH")
 
     sweep = sub.add_parser("sweep", help="energy versus global length scale (CSV)")
@@ -68,7 +67,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--to", dest="scale_to", required=True, type=_finite_float)
     sweep.add_argument("--steps", required=True, type=int)
     sweep.add_argument("--method", required=True, choices=["green", "modesum"])
-    _add_regularization_flags(sweep)
     sweep.add_argument("--output", required=True, metavar="PATH.csv")
 
     greens = sub.add_parser("greens", help="pointwise Green-function values")
@@ -81,27 +79,6 @@ def _build_parser() -> _Parser:
     greens.add_argument("--output", required=True, metavar="PATH")
 
     return parser
-
-
-#: Regulator flags (as argparse destinations) that each route reads.
-_ROUTE_FLAGS = {
-    "green": ("quad_tol",),
-    "modesum": ("fit_order",),
-}
-
-
-def _add_regularization_flags(sub) -> None:
-    # no defaults here: an absent flag leaves RegularizationConfig's default
-    sub.add_argument("--quad-tol", type=_finite_float)
-    sub.add_argument("--fit-order", type=int)
-
-
-def _refuse_unread_flags(args, methods: list[str]) -> None:
-    """A regulator flag that none of the chosen routes reads is an input error."""
-    for route, dests in _ROUTE_FLAGS.items():
-        given = [dest for dest in dests if getattr(args, dest) is not None]
-        if given and route not in methods:
-            raise InputError(f"--{given[0].replace('_', '-')} applies to --method {route} only")
 
 
 def _load_graph(path: str) -> Graph:
@@ -168,21 +145,6 @@ def _casimir_result_json(res: CasimirResult) -> dict:
     }
 
 
-def _given(**settings) -> dict:
-    """The settings a flag gave; the others keep RegularizationConfig's defaults."""
-    return {name: value for name, value in settings.items() if value is not None}
-
-
-def _method_setup(method: str, args) -> tuple[RegularizationConfig, dict]:
-    """Resolved settings of one route and the manifest parameters echoing
-    the ones it reads."""
-    if method == "green":
-        cfg = RegularizationConfig(**_given(quadrature_tol=args.quad_tol))
-        return cfg, {"quad_tol": cfg.quadrature_tol}
-    cfg = RegularizationConfig(**_given(fit_order=args.fit_order))
-    return cfg, {"fit_order": cfg.fit_order}
-
-
 def _route(method: str):
     # looked up at each call, not stored in a table at import, so a wrapper
     # set on this module's name (a profiler's, say) is the one that runs
@@ -191,18 +153,10 @@ def _route(method: str):
 
 def _cmd_casimir(args) -> int:
     methods = ["green", "modesum"] if args.method == "both" else [args.method]
-    _refuse_unread_flags(args, methods)
     g = _load_graph(args.graph)
-    setups = {m: _method_setup(m, args) for m in methods}
-    results = [_route(m)(g, setups[m][0]) for m in methods]
-    params: dict = {"method": args.method}
-    if args.method == "both":
-        for m in methods:
-            params[m] = setups[m][1]
-    else:
-        params.update(setups[args.method][1])
+    results = [_route(m)(g) for m in methods]
     payload: dict = {
-        "manifest": _manifest("casimir", args.graph, params),
+        "manifest": _manifest("casimir", args.graph, {"method": args.method}),
         "results": [_casimir_result_json(r) for r in results],
     }
     if len(results) == 2:
@@ -219,29 +173,20 @@ def _cmd_sweep(args) -> int:
         raise InputError("--to must exceed --from")
     if args.steps < 2:
         raise InputError("--steps must be >= 2")
-    _refuse_unread_flags(args, [args.method])
     g = _load_graph(args.graph)
     span = args.scale_to - args.scale_from
     scales = [args.scale_from + span * i / (args.steps - 1) for i in range(args.steps)]
-
-    cfg, method_params = _method_setup(args.method, args)
     route = _route(args.method)
 
     rows = []
     for scale in scales:
         try:
-            res = route(g.scaled(scale), cfg)
+            res = route(g.scaled(scale))
             rows.append((scale, res.energy, res.estimated_error, ""))
         except QGraphError as exc:
             rows.append((scale, float("nan"), float("nan"), str(exc)))
 
-    params = {
-        "method": args.method,
-        "from": args.scale_from,
-        "to": args.scale_to,
-        "steps": args.steps,
-    }
-    params.update(method_params)
+    params = {"method": args.method, "from": args.scale_from, "to": args.scale_to, "steps": args.steps}
     manifest = _manifest("sweep", args.graph, params)
 
     lines = ["# manifest = " + dumps_json(manifest, indent=None)]

@@ -373,7 +373,9 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
     orthonormal n x m block X of two steps of shifted inverse iteration, an
     upper bound on the m-th smallest singular value of I - S D, computed in
     chunks of at most ``_RESIDUAL_BYTES`` of matrices (module docstring).
-    Raises :class:`InputError` if L k_max / pi + V + B exceeds ``_MAX_ROOTS``,
+    Raises :class:`InputError` if L k_max / pi + V + B exceeds ``_MAX_ROOTS``
+    or if k_max (1 + 1e-12), the top of the search, times the larger of 2 and
+    the largest valency is not finite (the vertex amplitudes would overflow),
     and :class:`NumericalError` if a residual exceeds ``tol``, if the
     multiplicities do not add up to the count across (0, k_max] or to the
     full count just beside each root, or if the count leaves the Weyl bound
@@ -384,6 +386,10 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
     if not tol > 0:
         raise InputError("tol must be positive")
     sm = _SecularMatrix(g)
+    # the search reaches k_top, and the vertex amplitudes take N i k and 2 i k
+    k_top = k_max * (1.0 + 1e-12)
+    if not math.isfinite(k_top * max(2, int(sm._valency.max()))):
+        raise InputError(f"k_max = {k_max!r} overflows the vertex amplitudes of this graph")
     weyl, audit_bound = weyl_count(g, k_max), len(g.vertices) + len(g.bonds)
     if weyl + audit_bound > _MAX_ROOTS:
         raise InputError(f"k_max = {k_max!r} asks for about {weyl:.3g} eigenvalues, above the cap of {_MAX_ROOTS:.0e}")
@@ -391,7 +397,6 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
 
     # below k_lo sit only the zero mode and bound states, which are excluded
     k_lo = 1e-6 * math.pi / total_length(g)
-    k_top = k_max * (1.0 + 1e-12)
     width = 1e-14 * k_max
     eps = 0.25 * width
     special, switch = _special_points(counter.lengths, k_top, width)
@@ -424,7 +429,7 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
         regula = simple & ~at_p & (signs[0] * signs[1] < 0) & (stale < 2)
         x = np.clip(lo + (hi - lo) * _logistic(logs[0] - logs[1]), lo + eps, hi - eps)
         mid = np.zeros((4, lo.size))
-        mid[0] = np.where(regula, x, 0.5 * (lo + hi))
+        mid[0] = np.where(regula, x, 0.5 * lo + 0.5 * hi)
         mid[0, at_p] = np.where(left, p - eps, p + eps)[at_p]
         if not simple.all():
             mid[1, ~simple] = counter.count(mid[0, ~simple])
@@ -435,7 +440,7 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
         # the point moves by eps towards the middle, off the root
         hit = simple & (mid[2] == 0)
         if hit.any():
-            mid[0, hit] += np.where(mid[0, hit] < 0.5 * (lo + hi)[hit], eps, -eps)
+            mid[0, hit] += np.where(mid[0, hit] < (0.5 * lo + 0.5 * hi)[hit], eps, -eps)
             parity, mid[2, hit], mid[3, hit] = counter.parity(mid[0, hit])
             mid[1, hit] = c_lo[hit] + (parity != c_lo[hit] % 2)
         full_points += int(np.sum(~simple))
@@ -455,7 +460,7 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
     order = np.argsort(lo)
     lo, hi, mults = lo[order], hi[order], (c_hi - c_lo)[order].astype(int)
     starts = np.flatnonzero(lo != np.concatenate([[-math.inf], hi[:-1]]))
-    roots, mults = 0.5 * (lo[starts] + np.maximum.reduceat(hi, starts)), np.add.reduceat(mults, starts)
+    roots, mults = 0.5 * lo[starts] + 0.5 * np.maximum.reduceat(hi, starts), np.add.reduceat(mults, starts)
     # the parity cannot see a count that dips inside a simple root's interval,
     # so the full count must step by each multiplicity just beside each root
     gaps = np.diff(np.concatenate([[k_lo], roots, [k_top]]))

@@ -21,10 +21,6 @@ REFUSED_ARGUMENTS = {
     "weyl_count-k-inf": lambda: qg.weyl_count(_INTERVAL, math.inf),
     "secular_function-k-nan": lambda: qg.secular_function(_INTERVAL, math.nan),
     "secular_function-k-inf": lambda: qg.secular_function(_INTERVAL, math.inf),
-    "config-quadrature_tol": lambda: qg.RegularizationConfig(quadrature_tol=0),
-    "config-fit_order": lambda: qg.RegularizationConfig(fit_order=0),
-    "config-fit_order-float": lambda: qg.RegularizationConfig(fit_order=5.0),
-    "config-fit_order-bool": lambda: qg.RegularizationConfig(fit_order=True),
     "extrapolate_tau-fit_order": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], 0),
     "extrapolate_tau-fit_order-float": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], 1.5),
     "extrapolate_tau-fit_order-bool": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], True),

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 
@@ -8,7 +7,7 @@ from scipy.integrate import quad
 
 import qgraph as qg
 import qgraph.casimir as casimir
-from qgraph import ExtrapolationError, Method, NumericalError, RegularizationConfig, UnsupportedTopologyError
+from qgraph import ExtrapolationError, Method, NumericalError, UnsupportedTopologyError
 from qgraph.casimir import ENERGY_PREFACTOR
 from tests.conftest import dirichlet_interval
 
@@ -45,25 +44,6 @@ class TestExtrapolateTau:
         with pytest.raises(ExtrapolationError) as err:
             qg.extrapolate_tau(samples, fit_order=2)
         assert len(err.value.samples) == len(taus)
-
-
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("field", ["quadrature_tol"])
-def test_config_rejects_nonpositive_and_nonfinite(field, value):
-    with pytest.raises(ValueError, match=field):
-        RegularizationConfig(**{field: value})
-
-
-def test_config_fields_are_the_two_routes_settings():
-    # the mode sum's regulator window follows from the graph, not from a field
-    assert [f.name for f in dataclasses.fields(RegularizationConfig)] == ["quadrature_tol", "fit_order"]
-
-
-@pytest.mark.parametrize("value", [1.0, 2.0])
-def test_config_rejects_quadrature_tol_of_one_or_more(value):
-    # the truncation x_max = -ln(quadrature_tol)/2 would be 0 or negative
-    with pytest.raises(ValueError, match="quadrature_tol"):
-        RegularizationConfig(quadrature_tol=value)
 
 
 def _subtracted_trace(coupling, ell, kappa):
@@ -123,7 +103,8 @@ def _star(arms, leaf=qg.DIRICHLET) -> qg.Graph:
 
 
 class TestModeSum:
-    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+    # down to 3e-309, where 1/u is still finite: the spectrum is found in units of u
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0, 1e-300, 1e-305, 1e-306, 1e-308, 3e-309])
     def test_interval_benchmark(self, ell):
         # oracle: (1/2) sum n pi e^{-n pi tau} = (pi/2) e^{-a} / (1 - e^{-a})^2
         # with a = pi tau, whose expansion is 1/(2 pi tau^2) - pi/24 + O(tau^2)
@@ -183,7 +164,7 @@ class TestModeSum:
         res = qg.casimir_mode_sum(_star(arms))
         assert abs(res.energy - log_det) <= tol
 
-    SCALES = (1e-300, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e300)
+    SCALES = (1e-308, 1e-306, 1e-305, 1e-300, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e300)
     GRAPHS = {
         "interval": dirichlet_interval(1.0),
         "star3": _equal_star(3, 1.0),
@@ -219,11 +200,19 @@ class TestModeSum:
             qg.casimir_mode_sum(g)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("g", [qg.Graph((), ()),
-                                   qg.Graph(((0, qg.DIRICHLET), (1, qg.KIRCHHOFF)), (qg.Bond(0, 1, 1.0),), (qg.Lead(1),))],
-                             ids=["empty", "lead"])
-    def test_graph_without_a_spectrum_to_sum_is_refused(self, g):
-        with pytest.raises(UnsupportedTopologyError, match="mode sum"):
+    def test_energy_that_overflows_raises(self):
+        # E = -37 pi / (48 ell) for 20 equal arms, beyond the largest double at ell = 3e-309
+        with pytest.raises(NumericalError, match="not finite"):
+            qg.casimir_mode_sum(_equal_star(20, 3e-309))
+
+    @pytest.mark.parametrize("g, match", [
+        (qg.Graph((), ()), "mode sum"),
+        (qg.Graph(((0, qg.DIRICHLET), (1, qg.KIRCHHOFF)), (qg.Bond(0, 1, 1.0),), (qg.Lead(1),)), "mode sum"),
+        # 1/u overflows below a shortest bond of about 2.8e-309
+        (dirichlet_interval(2e-309), "shortest bond, 2e-309"),
+    ], ids=["empty", "lead", "too-short"])
+    def test_graph_without_a_spectrum_to_sum_is_refused(self, g, match):
+        with pytest.raises(UnsupportedTopologyError, match=match):
             qg.casimir_mode_sum(g)
 
 
@@ -274,12 +263,15 @@ class TestGreenMethod:
         assert abs(res.energy - log_det) <= max(res.estimated_error, 1e-9)
 
     @pytest.mark.parametrize("gamma", [0.5, 3.0])
-    def test_delta_energy_does_not_grow_with_truncation(self, gamma):
-        # x_max = -ln(quadrature_tol)/2 runs from 9.2 to 13.8; with the vertex
-        # self-energy left in, the energy grew by (gamma/pi) ln((x + gamma)/gamma)
-        # between the truncations, 0.06 at gamma = 0.5
+    def test_delta_energy_does_not_grow_with_truncation(self, gamma, monkeypatch):
+        # x_max = -ln(tol)/2 runs from 9.2 to 13.8; with the vertex self-energy
+        # left in, the energy grew by (gamma/pi) ln((x + gamma)/gamma) between
+        # the truncations, 0.06 at gamma = 0.5
         g = qg.Graph(((0, qg.delta(gamma)), (1, qg.delta(gamma))), (qg.Bond(0, 1, 1.0),))
-        results = [qg.casimir_green_method(g, RegularizationConfig(quadrature_tol=t)) for t in (1e-8, 1e-10, 1e-12)]
+        results = []
+        for tol in (1e-8, 1e-10, 1e-12):
+            monkeypatch.setattr(casimir, "_QUADRATURE_TOL", tol)
+            results.append(qg.casimir_green_method(g))
         energies = [r.energy for r in results]
         assert max(energies) - min(energies) <= results[0].estimated_error
 
@@ -308,26 +300,6 @@ class TestGreenMethod:
         res = qg.casimir_green_method(qg.Graph(((0, coupling), (1, coupling)), (qg.Bond(0, 1, ell),)))
         assert abs(res.energy + math.pi / (24 * ell)) <= res.estimated_error
 
-    @pytest.mark.parametrize("coupling", [qg.DIRICHLET, qg.KIRCHHOFF, qg.delta(0.7)], ids=str)
-    def test_smallest_quadrature_tol_stays_clear_of_expm1_overflow(self, coupling):
-        # x_max = 372 at the smallest double, and 2x passes expm1's overflow
-        # point (about 709) inside (0, x_max]; quad warns that it cannot reach
-        # that tolerance, which is not the point here
-        import warnings
-
-        from scipy.integrate import IntegrationWarning
-
-        from qgraph.casimir import _rotated_integrand
-
-        g = qg.Graph(((0, coupling), (1, coupling)), (qg.Bond(0, 1, 1.0),))
-        gamma = 0.0 if coupling.is_dirichlet else coupling.effective_gamma()
-        assert _rotated_integrand(gamma)(-0.5 * math.log(5e-324)) == pytest.approx(0.0, abs=1e-300)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            res = qg.casimir_green_method(g, RegularizationConfig(quadrature_tol=5e-324))
-        assert abs(res.energy - qg.casimir_green_method(g).energy) <= 1e-9
-        assert math.isfinite(res.estimated_error)
-
     def test_neumann_ends_match_dirichlet_energy(self):
         # both spectra are {n pi / ell}, so the energies must agree
         g = qg.Graph(((0, qg.KIRCHHOFF), (1, qg.KIRCHHOFF)), (qg.Bond(0, 1, 1.0),))
@@ -335,11 +307,13 @@ class TestGreenMethod:
         assert res.energy == pytest.approx(-math.pi / 24, rel=1e-6)
 
     @pytest.mark.parametrize("coupling", [qg.DIRICHLET, qg.delta(0.5)], ids=["dirichlet", "delta"])
-    def test_looser_truncation_within_estimated_error(self, coupling):
+    def test_looser_truncation_within_estimated_error(self, coupling, monkeypatch):
         # tol 1e-8 truncates at x_max = 9.2 and tol 1e-12 at 13.8
         g = qg.Graph(((0, coupling), (1, coupling)), (qg.Bond(0, 1, 1.0),))
-        loose = qg.casimir_green_method(g, RegularizationConfig(quadrature_tol=1e-8))
-        tight = qg.casimir_green_method(g, RegularizationConfig(quadrature_tol=1e-12))
+        monkeypatch.setattr(casimir, "_QUADRATURE_TOL", 1e-8)
+        loose = qg.casimir_green_method(g)
+        monkeypatch.setattr(casimir, "_QUADRATURE_TOL", 1e-12)
+        tight = qg.casimir_green_method(g)
         assert loose.estimated_error > tight.estimated_error
         assert abs(loose.energy - tight.energy) <= loose.estimated_error
 
@@ -420,10 +394,9 @@ def test_delta_mode_sum_refuses_or_agrees_with_green(gamma):
     # which the Green route subtracts), so the even-power fit must either
     # refuse or, where that term is tiny, agree within the summed errors
     g = qg.Graph(((0, qg.delta(gamma)), (1, qg.delta(gamma))), (qg.Bond(0, 1, 1.0),))
-    cfg = RegularizationConfig()
-    green = qg.casimir_green_method(g, cfg)
+    green = qg.casimir_green_method(g)
     try:
-        mode = qg.casimir_mode_sum(g, cfg)
+        mode = qg.casimir_mode_sum(g)
     except ExtrapolationError:
         return
     assert abs(mode.energy - green.energy) <= mode.estimated_error + green.estimated_error

@@ -406,7 +406,6 @@ NONFINITE_FLAGS = {
     "greens-k-nan": ["greens", "--k", "nan,0", "--xi", "0.5", "--xf", "0.5"],
     "greens-k-inf": ["greens", "--k", "inf,0", "--xi", "0.5", "--xf", "0.5"],
     "greens-k-imag": ["greens", "--k", "1.3,1e400", "--xi", "0.5", "--xf", "0.5"],
-    "casimir-quad-tol": ["casimir", "--method", "green", "--quad-tol", "nan"],
     "sweep-to": ["sweep", "--from", "1", "--to", "inf", "--steps", "2", "--method", "green"],
     "sweep-from": ["sweep", "--from", "nan", "--to", "2", "--steps", "2", "--method", "green"],
 }
@@ -421,21 +420,16 @@ def test_nonfinite_flags_are_input_errors(argv, graph_file, tmp_path, capsys):
 
 
 REGULATOR_FLAGS = {
-    "quad-tol": ["--method", "green", "--quad-tol", "0"],
-    # the truncation follows from --quad-tol, so there is no --kappa-max
+    # the Green route's truncation is fixed, so there is no --kappa-max
     "kappa-max": ["--method", "green", "--kappa-max", "-1"],
     "kappa-max-nan": ["--method", "green", "--kappa-max", "nan"],
     "kappa-max-inf": ["--method", "green", "--kappa-max", "inf"],
-    "fit-order": ["--method", "modesum", "--fit-order", "0"],
-    # a flag the chosen route does not read
-    "green-fit-order": ["--method", "green", "--fit-order", "5"],
     "modesum-kappa-max": ["--method", "modesum", "--kappa-max", "20"],
 }
 REFUSED_FLAGS = {
     **{f"casimir-{name}": ["casimir", *flags] for name, flags in REGULATOR_FLAGS.items()},
     **{f"sweep-{name}": ["sweep", "--from", "1", "--to", "2", "--steps", "2", *flags]
        for name, flags in REGULATOR_FLAGS.items()},
-    "casimir-modesum-quad-tol": ["casimir", "--method", "modesum", "--quad-tol", "-1"],
     "sweep-from-above-to": ["sweep", "--from", "2", "--to", "1", "--steps", "2", "--method", "green"],
     "sweep-one-step": ["sweep", "--from", "1", "--to", "2", "--steps", "1", "--method", "green"],
     # a later --graph replaces the interval's
@@ -459,28 +453,17 @@ def test_refused_flags_end_in_an_error_line(argv, graph_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--kappa-max", "--tau-min", "--tau-max", "--tau-steps", "--quad-tol", "--fit-order"])
 @pytest.mark.parametrize("command", ["casimir", "sweep"])
-def test_kappa_max_is_an_unknown_flag(command, graph_file, tmp_path, capsys):
+def test_regulator_flags_are_unknown(command, flag, graph_file, tmp_path, capsys):
+    # both routes take only the graph: the Green route's tolerance and
+    # truncation and the mode sum's window and fit order are fixed
     out = tmp_path / "x.out"
-    argv = [command, "--graph", graph_file(INTERVAL), "--method", "green", "--kappa-max", "15",
-            "--output", str(out)]
+    argv = [command, "--graph", graph_file(INTERVAL), "--method", "green", flag, "5", "--output", str(out)]
     if command == "sweep":
         argv += ["--from", "1", "--to", "2", "--steps", "2"]
     assert main(argv) == 1
-    assert "unrecognized arguments: --kappa-max 15" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flag", ["--tau-min", "--tau-max", "--tau-steps"])
-@pytest.mark.parametrize("command", ["casimir", "sweep"])
-def test_tau_flags_are_unknown(command, flag, graph_file, tmp_path, capsys):
-    # the mode sum's window follows from the graph's shortest bond
-    out = tmp_path / "x.out"
-    argv = [command, "--graph", graph_file(INTERVAL), "--method", "modesum", flag, "0.1", "--output", str(out)]
-    if command == "sweep":
-        argv += ["--from", "1", "--to", "2", "--steps", "2"]
-    assert main(argv) == 1
-    assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -505,31 +488,16 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_casimir_manifest_reproduces_output(self, graph_file, tmp_path):
+        # the manifest holds only the method: no route takes a setting
         graph = graph_file(INTERVAL)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["casimir", "--graph", graph, "--method", "green",
-                     "--quad-tol", "1e-11", "--output", str(out1)]) == 0
-        manifest = json.loads(out1.read_text())["manifest"]
-        p = manifest["parameters"]
-        assert set(p) == {"method", "quad_tol"}
-        assert main(["casimir", "--graph", manifest["graph_path"], "--method", p["method"],
-                     "--quad-tol", fmt_float(p["quad_tol"]), "--output", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_both_methods_take_every_regulator_flag(self, graph_file, tmp_path):
-        # each route's manifest echoes only what it reads, and reproduces the output
-        graph = graph_file(INTERVAL)
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["casimir", "--graph", graph, "--method", "both", "--fit-order", "4",
-                     "--quad-tol", "1e-11", "--output", str(out1)]) == 0
-        manifest = json.loads(out1.read_text())["manifest"]
-        green, mode = manifest["parameters"]["green"], manifest["parameters"]["modesum"]
-        assert set(green) == {"quad_tol"}
-        assert set(mode) == {"fit_order"}
-        assert main(["casimir", "--graph", manifest["graph_path"], "--method", "both",
-                     "--fit-order", str(mode["fit_order"]), "--quad-tol", fmt_float(green["quad_tol"]),
-                     "--output", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        for method in ("green", "modesum", "both"):
+            assert main(["casimir", "--graph", graph, "--method", method, "--output", str(out1)]) == 0
+            manifest = json.loads(out1.read_text())["manifest"]
+            assert manifest["parameters"] == {"method": method}
+            assert main(["casimir", "--graph", manifest["graph_path"], "--method", manifest["parameters"]["method"],
+                         "--output", str(out2)]) == 0
+            assert out1.read_bytes() == out2.read_bytes()
 
     def test_sweep_manifest_reproduces_output(self, graph_file, tmp_path):
         graph = graph_file(INTERVAL)
@@ -538,6 +506,7 @@ class TestDeterminism:
                      "--steps", "3", "--method", "green", "--output", str(out1)]) == 0
         manifest = json.loads(out1.read_text().split("\n")[0][len("# manifest = "):])
         p = manifest["parameters"]
+        assert set(p) == {"method", "from", "to", "steps"}
         assert main(["sweep", "--graph", manifest["graph_path"],
                      "--from", fmt_float(p["from"]), "--to", fmt_float(p["to"]),
                      "--steps", str(p["steps"]), "--method", p["method"],
@@ -575,7 +544,7 @@ class TestDeterminism:
         assert len(rows) == 4
         for i, (scale, energy, err, message) in enumerate(rows):
             s = 0.3 + (1.7 - 0.3) * i / 3  # the CLI's scale grid
-            res = qg.casimir_green_method(g.scaled(s), qg.RegularizationConfig())
+            res = qg.casimir_green_method(g.scaled(s))
             assert message == ""
             assert bits([scale, energy, err]) == bits([s, res.energy, res.estimated_error])
 
@@ -672,7 +641,7 @@ def test_invalid_thread_env_is_input_error(command, graph_file, tmp_path, monkey
 
 
 def test_modesum_output_is_the_library_result(graph_file, tmp_path):
-    # the manifest echoes only fit_order; the window follows from the graph
+    # the manifest holds only the method; the window and the fit follow from the graph
     out = tmp_path / "cas.json"
     assert main(["casimir", "--graph", graph_file(STAR3), "--method", "modesum",
                  "--output", str(out)]) == 0
@@ -682,7 +651,7 @@ def test_modesum_output_is_the_library_result(graph_file, tmp_path):
         "method": "ModeSum", "energy": res.energy, "estimated_error": res.estimated_error,
         "fit_coefficients": list(res.fit_coefficients), "per_tau_samples": [list(p) for p in res.per_tau_samples],
     }]
-    assert payload["manifest"]["parameters"] == {"method": "modesum", "fit_order": 5}
+    assert payload["manifest"]["parameters"] == {"method": "modesum"}
 
 
 def test_green_output_at_the_smallest_lengths_is_strict_json(graph_file, tmp_path):

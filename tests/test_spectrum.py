@@ -65,6 +65,49 @@ def test_unbounded_k_max_is_refused_before_any_work(interval_graph, k_max):
     assert time.perf_counter() - start < 1.0
 
 
+_SEARCH_AT_THE_TOP_OF_THE_DOUBLES = """
+import sys, warnings
+warnings.simplefilter("error")
+import qgraph as qg
+k_max, leaf, arms = float(sys.argv[1]), getattr(qg, sys.argv[2]), [float(a) for a in sys.argv[3:]]
+vertices = ((0, leaf if len(arms) == 1 else qg.KIRCHHOFF),) + tuple((i, leaf) for i in range(1, len(arms) + 1))
+g = qg.Graph(vertices, tuple(qg.Bond(0, i, ell) for i, ell in enumerate(arms, 1)))
+try:
+    res = qg.find_eigenvalues(g, k_max)
+except qg.InputError as exc:
+    print("refused", exc)
+else:
+    print("found", res.count, max(res.residuals))
+"""
+
+
+@pytest.mark.parametrize("k_max, leaf, arms, expected", [
+    (1e307, "DIRICHLET", [1e-305], "found 31"),
+    # 2 i k overflows, and N i k at the centre of the star
+    (9e307, "DIRICHLET", [1e-305], "refused"),
+    (1.7976931348623157e308, "DIRICHLET", [1e-305], "refused"),
+    (1e308, "KIRCHHOFF", [1e-305, 0.7e-305, 1.3e-305], "refused"),
+], ids=["interval-1e307", "interval-9e307", "interval-max", "star-1e308"])
+def test_k_max_near_the_largest_double_returns_or_is_refused(k_max, leaf, arms, expected):
+    # the bisection's midpoint once overflowed here and the search never ended:
+    # a fresh interpreter with a timeout, every warning an error
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(qg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _SEARCH_AT_THE_TOP_OF_THE_DOUBLES, repr(k_max), leaf,
+                          *map(repr, arms)], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith(expected)
+    if expected.startswith("found"):
+        assert float(run.stdout.split()[2]) <= 1e-10
+    else:
+        assert "overflows the vertex amplitudes" in run.stdout
+
+
 class TestFindEigenvalues:
     def test_interval(self, interval_graph):
         res = qg.find_eigenvalues(interval_graph, 10.0)
