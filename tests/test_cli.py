@@ -425,11 +425,16 @@ REGULATOR_FLAGS = {
     "kappa-max-nan": ["--method", "green", "--kappa-max", "nan"],
     "kappa-max-inf": ["--method", "green", "--kappa-max", "inf"],
     "modesum-kappa-max": ["--method", "modesum", "--kappa-max", "20"],
+    # the quadrature tolerance and the fit order are fixed too
+    "quad-tol": ["--method", "green", "--quad-tol", "0"],
+    "fit-order": ["--method", "modesum", "--fit-order", "0"],
+    "green-fit-order": ["--method", "green", "--fit-order", "5"],
 }
 REFUSED_FLAGS = {
     **{f"casimir-{name}": ["casimir", *flags] for name, flags in REGULATOR_FLAGS.items()},
     **{f"sweep-{name}": ["sweep", "--from", "1", "--to", "2", "--steps", "2", *flags]
        for name, flags in REGULATOR_FLAGS.items()},
+    "casimir-modesum-quad-tol": ["casimir", "--method", "modesum", "--quad-tol", "-1"],
     "sweep-from-above-to": ["sweep", "--from", "2", "--to", "1", "--steps", "2", "--method", "green"],
     "sweep-one-step": ["sweep", "--from", "1", "--to", "2", "--steps", "1", "--method", "green"],
     # a later --graph replaces the interval's
@@ -453,7 +458,32 @@ def test_refused_flags_end_in_an_error_line(argv, graph_file, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--kappa-max", "--tau-min", "--tau-max", "--tau-steps", "--quad-tol", "--fit-order"])
+@pytest.mark.parametrize("command", ["casimir", "sweep"])
+def test_kappa_max_is_an_unknown_flag(command, graph_file, tmp_path, capsys):
+    out = tmp_path / "x.out"
+    argv = [command, "--graph", graph_file(INTERVAL), "--method", "green", "--kappa-max", "15",
+            "--output", str(out)]
+    if command == "sweep":
+        argv += ["--from", "1", "--to", "2", "--steps", "2"]
+    assert main(argv) == 1
+    assert "unrecognized arguments: --kappa-max 15" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--tau-min", "--tau-max", "--tau-steps"])
+@pytest.mark.parametrize("command", ["casimir", "sweep"])
+def test_tau_flags_are_unknown(command, flag, graph_file, tmp_path, capsys):
+    # the mode sum's window follows from the graph's shortest bond
+    out = tmp_path / "x.out"
+    argv = [command, "--graph", graph_file(INTERVAL), "--method", "modesum", flag, "0.1", "--output", str(out)]
+    if command == "sweep":
+        argv += ["--from", "1", "--to", "2", "--steps", "2"]
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--quad-tol", "--fit-order"])
 @pytest.mark.parametrize("command", ["casimir", "sweep"])
 def test_regulator_flags_are_unknown(command, flag, graph_file, tmp_path, capsys):
     # both routes take only the graph: the Green route's tolerance and
@@ -703,3 +733,37 @@ def test_scipy_loads_only_for_the_green_route(graph_file, tmp_path):
     steps = json.loads(run.stdout)
     assert (steps["import"], steps["spectrum"], steps["modesum"]) == ([], [], [])
     assert "scipy.integrate" in steps["green"]
+
+
+_MAIN_IN_A_FRESH_INTERPRETER = """
+import sys, warnings
+warnings.simplefilter("error")
+from qgraph.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    # 2 i k overflows at the top of the search
+    (["spectrum", "--kmax", "1e308"], 1),
+    # the mode sum's cutoff is 961.7/ell, about 9.6e307
+    (["casimir", "--method", "modesum"], 0),
+], ids=["spectrum-kmax-1e308", "casimir-modesum"])
+def test_tiny_interval_answers_or_ends_in_an_error_line(argv, code, graph_file, tmp_path):
+    # both once searched forever for roots near the largest double: a fresh
+    # interpreter with a timeout, every warning an error
+    ell = 1e-305
+    out = tmp_path / "x.json"
+    src = str(Path(qg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _MAIN_IN_A_FRESH_INTERPRETER, argv[0],
+                          "--graph", graph_file(two_vertex({"kind": "dirichlet"}, ell)), *argv[1:],
+                          "--output", str(out)], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == code, run.stderr
+    if code:
+        assert run.stderr.splitlines()[-1].startswith("error: ")
+        assert "overflows the vertex amplitudes" in run.stderr
+        assert not out.exists()
+    else:
+        result = json.loads(out.read_text())["results"][0]
+        assert abs(result["energy"] * ell + math.pi / 24) <= result["estimated_error"] * ell
