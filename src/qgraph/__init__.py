@@ -6,7 +6,6 @@ from .casimir import (
     Method,
     casimir_green_method,
     casimir_mode_sum,
-    extrapolate_tau,
 )
 from .errors import (
     ExtrapolationError,
@@ -90,7 +89,6 @@ __all__ = [
     "delta",
     "dirichlet_eigenvalues",
     "emit_graph",
-    "extrapolate_tau",
     "find_eigenvalues",
     "free_green",
     "parse_graph",

@@ -27,8 +27,8 @@ Green-trace route
 
 Mode-sum route (independent oracle)
     E(tau) = (1/2) sum_n k_n exp(-k_n tau) - L_total/(2 pi tau^2), followed by
-    a tau -> 0 extrapolation (:func:`extrapolate_tau`) on an even-power
-    basis of fixed order 5 past 1/tau^2.  That expansion converges only for
+    a tau -> 0 extrapolation: a least-squares fit on 1/tau^2, 1, tau^2, ...,
+    tau^8, one linear map fixed at import.  That expansion converges only for
     tau inside the shortest periodic orbit 2 l_min (the trace formula:
     Berkolaiko & Kuchment, Introduction to Quantum Graphs, AMS 2013), so the
     window is fixed in units of u = 2 l_min, and the spectrum is found and
@@ -42,9 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -69,21 +67,19 @@ class Method(enum.Enum):
 
 
 #: Mode-sum regulator window in units of u = 2 l_min: 0.2 down by 2^-0.5, 8
-#: steps, fitted with _FIT_ORDER even powers past 1/tau^2.
+#: steps, fitted on the even powers _POWERS of tau.
 _TAU_WINDOW = tuple(0.2 * (2.0**-0.5) ** j for j in range(8))
-_FIT_ORDER = 5
+_POWERS = (-2, 0, 2, 4, 6, 8)
+
+#: The least-squares fit on the window as one linear map from samples to
+#: coefficients: the pseudo-inverse of the design with unit-norm columns.
+_DESIGN = np.array(_TAU_WINDOW)[:, None] ** np.array(_POWERS, dtype=float)
+_SCALE = np.linalg.norm(_DESIGN, axis=0)
+_FIT = np.linalg.pinv(_DESIGN / _SCALE) / _SCALE[:, None]
 
 #: The mode sum's spectrum reaches k_max = _CUTOFF_MARGIN / tau_min: the
 #: missing tail is below exp(-34) of the smallest regulator's sum.
 _CUTOFF_MARGIN = 34.0
-
-
-def _require_count(name: str, value, minimum: int) -> None:
-    """Refuse a count that is not an integer (a bool included) or is below minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InputError(f"{name} must be >= {minimum}")
 
 
 @dataclass(frozen=True)
@@ -104,51 +100,6 @@ class CasimirResult:
     per_tau_samples: tuple[tuple[float, float], ...]
     method: Method
     estimated_error: float
-
-
-def extrapolate_tau(
-    samples: Sequence[tuple[float, float]], fit_order: int
-) -> tuple[float, list[float], float]:
-    """Least-squares tau -> 0 limit of regulated samples.
-
-    The basis is 1/tau^2, 1, tau^2, ... (even powers, fit_order + 1 terms),
-    which matches the mode-sum expansion.  Returns the constant term (the
-    limit), all coefficients in basis order, and the maximum absolute fit
-    residual.  Raises :class:`ExtrapolationError` on a rank-deficient system
-    or when the residual exceeds a 1e-6 fraction of the sample scale.
-    """
-    _require_count("fit_order", fit_order, 1)
-    samples = [(float(t), float(v)) for t, v in samples]
-    powers = [-2] + [2 * j for j in range(fit_order)]
-    if len(samples) < len(powers):
-        raise ExtrapolationError(
-            f"need at least {len(powers)} samples for a {len(powers)}-parameter fit, "
-            f"got {len(samples)}",
-            samples,
-        )
-    taus = np.array([t for t, _ in samples])
-    values = np.array([v for _, v in samples])
-    if np.any(taus <= 0) or len(np.unique(taus)) != len(taus):
-        raise ExtrapolationError("tau values must be positive and distinct", samples)
-
-    design = np.column_stack([taus ** float(p) for p in powers])
-    scale = np.linalg.norm(design, axis=0)
-    coeffs_scaled, _, rank, _ = np.linalg.lstsq(design / scale, values, rcond=None)
-    if rank < len(powers):
-        raise ExtrapolationError("rank-deficient fit: tau values too clustered", samples)
-    coeffs = coeffs_scaled / scale
-
-    fitted = design @ coeffs
-    residual = float(np.max(np.abs(fitted - values)))
-    value_scale = float(np.max(np.abs(values)))
-    if residual > RESIDUAL_FRACTION * max(value_scale, 1e-300):
-        raise ExtrapolationError(
-            f"fit residual {residual:.3e} above {RESIDUAL_FRACTION:.0e} of the sample "
-            f"scale {value_scale:.3e}; the basis does not describe these samples",
-            samples,
-        )
-    limit = float(coeffs[1])
-    return limit, [float(c) for c in coeffs], residual
 
 
 def _rotated_integrand(g: float):
@@ -224,14 +175,14 @@ def casimir_mode_sum(g: Graph) -> CasimirResult:
     the spectrum of the graph in units of u (lengths over u, delta strengths
     times u) is found up to k_max = 34 / tau_min = 1,923, about 306 L / l_min
     roots, and E(tau) = (1/2) sum k_n exp(-k_n tau) - L/(2 pi tau^2) is
-    fitted in those units with ``_FIT_ORDER`` = 5 even powers past 1/tau^2;
+    fitted in those units on 1/tau^2, 1, tau^2, ..., tau^8 by the map ``_FIT``;
     the limit and ``estimated_error`` (fit residual, the fit's last term at
     the largest tau and a bound on the tail beyond k_max) are divided by u
-    once.  Raises :class:`UnsupportedTopologyError` for a graph with leads or no
-    bonds, or whose shortest bond is too short for 1/u to be finite (below
-    about 2.8e-309), :class:`ExtrapolationError` when the fit fails (a
-    delta vertex), :class:`NumericalError` if the energy or its error is not
-    finite, and whatever :func:`find_eigenvalues` raises
+    once.  Raises :class:`UnsupportedTopologyError` for a graph with leads or
+    no bonds, or whose shortest bond is too short for 1/u to be finite (below
+    about 2.8e-309), :class:`ExtrapolationError` unless the fit residual is
+    within ``RESIDUAL_FRACTION`` of the largest |sample| (a delta vertex),
+    :class:`NumericalError` if the energy or its error is not finite, and whatever :func:`find_eigenvalues` raises
     (:class:`InputError` above its root cap).
     """
     if not g.is_compact or not g.bonds:
@@ -250,14 +201,21 @@ def casimir_mode_sum(g: Graph) -> CasimirResult:
     samples = tuple(
         (tau, 0.5 * math.fsum(eigs * np.exp(-eigs * tau)) - weyl_amplitude / (tau * tau)) for tau in taus
     )
-    limit, coeffs, residual = extrapolate_tau(samples, _FIT_ORDER)
+    values = np.array([v for _, v in samples])
+    coeffs = _FIT @ values
+    residual = float(np.max(np.abs(_DESIGN @ coeffs - values)))
+    value_scale = float(np.max(np.abs(values)))
+    if not residual <= RESIDUAL_FRACTION * value_scale:
+        raise ExtrapolationError(f"fit residual {residual:.3e} above {RESIDUAL_FRACTION:.0e} of the sample scale "
+                                 f"{value_scale:.3e}; the basis does not describe these samples", samples)
 
     # report the full 1/tau^2 amplitude of the raw sum, not the post-subtraction leftover
-    coeffs = [coeffs[0] + weyl_amplitude] + coeffs[1:]
+    coeffs = coeffs.tolist()
+    coeffs[0] += weyl_amplitude
 
     tail = weyl_amplitude * math.exp(-k_top * tau_min) * (k_top / tau_min + 1.0 / tau_min**2)
-    fit_err = residual + abs(coeffs[-1]) * taus[0] ** (2 * (_FIT_ORDER - 1))
-    energy, estimated_error = limit / unit, (tail + fit_err) / unit
+    fit_err = residual + abs(coeffs[-1]) * taus[0] ** _POWERS[-1]
+    energy, estimated_error = coeffs[1] / unit, (tail + fit_err) / unit
     if not (math.isfinite(energy) and math.isfinite(estimated_error)):
         raise NumericalError(f"mode-sum energy {energy!r} +- {estimated_error!r} is not finite at l_min = {l_min!r}")
 

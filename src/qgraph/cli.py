@@ -26,8 +26,6 @@ from .scattering import build_vertex_smatrix, cavity_amplitudes
 from .spectrum import find_eigenvalues
 from .util import complex_to_json, dumps_json, fmt_float, worker_count
 
-_SPECTRUM_TOL = 1e-10
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits 2 on flag errors; the contract is 1
@@ -53,7 +51,6 @@ def _build_parser() -> _Parser:
     spectrum = sub.add_parser("spectrum", help="eigenvalues of a compact graph")
     spectrum.add_argument("--graph", required=True, metavar="PATH")
     spectrum.add_argument("--kmax", required=True, type=_finite_float)
-    spectrum.add_argument("--tol", type=_finite_float, default=_SPECTRUM_TOL)
     spectrum.add_argument("--output", required=True, metavar="PATH")
 
     casimir = sub.add_parser("casimir", help="vacuum energy of a graph")
@@ -120,9 +117,9 @@ def _parse_complex(raw: str) -> complex:
 
 def _cmd_spectrum(args) -> int:
     g = _load_graph(args.graph)
-    result = find_eigenvalues(g, args.kmax, args.tol)
+    result = find_eigenvalues(g, args.kmax)
     payload = {
-        "manifest": _manifest("spectrum", args.graph, {"kmax": args.kmax, "tol": args.tol}),
+        "manifest": _manifest("spectrum", args.graph, {"kmax": args.kmax}),
         "eigenvalues": result.eigenvalues,
         "residuals": result.residuals,
         "weyl": {

@@ -46,6 +46,6 @@ class ResonantBondError(NumericalError):
 class ExtrapolationError(NumericalError):
     """The regulator extrapolation failed; carries the per-tau samples."""
 
-    def __init__(self, message: str, samples: list[tuple[float, float]] | None = None):
+    def __init__(self, message: str, samples: tuple[tuple[float, float], ...]):
         super().__init__(message)
-        self.samples = list(samples) if samples is not None else []
+        self.samples = list(samples)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -36,8 +37,8 @@ class CouplingKind(enum.Enum):
 class VertexCoupling:
     """Boundary condition at a vertex.
 
-    ``gamma`` is meaningful only for ``DELTA`` (dimension 1/length) and must
-    be finite; ``DIRICHLET`` is a symbolic case, never a large float.
+    ``gamma`` (1/length) is meaningful only for ``DELTA``: a finite real number,
+    not a bool, kept as a float.  ``DIRICHLET`` is symbolic, never a large float.
     """
 
     kind: CouplingKind
@@ -45,9 +46,10 @@ class VertexCoupling:
 
     def __post_init__(self):
         if self.kind is CouplingKind.DELTA:
-            g = float(self.gamma)
-            if g != g or g in (float("inf"), float("-inf")):
-                raise GraphFormatError("delta coupling requires a finite real gamma")
+            gamma = self.gamma
+            if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) or not math.isfinite(gamma):
+                raise GraphFormatError(f"delta coupling requires a finite real gamma, got {self.gamma!r}")
+            object.__setattr__(self, "gamma", float(gamma))
         elif self.gamma != 0.0:
             raise GraphFormatError(f"gamma is only valid for delta couplings, not {self.kind.value}")
 
@@ -67,7 +69,7 @@ DIRICHLET = VertexCoupling(CouplingKind.DIRICHLET)
 
 
 def delta(gamma: float) -> VertexCoupling:
-    return VertexCoupling(CouplingKind.DELTA, float(gamma))
+    return VertexCoupling(CouplingKind.DELTA, gamma)
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,8 @@ class Graph:
     """Vertices with their couplings, bonds and leads.  Construction raises
     :class:`GraphFormatError` naming every violation: a duplicate vertex id,
     a bond end or lead on an unknown vertex, a loop, a parallel bond, a
-    non-finite or non-positive length, or a vertex without bonds or leads."""
+    length that is not a real number (a bool, a str, None) or is non-finite
+    or non-positive, or a vertex without bonds or leads."""
 
     vertices: tuple[tuple[int, VertexCoupling], ...]
     bonds: tuple[Bond, ...]
@@ -153,7 +156,9 @@ def _violations(g: Graph) -> list[str]:
                 diags.append(f"bond {i}: unknown vertex {endpoint}")
         if b.from_vertex == b.to_vertex:
             diags.append(f"bond {i}: loops unsupported")
-        if not math.isfinite(b.length):
+        if isinstance(b.length, bool) or not isinstance(b.length, numbers.Real):
+            diags.append(f"bond {i}: length must be a real number, got {b.length!r}")
+        elif not math.isfinite(b.length):
             diags.append(f"bond {i}: non-finite length")
         elif b.length <= 0:
             diags.append(f"bond {i}: non-positive length")
@@ -282,7 +287,7 @@ def emit_graph(g: Graph) -> str:
             cdoc["gamma"] = coupling.gamma
         doc["vertices"].append({"id": vid, "coupling": cdoc})
     for b in g.bonds:
-        doc["bonds"].append({"from": b.from_vertex, "to": b.to_vertex, "length": b.length})
+        doc["bonds"].append({"from": b.from_vertex, "to": b.to_vertex, "length": float(b.length)})
     for lead in g.leads:
         doc["leads"].append({"vertex": lead.vertex})
     return json.dumps(doc, indent=2)

@@ -14,6 +14,7 @@ into the free part G0 and the inhomogeneous remainder.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
 
 from .errors import InputError, ResonantBondError, SingularWavenumberError
@@ -57,8 +58,8 @@ def star_green(n: int, l: int, x_i: float, x_f: float, s: VertexSMatrix) -> Gree
         G_nl = (1/2ik) { delta_nl exp(ik|x_f - x_i|) + S_nl exp(ik(x_f + x_i)) }
     """
     leads = len(s.entries)
-    if not (0 <= n < leads and 0 <= l < leads):
-        raise InputError(f"lead indices ({n}, {l}) out of range for a {leads}-lead star")
+    if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < leads for i in (n, l)):
+        raise InputError(f"lead indices must be integers in [0, {leads}), got ({n!r}, {l!r})")
     if x_i < 0 or x_f < 0:
         raise InputError("lead coordinates are measured outward from the vertex and must be >= 0")
     k = s.k

@@ -215,6 +215,9 @@ class _SecularMatrix:
 #: near c.
 _SHIFT = 1e-13
 
+#: Largest residual (module docstring) of a root ``find_eigenvalues`` accepts.
+_RESIDUAL_TOL = 1e-10
+
 #: Byte budget of the complex matrices one chunk of roots holds in the
 #: residual step (at least one matrix per chunk): the cap on that step's
 #: memory, whatever the graph size.
@@ -357,7 +360,7 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     return np.where(x < 0, e, 1.0) / (1.0 + e)
 
 
-def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResult:
+def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
     """All eigenvalues in (0, k_max], in increasing order with multiplicity.
 
     An interval whose only special point (k l_b a multiple of pi/2) is p is
@@ -368,23 +371,20 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
     of the stopping width towards the middle.
     All stop at width 1e-14 k_max, so the same graph in other length units
     takes the same steps; final intervals that share an end are one root, at
-    the midpoint of their union.  ``tol`` bounds the accepted
-    residual of each root of multiplicity m: ||(I - S D) X||_2 for the
-    orthonormal n x m block X of two steps of shifted inverse iteration, an
-    upper bound on the m-th smallest singular value of I - S D, computed in
-    chunks of at most ``_RESIDUAL_BYTES`` of matrices (module docstring).
+    the midpoint of their union.  Every root's residual is reported: for
+    multiplicity m, ||(I - S D) X||_2 for the orthonormal n x m block X of
+    two steps of shifted inverse iteration, an upper bound on the m-th
+    smallest singular value of I - S D (module docstring).
     Raises :class:`InputError` if L k_max / pi + V + B exceeds ``_MAX_ROOTS``
     or if k_max (1 + 1e-12), the top of the search, times the larger of 2 and
     the largest valency is not finite (the vertex amplitudes would overflow),
-    and :class:`NumericalError` if a residual exceeds ``tol``, if the
-    multiplicities do not add up to the count across (0, k_max] or to the
-    full count just beside each root, or if the count leaves the Weyl bound
-    |N - L k_max / pi| <= V + B.
+    and :class:`NumericalError` unless every residual is at most
+    ``_RESIDUAL_TOL`` = 1e-10, if the multiplicities do not add up to the
+    count across (0, k_max] or to the full count just beside each root, or
+    if the count leaves the Weyl bound |N - L k_max / pi| <= V + B.
     """
     if not 0 < k_max < math.inf:
         raise InputError("k_max must be positive and finite")
-    if not tol > 0:
-        raise InputError("tol must be positive")
     sm = _SecularMatrix(g)
     # the search reaches k_top, and the vertex amplitudes take N i k and 2 i k
     k_top = k_max * (1.0 + 1e-12)
@@ -480,10 +480,10 @@ def find_eigenvalues(g: Graph, k_max: float, tol: float = 1e-10) -> SpectrumResu
         )
 
     residuals = sm.residuals(roots, mults)
-    bad = np.flatnonzero(residuals > tol)
+    bad = np.flatnonzero(~(residuals <= _RESIDUAL_TOL))
     if bad.size:
         raise NumericalError(
-            f"secular residual {residuals[bad[0]]:.3e} above tolerance {tol:.1e} "
+            f"secular residual {residuals[bad[0]]:.3e} above tolerance {_RESIDUAL_TOL:.1e} "
             f"at k = {roots[bad[0]]:.12g}"
         )
     eigenvalues = np.repeat(roots, mults)

@@ -244,8 +244,9 @@ def test_criterion_9_determinism_and_manifests(tmp_path):
                  "--output", str(spec1)]) == 0
     manifest = json.loads(spec1.read_text())["manifest"]
     p = manifest["parameters"]
+    assert set(p) == {"kmax"}
     assert main(["spectrum", "--graph", manifest["graph_path"],
-                 "--kmax", fmt_float(p["kmax"]), "--tol", fmt_float(p["tol"]),
+                 "--kmax", fmt_float(p["kmax"]),
                  "--output", str(spec2)]) == 0
     reproduced = spec1.read_bytes() == spec2.read_bytes()
 

@@ -2,6 +2,7 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qgraph as qg
@@ -13,6 +14,7 @@ def test_public_names_resolve_and_are_unique():
 
 
 _INTERVAL = qg.Graph(((0, qg.DIRICHLET), (1, qg.DIRICHLET)), (qg.Bond(0, 1, 1.0),))
+_STAR3 = qg.build_vertex_smatrix(3, qg.KIRCHHOFF, 1.0)
 REFUSED_ARGUMENTS = {
     "find_eigenvalues-k_max": lambda: qg.find_eigenvalues(_INTERVAL, 0.0),
     "dirichlet_eigenvalues-length-nan": lambda: qg.dirichlet_eigenvalues(math.nan, 3),
@@ -21,9 +23,6 @@ REFUSED_ARGUMENTS = {
     "weyl_count-k-inf": lambda: qg.weyl_count(_INTERVAL, math.inf),
     "secular_function-k-nan": lambda: qg.secular_function(_INTERVAL, math.nan),
     "secular_function-k-inf": lambda: qg.secular_function(_INTERVAL, math.inf),
-    "extrapolate_tau-fit_order": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], 0),
-    "extrapolate_tau-fit_order-float": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], 1.5),
-    "extrapolate_tau-fit_order-bool": lambda: qg.extrapolate_tau([(0.2, 1.0), (0.1, 2.0)], True),
     "scaled": lambda: _INTERVAL.scaled(0.0),
     "scaled-nan": lambda: _INTERVAL.scaled(math.nan),
     "scaled-inf": lambda: _INTERVAL.scaled(math.inf),
@@ -35,7 +34,22 @@ REFUSED_ARGUMENTS = {
     "bond_wavefunction-x-beyond-bond": lambda: qg.bond_wavefunction(1, 1, 1.0, 1.0, 2.0),
     "effective_gamma-dirichlet": lambda: qg.DIRICHLET.effective_gamma(),
     "VertexCoupling-kirchhoff-gamma": lambda: qg.VertexCoupling(qg.CouplingKind.KIRCHHOFF, 1.0),
+    # lead indices are integers: a bool would index the S-matrix as a mask
+    "star_green-lead-bool": lambda: qg.star_green(True, 0, 0.1, 0.2, _STAR3),
+    "star_green-lead-float": lambda: qg.star_green(1.0, 0, 0.1, 0.2, _STAR3),
+    "star_green-lead-out-bool": lambda: qg.star_green(0, False, 0.1, 0.2, _STAR3),
+    "star_green-lead-str": lambda: qg.star_green("0", 0, 0.1, 0.2, _STAR3),
 }
+
+
+def test_extrapolate_tau_is_not_public():
+    # the mode sum's tau fit is a fixed map inside qgraph.casimir
+    assert not hasattr(qg, "extrapolate_tau")
+    assert not hasattr(qg.casimir, "extrapolate_tau")
+
+
+def test_star_green_takes_numpy_integer_leads():
+    assert qg.star_green(np.int64(1), np.int32(0), 0.1, 0.2, _STAR3) == qg.star_green(1, 0, 0.1, 0.2, _STAR3)
 
 
 @pytest.mark.parametrize("call", REFUSED_ARGUMENTS.values(), ids=REFUSED_ARGUMENTS.keys())

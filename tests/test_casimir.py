@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,38 +13,42 @@ from qgraph.casimir import ENERGY_PREFACTOR
 from tests.conftest import dirichlet_interval
 
 
-class TestExtrapolateTau:
+class TestTauFit:
+    def test_design_has_full_column_rank(self):
+        # 1/tau^2, 1, tau^2, ..., tau^8 on the 8 taus of the window
+        assert casimir._DESIGN.shape == (8, 6)
+        assert np.linalg.matrix_rank(casimir._DESIGN / casimir._SCALE) == 6
+
     def test_recovers_exact_divergent_model(self):
-        taus = casimir._TAU_WINDOW
-        samples = [(t, 1.0 / t**2 - 0.5) for t in taus]
-        limit, coeffs, residual = qg.extrapolate_tau(samples, fit_order=2)
-        assert limit == pytest.approx(-0.5, abs=1e-10)
+        values = np.array([1.0 / t**2 - 0.5 for t in casimir._TAU_WINDOW])
+        coeffs = casimir._FIT @ values
+        assert coeffs[1] == pytest.approx(-0.5, abs=1e-10)
         assert coeffs[0] == pytest.approx(1.0, rel=1e-9)
-        assert residual < 1e-9
+        assert np.max(np.abs(casimir._DESIGN @ coeffs - values)) < 1e-9
 
     def test_synthetic_three_term_model(self):
-        taus = [0.1, 0.08, 0.06, 0.05, 0.04, 0.03, 0.02]
-        samples = [(t, 1.0 / t**2 - 0.1 + t**2) for t in taus]
-        limit, _, _ = qg.extrapolate_tau(samples, fit_order=2)
-        assert limit == pytest.approx(-0.1, abs=1e-8)
+        values = np.array([1.0 / t**2 - 0.1 + t**2 for t in casimir._TAU_WINDOW])
+        assert (casimir._FIT @ values)[1] == pytest.approx(-0.1, abs=1e-10)
 
-    def test_too_few_samples(self):
-        with pytest.raises(ExtrapolationError):
-            qg.extrapolate_tau([(0.1, 1.0), (0.05, 2.0)], fit_order=3)
-
-    def test_clustered_taus_rank_deficient(self):
-        t = 0.1
-        samples = [(t, 1.0), (t + 1e-16, 1.0), (t, 2.0), (0.05, 3.0)]
-        with pytest.raises(ExtrapolationError):
-            qg.extrapolate_tau(samples, fit_order=2)
+    def test_recovers_every_term_of_the_basis(self):
+        coeffs = np.array([0.3, -0.2, 0.5, -1.0, 2.0, -3.0])
+        fitted = casimir._FIT @ (casimir._DESIGN @ coeffs)
+        assert fitted[:2] == pytest.approx(coeffs[:2], rel=1e-12, abs=1e-12)
 
     def test_residual_failure_carries_samples(self):
-        # samples with an odd 1/tau term cannot be described by the even basis
-        taus = casimir._TAU_WINDOW
-        samples = [(t, 1.0 / t - 0.3) for t in taus]
-        with pytest.raises(ExtrapolationError) as err:
-            qg.extrapolate_tau(samples, fit_order=2)
-        assert len(err.value.samples) == len(taus)
+        # a delta vertex adds a log(tau) term that the even basis cannot describe
+        g = qg.Graph(((0, qg.delta(3.0)), (1, qg.delta(3.0))), (qg.Bond(0, 1, 1.0),))
+        with pytest.raises(ExtrapolationError, match="fit residual") as err:
+            qg.casimir_mode_sum(g)
+        assert [t for t, _ in err.value.samples] == list(casimir._TAU_WINDOW)
+
+    def test_nan_samples_fail_the_fit(self, monkeypatch):
+        # a NaN residual is not within the bound
+        spectrum = qg.find_eigenvalues(dirichlet_interval(1.0), 10.0)
+        monkeypatch.setattr(casimir, "find_eigenvalues", lambda g, k_max: replace(spectrum, eigenvalues=(math.nan,)))
+        with pytest.raises(ExtrapolationError, match="fit residual nan") as err:
+            qg.casimir_mode_sum(dirichlet_interval(1.0))
+        assert len(err.value.samples) == 8
 
 
 def _subtracted_trace(coupling, ell, kappa):
@@ -286,13 +291,17 @@ class TestGreenMethod:
             calls.append(args)
             return quad(*args, **kwargs)
 
-        def no_fit(*args, **kwargs):
-            raise AssertionError("the Green route fits no regulator sequence")
+        class NoFit:
+            def __matmul__(self, values):
+                raise AssertionError("the Green route fits no regulator sequence")
 
         monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
-        monkeypatch.setattr(casimir, "extrapolate_tau", no_fit)
+        monkeypatch.setattr(casimir, "_FIT", NoFit())
         qg.casimir_green_method(qg.Graph(((0, qg.delta(0.7)), (1, qg.delta(0.7))), (qg.Bond(0, 1, 1.0),)))
         assert len(calls) == 1
+        # the mode sum does meet the patched fit
+        with pytest.raises(AssertionError, match="no regulator sequence"):
+            qg.casimir_mode_sum(dirichlet_interval(1.0))
 
     @pytest.mark.parametrize("coupling", [qg.DIRICHLET, qg.KIRCHHOFF], ids=["dirichlet", "kirchhoff"])
     def test_long_bond_within_estimated_error(self, coupling):

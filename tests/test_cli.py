@@ -399,7 +399,6 @@ class TestGreensCommand:
 
 
 NONFINITE_FLAGS = {
-    "spectrum-tol": ["spectrum", "--kmax", "10", "--tol", "nan"],
     "spectrum-kmax": ["spectrum", "--kmax", "inf"],
     "greens-xi": ["greens", "--k", "1.3,0", "--xi", "nan", "--xf", "0.5"],
     "greens-xf": ["greens", "--k", "1.3,0", "--xi", "0.5", "--xf=-inf"],
@@ -442,6 +441,8 @@ REFUSED_FLAGS = {
     "graph-is-missing": ["casimir", "--method", "green", "--graph", "no-such-dir/graph.json"],
     "greens-leads-at-two-vertices": ["greens", "--k", "1,0", "--xi", "0", "--xf", "0", "--graph", TWO_LEAD_VERTICES],
     "spectrum-kmax-negative": ["spectrum", "--kmax", "-1"],
+    # the residual bound is fixed, so there is no --tol
+    "spectrum-tol": ["spectrum", "--kmax", "10", "--tol", "nan"],
     "spectrum-tol-zero": ["spectrum", "--kmax", "10", "--tol", "0"],
     # about 3e299 roots: refused before numpy is asked for the special points
     "spectrum-kmax-unbounded": ["spectrum", "--kmax", "1e300"],
@@ -497,6 +498,15 @@ def test_regulator_flags_are_unknown(command, flag, graph_file, tmp_path, capsys
     assert not out.exists()
 
 
+def test_spectrum_tol_is_an_unknown_flag(graph_file, tmp_path, capsys):
+    # roots are accepted against the residual bound fixed in the spectrum module
+    out = tmp_path / "x.out"
+    argv = ["spectrum", "--graph", graph_file(INTERVAL), "--kmax", "10", "--tol", "1e-12", "--output", str(out)]
+    assert main(argv) == 1
+    assert "unrecognized arguments: --tol 1e-12" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, graph_file, tmp_path):
         graph = graph_file(INTERVAL)
@@ -508,12 +518,11 @@ class TestDeterminism:
     def test_spectrum_manifest_reproduces_output(self, graph_file, tmp_path):
         graph = graph_file(INTERVAL)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["spectrum", "--graph", graph, "--kmax", "12.5", "--tol", "1e-11",
-                     "--output", str(out1)]) == 0
+        assert main(["spectrum", "--graph", graph, "--kmax", "12.5", "--output", str(out1)]) == 0
         manifest = json.loads(out1.read_text())["manifest"]
         p = manifest["parameters"]
-        assert main(["spectrum", "--graph", manifest["graph_path"],
-                     "--kmax", fmt_float(p["kmax"]), "--tol", fmt_float(p["tol"]),
+        assert p == {"kmax": 12.5}
+        assert main(["spectrum", "--graph", manifest["graph_path"], "--kmax", fmt_float(p["kmax"]),
                      "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 

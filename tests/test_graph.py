@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import qgraph as qg
@@ -98,13 +99,17 @@ _ENDS = ((0, qg.DIRICHLET), (1, qg.DIRICHLET))
         (_ENDS, (Bond(0, 1, 0.0),), (), "bond 0: non-positive length"),
         (_ENDS, (Bond(0, 1, math.nan),), (), "bond 0: non-finite length"),
         (_ENDS, (Bond(0, 1, math.inf),), (), "bond 0: non-finite length"),
+        (_ENDS, (Bond(0, 1, True),), (), "^bond 0: length must be a real number, got True$"),
+        (_ENDS, (Bond(0, 1, "1"),), (), "^bond 0: length must be a real number, got '1'$"),
+        (_ENDS, (Bond(0, 1, None),), (), "^bond 0: length must be a real number, got None$"),
         (_ENDS, (Bond(0, 1, 1.0),), (qg.Lead(3),), "lead 0: unknown vertex 3"),
         # every violation is named, in order
         (_ENDS, (Bond(0, 0, -1.0), Bond(0, 1, 1.0)), (),
          "^bond 0: loops unsupported; bond 0: non-positive length$"),
     ],
     ids=["unknown-vertex", "loop", "multi-edge", "isolated", "duplicate-id", "negative-length", "zero-length",
-         "nan-length", "inf-length", "lead-unknown-vertex", "all-named"],
+         "nan-length", "inf-length", "bool-length", "str-length", "none-length", "lead-unknown-vertex",
+         "all-named"],
 )
 def test_graph_refuses_structural_violations_when_built(vertices, bonds, leads, message):
     with pytest.raises(GraphFormatError, match=message):
@@ -144,6 +149,24 @@ def test_parse_emit_parse_idempotent(doc):
     g2 = qg.parse_graph(qg.emit_graph(g1))
     assert g1 == g2
     assert qg.parse_graph(qg.emit_graph(g2)) == g2
+
+
+@pytest.mark.parametrize("gamma", [True, False, "1", None], ids=["true", "false", "str", "none"])
+def test_delta_gamma_must_be_a_real_number(gamma):
+    with pytest.raises(GraphFormatError, match="delta coupling requires a finite real gamma, got"):
+        qg.VertexCoupling(CouplingKind.DELTA, gamma)
+    with pytest.raises(GraphFormatError, match="delta coupling requires a finite real gamma, got"):
+        qg.delta(gamma)
+
+
+def test_built_graph_round_trips_through_emit_and_parse():
+    # integer and numpy values are real numbers: the graph accepts them and
+    # emits plain JSON numbers that its own parser reads back
+    g = Graph(((0, qg.delta(2)), (1, qg.delta(np.float32(0.5))), (2, qg.KIRCHHOFF)),
+              (Bond(0, 1, 3), Bond(1, 2, np.float64(0.75)), Bond(2, 0, np.float32(1.25))), (qg.Lead(2),))
+    text = qg.emit_graph(g)
+    assert qg.parse_graph(text) == g
+    assert qg.emit_graph(qg.parse_graph(text)) == text
 
 
 def test_accepted_documents_build_the_same_graph():

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.optimize import brentq
 
 import qgraph as qg
 import qgraph.casimir as casimir
+import qgraph.spectrum as spectrum
 from qgraph import UnsupportedTopologyError
 
 
@@ -46,12 +48,18 @@ class TestSecularFunction:
             qg.secular_function(interval_graph, -1.0)
 
 
-@pytest.mark.parametrize(
-    "k_max, tol", [(0.0, 1e-10), (math.nan, 1e-10), (math.inf, 1e-10), (10.0, 0.0), (10.0, math.nan)]
-)
-def test_find_eigenvalues_rejects_nonpositive_and_nonfinite(interval_graph, k_max, tol):
-    with pytest.raises(ValueError, match="k_max" if tol == 1e-10 else "tol"):
-        qg.find_eigenvalues(interval_graph, k_max, tol)
+@pytest.mark.parametrize("k_max", [0.0, -1.0, math.nan, math.inf])
+def test_find_eigenvalues_rejects_nonpositive_and_nonfinite(interval_graph, k_max):
+    with pytest.raises(ValueError, match="k_max"):
+        qg.find_eigenvalues(interval_graph, k_max)
+
+
+def test_find_eigenvalues_takes_no_tolerance(interval_graph):
+    # the residual bound is fixed in the module; k_max stays the second
+    # positional parameter
+    assert list(inspect.signature(qg.find_eigenvalues).parameters) == ["g", "k_max"]
+    with pytest.raises(TypeError):
+        qg.find_eigenvalues(interval_graph, 10.0, tol=1e-12)
 
 
 @pytest.mark.parametrize("k_max", [1e300, 1e12])
@@ -131,9 +139,9 @@ class TestFindEigenvalues:
         assert res.eigenvalues == ()
 
     def test_residuals_within_tolerance(self, star3_graph):
-        tol = 1e-10
-        res = qg.find_eigenvalues(star3_graph, 12.0, tol)
-        assert all(r <= tol for r in res.residuals)
+        res = qg.find_eigenvalues(star3_graph, 12.0)
+        assert len(res.residuals) == res.count
+        assert all(r <= 1e-10 for r in res.residuals)
 
     def test_transparent_kirchhoff_vertex(self):
         # a two-valent kirchhoff vertex in the middle of a bond is invisible,
@@ -419,13 +427,13 @@ def test_residual_bounds_the_mth_smallest_singular_value(graph, k_max, next_rang
     # value of I - S D (Courant-Fischer); it must also lie within rounding of
     # it, whether the next singular value is far from zero or, on the split
     # stars, close to it: there a shift as large as 1e-10 would put the
-    # bound up to 1.6e-10 above sigma_m and fail the default tol.
+    # bound up to 1.6e-10 above sigma_m and fail the residual bound 1e-10.
     # The 3-star's roots n pi are double
     from qgraph.spectrum import _SecularMatrix
 
     sm = _SecularMatrix(graph)
     res = qg.find_eigenvalues(graph, k_max)
-    assert qg.find_eigenvalues(graph, k_max, tol=1e-12) == res
+    assert max(res.residuals) <= 1e-12
     roots, mults = np.unique(res.eigenvalues, return_counts=True)
     sv = np.linalg.svd(np.eye(sm.dim) - sm.matrices(roots), compute_uv=False)[:, ::-1]
     sigma = sv[np.arange(len(roots)), mults - 1]
@@ -434,10 +442,18 @@ def test_residual_bounds_the_mth_smallest_singular_value(graph, k_max, next_rang
     assert next_range[0] < np.min(sv[np.arange(len(roots)), mults]) < next_range[1]
 
 
-def test_residual_above_tol_raises(star3_graph):
-    # the 3-star's residuals are about 1e-16, above a tolerance of 1e-17
+def test_residual_above_tol_raises(star3_graph, monkeypatch):
+    # the 3-star's residuals are about 1e-16, above a bound of 1e-17
+    monkeypatch.setattr(spectrum, "_RESIDUAL_TOL", 1e-17)
     with pytest.raises(qg.NumericalError, match="secular residual"):
-        qg.find_eigenvalues(star3_graph, 20.0, tol=1e-17)
+        qg.find_eigenvalues(star3_graph, 20.0)
+
+
+def test_nan_residual_raises(star3_graph, monkeypatch):
+    # a NaN residual is not within the bound
+    monkeypatch.setattr(spectrum._SecularMatrix, "residuals", lambda self, ks, mults: np.full(len(ks), np.nan))
+    with pytest.raises(qg.NumericalError, match="secular residual nan"):
+        qg.find_eigenvalues(star3_graph, 20.0)
 
 
 def test_residual_of_a_moved_root_exceeds_tol(star3_graph):
