@@ -6,6 +6,7 @@ from .casimir import (
     Method,
     casimir_green_method,
     casimir_mode_sum,
+    casimir_sweep,
 )
 from .errors import (
     ExtrapolationError,
@@ -85,6 +86,7 @@ __all__ = [
     "build_vertex_smatrix",
     "casimir_green_method",
     "casimir_mode_sum",
+    "casimir_sweep",
     "cavity_amplitudes",
     "delta",
     "dirichlet_eigenvalues",

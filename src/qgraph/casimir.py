@@ -24,6 +24,15 @@ Green-trace route
     with r = (kappa - gamma)/(kappa + gamma).  The overall normalization is
     frozen once against the Dirichlet cavity benchmark E = -pi/(24 ell) and
     is exactly 1/pi; every other configuration is a prediction.
+    The integral is taken by ``_green_integrals`` in numpy, with no scipy:
+    panels carry an 8- and a 16-point Gauss-Legendre rule (Golub-Welsch
+    nodes), the 16-point sum is the value and the distance between the two
+    the error estimate, and a panel is bisected until that estimate is
+    within its share of the tolerance.  It integrates many g = gamma ell at
+    once, each equal value once and in chunks of a fixed byte budget, so a
+    sweep over scales (:func:`casimir_sweep`) makes one call for all of
+    them and gets, for each scale, the bits :func:`casimir_green_method`
+    gives for that scale alone.
 
 Mode-sum route (independent oracle)
     E(tau) = (1/2) sum_n k_n exp(-k_n tau) - L_total/(2 pi tau^2), followed by
@@ -42,11 +51,12 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtrapolationError, InputError, NumericalError, UnsupportedTopologyError
+from .errors import ExtrapolationError, NumericalError, QGraphError, UnsupportedTopologyError
 from .graph import CouplingKind, Graph, delta, total_length, two_vertex_form
 from .spectrum import find_eigenvalues
 
@@ -102,47 +112,119 @@ class CasimirResult:
     estimated_error: float
 
 
-def _rotated_integrand(g: float):
+def _rotated_integrand(g):
     """kappa^2 * (subtracted trace)(i kappa) at tau = 0 as a function of
-    x = kappa ell, with g = gamma ell, in a form stable at both ends of the
-    contour.  For a delta end it is also less the vertex self-energy
-    gamma/(kappa + gamma), subtracted in closed form."""
-    if g == 0.0:
-        # end reflection is exactly -1 (dirichlet) or +1 (single-edge kirchhoff)
+    x = kappa ell, with g = gamma ell (0 for Dirichlet and single-edge
+    Kirchhoff ends, whose reflection is exactly -1 and +1), in a form stable
+    at both ends of the contour.  For a delta end it is also less the vertex
+    self-energy gamma/(kappa + gamma), subtracted in closed form.  ``g`` and
+    the argument ``x`` may be numpy arrays that broadcast together."""
 
-        def f(x: float) -> float:
-            return -x / math.expm1(2.0 * x)
-
-        return f
-
-    def f(x: float) -> float:
+    def f(x):
         xg = x + g
         r = (x - g) / xg
-        e2 = math.exp(-2.0 * x)
+        # 2 g x / xg^2, as two ratios so that nothing overflows at large g
+        t = 2.0 * (x / xg) * (g / xg)
+        e2 = np.exp(-2.0 * x)
         # 1 - r^2 e2, grouped so every piece is a sum of same-sign terms near x = 0
-        den = -math.expm1(-2.0 * x) + e2 * (4.0 * x * g) / (xg * xg)
+        den = 2.0 * t * e2 - np.expm1(-2.0 * x)
         # the bounce term -x r^2 e2 / den plus the vertex term less the
-        # self-energy, g (1 + r e2) / (xg den) - g / xg = 2 g x r e2 / (xg^2 den)
-        return (2.0 * g * x / (xg * xg) - x * r) * r * e2 / den
+        # self-energy, g (1 + r e2) / (xg den) - g / xg = t r e2 / den
+        return (t - x * r) * r * e2 / den
 
     return f
 
 
-def casimir_green_method(g: Graph) -> CasimirResult:
-    """Zero-point energy from the rotated Green-trace integral.
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], from
+    the eigenvectors of its Jacobi matrix (Golub & Welsch, Math. Comp. 23,
+    221 (1969))."""
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return (nodes + 1.0) / 2.0, vectors[0] ** 2
 
-    ``g`` must be a two-vertex compact graph (one bond, identical couplings,
-    gamma >= 0).  The energy is the frozen normalization times one adaptive
-    quadrature of the subtracted trace over x = kappa ell in (0, 11.51] at
-    tau = 0 and tolerance ``_QUADRATURE_TOL``, divided by ell;
-    ``estimated_error`` is the quadrature error plus a bound on the truncated
-    tail, divided by ell.  Raises :class:`NumericalError` if either is not
-    finite.
+
+#: Each panel is integrated by the 8- and 16-point Gauss-Legendre rules: the
+#: 16-point sum is its value and the distance between the two its error
+#: estimate.  _NODES holds the 8 nodes, then the 16, on [0, 1].
+(_NODES_8, _WEIGHTS_8), (_NODES_16, _WEIGHTS_16) = _gauss_legendre(8), _gauss_legendre(16)
+_NODES = np.concatenate([_NODES_8, _NODES_16])
+
+#: The quadrature starts from this many equal panels on (0, x_max].
+_FIRST_PANELS = 4
+
+#: A g whose integral takes more panels than this (counting every bisected
+#: one, so its depth is capped too) has no integral: ``_green_integrals``
+#: returns NaN for it.  Every g >= 0 takes at most 158 at tol 1e-10, and 188
+#: at 1e-12 (g near tol^4, whose zero-mode step is graded down to sqrt(g)).
+_MAX_PANELS = 400
+
+#: Byte budget of the integrand values of one chunk of panels, 8 + 16 nodes
+#: each (at least one panel per chunk).  The integrand holds about seven
+#: arrays of that size at once, so this caps the quadrature's working set,
+#: beside its panel list of a few hundred bytes per g value.
+_QUADRATURE_BYTES = 2**16
+
+
+def _green_integrals(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integral of ``_rotated_integrand(g)`` over x in (0, x_max] for each g of
+    ``gs``, and its error estimate, with x_max = -ln(tol)/2 and tol
+    ``_QUADRATURE_TOL``.
+
+    Equal g values are integrated once.  Every g starts from the same
+    ``_FIRST_PANELS`` panels; all live panels of all g are evaluated together,
+    one level of bisection at a time, in chunks of ``_QUADRATURE_BYTES``.  A
+    panel is kept once the two rules agree to within its share of tol, its
+    width over x_max, and is bisected otherwise.  The panel at x = 0 of a
+    g >= tol^4 is also bisected until it is no wider than sqrt(g): there the
+    reflection of a delta end turns the Kirchhoff zero mode into one at
+    kappa ell = sqrt(2 g), whose step in the integrand, of width sqrt(g) and
+    weight (pi / sqrt 2) sqrt(g), falls between the nodes of a wider panel
+    and would be missed.  A g whose panels outnumber ``_MAX_PANELS`` gets a
+    NaN integral and an infinite error.  The sum over a g's panels runs in a
+    fixed order, so each g's numbers do not depend on the other values of
+    ``gs``.
     """
-    # imported here, not with the module: scipy.integrate takes most of a
-    # CLI call's start-up, and only this route needs it
-    from scipy.integrate import quad
+    tol = _QUADRATURE_TOL
+    x_max = -0.5 * math.log(tol)
+    unique, back = np.unique(np.asarray(gs, dtype=float), return_inverse=True)
+    n = len(unique)
+    root = np.sqrt(unique)
+    step = np.where(root >= tol * tol, root, np.inf)
+    total, error, used = np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
+    rows = max(1, _QUADRATURE_BYTES // (8 * len(_NODES)))
 
+    width = x_max / _FIRST_PANELS
+    owner = np.repeat(np.arange(n), _FIRST_PANELS)
+    left = np.tile(np.arange(_FIRST_PANELS) * width, n)
+    while owner.size:
+        coarse, fine = np.empty(owner.size), np.empty(owner.size)
+        for lo in range(0, owner.size, rows):
+            at = slice(lo, lo + rows)
+            f = _rotated_integrand(unique[owner[at], None])(left[at, None] + width * _NODES)
+            coarse[at] = (f[:, :len(_WEIGHTS_8)] * _WEIGHTS_8).sum(axis=1)
+            fine[at] = (f[:, len(_WEIGHTS_8):] * _WEIGHTS_16).sum(axis=1)
+        coarse *= width
+        fine *= width
+        est = np.abs(fine - coarse)
+        # NaN never passes, so a NaN integrand runs into the panel cap
+        done = (est <= tol * width / x_max) & ~((left == 0.0) & (width > step[owner]))
+        total += np.bincount(owner[done], fine[done], minlength=n)
+        error += np.bincount(owner[done], est[done], minlength=n)
+        used += np.bincount(owner, minlength=n)
+        owner, left = owner[~done], left[~done]
+        keep = used[owner] <= _MAX_PANELS
+        total[owner[~keep]], error[owner[~keep]] = np.nan, np.inf
+        owner, left = owner[keep], left[keep]
+        width /= 2.0
+        owner, left = np.concatenate([owner, owner]), np.concatenate([left, left + width])
+    return total[back], error[back]
+
+
+def _green_ends(g: Graph) -> tuple[float, float]:
+    """(bond length, gamma) of a graph the Green route takes, gamma = 0 for
+    Dirichlet ends; the refusals of :func:`casimir_green_method`."""
     coupling, ell = two_vertex_form(g)
     gamma = 0.0 if coupling.is_dirichlet else coupling.effective_gamma()
     if gamma < 0:
@@ -150,21 +232,82 @@ def casimir_green_method(g: Graph) -> CasimirResult:
             "attractive couplings (gamma < 0) put a bound-state pole on the "
             "rotated contour; not supported"
         )
+    if not math.isfinite(gamma * ell):
+        raise NumericalError(f"gamma ell = {gamma!r} * {ell!r} is beyond the largest double")
+    return ell, gamma
+
+
+def _green_energies(ends: list[tuple[float, float]]) -> list[CasimirResult | QGraphError]:
+    """The Green result of each (bond length, gamma) of ``ends``, or the
+    :class:`NumericalError` it raised, from one ``_green_integrals`` call."""
     tol = _QUADRATURE_TOL
     x_max = -0.5 * math.log(tol)
-    integral, quad_err = quad(_rotated_integrand(gamma * ell), 0.0, x_max, epsabs=tol, epsrel=tol, limit=400)
+    integrals, errors = _green_integrals(np.array([gamma * ell for ell, gamma in ends]))
+    out: list[CasimirResult | QGraphError] = []
+    for (ell, gamma), integral, quad_err in zip(ends, integrals.tolist(), errors.tolist()):
+        if not math.isfinite(integral + quad_err):
+            out.append(NumericalError(f"the Green quadrature did not reach its tolerance within {_MAX_PANELS} "
+                                      f"panels at gamma ell = {gamma * ell!r}"))
+            continue
+        # truncation bound: |integrand| <= (x + 1/2) e^{-2x} / (1 - e^{-2x}), the
+        # 1/2 bounding the subtracted vertex term of delta ends (0 for the others),
+        # and e^{-2 x_max} = tol; all in Python floats, which turn an overflow into inf
+        tail = (2.0 * x_max + 1.0 + (gamma != 0.0)) * tol / (4.0 * (1.0 - tol))
+        energy = ENERGY_PREFACTOR * integral / ell
+        estimated_error = ENERGY_PREFACTOR * (quad_err + tail) / ell
+        if not (math.isfinite(energy) and math.isfinite(estimated_error)):
+            out.append(NumericalError(f"Green energy {energy!r} +- {estimated_error!r} is not finite "
+                                      f"at bond length {ell!r}"))
+            continue
+        out.append(CasimirResult(energy=energy, fit_coefficients=(), per_tau_samples=(),
+                                 method=Method.GREEN_TRACE, estimated_error=estimated_error))
+    return out
 
-    # truncation bound: |integrand| <= (x + 1/2) e^{-2x} / (1 - e^{-2x}), the
-    # 1/2 bounding the subtracted vertex term of delta ends (0 for the others),
-    # and e^{-2 x_max} = tol
-    tail = (2.0 * x_max + 1.0 + (gamma != 0.0)) * tol / (4.0 * (1.0 - tol))
-    energy = ENERGY_PREFACTOR * integral / ell
-    estimated_error = ENERGY_PREFACTOR * (quad_err + tail) / ell
-    if not (math.isfinite(energy) and math.isfinite(estimated_error)):
-        raise NumericalError(f"Green energy {energy!r} +- {estimated_error!r} is not finite at bond length {ell!r}")
 
-    return CasimirResult(energy=energy, fit_coefficients=(), per_tau_samples=(), method=Method.GREEN_TRACE,
-                         estimated_error=estimated_error)
+def casimir_green_method(g: Graph) -> CasimirResult:
+    """Zero-point energy from the rotated Green-trace integral.
+
+    ``g`` must be a two-vertex compact graph (one bond, identical couplings,
+    gamma >= 0).  The energy is the frozen normalization times the
+    quadrature ``_green_integrals`` of the subtracted trace over
+    x = kappa ell in (0, 11.51] at tau = 0 and tolerance ``_QUADRATURE_TOL``,
+    divided by ell; ``estimated_error`` is the quadrature's error estimate
+    plus a bound on the truncated tail, divided by ell.  Raises
+    :class:`NumericalError` if gamma ell overflows, if the quadrature does
+    not converge, or if the energy or its error is not finite.  This is the
+    one-scale case of :func:`casimir_sweep`.
+    """
+    (result,) = _green_energies([_green_ends(g)])
+    if isinstance(result, QGraphError):
+        raise result
+    return result
+
+
+def casimir_sweep(g: Graph, scales: Iterable[float], method: Method) -> list[CasimirResult | QGraphError]:
+    """The energy of ``g.scaled(s)`` for each s of ``scales`` by ``method``:
+    its :class:`CasimirResult`, or the :class:`QGraphError` that scale raised.
+
+    The mode sum runs scale by scale.  The Green route checks every scale
+    first (the scaled graph, then the refusals of
+    :func:`casimir_green_method`) and integrates all that pass in one
+    ``_green_integrals`` call; each result is bitwise the one
+    :func:`casimir_green_method` gives for that scale alone.
+    """
+    out: list[CasimirResult | QGraphError | None] = []
+    ends = []
+    for s in scales:
+        try:
+            if method is Method.MODE_SUM:
+                out.append(casimir_mode_sum(g.scaled(s)))
+            else:
+                ends.append(_green_ends(g.scaled(s)))
+                out.append(None)
+        except QGraphError as exc:
+            out.append(exc)
+    if method is Method.MODE_SUM:
+        return out
+    energies = iter(_green_energies(ends))
+    return [next(energies) if r is None else r for r in out]
 
 
 def casimir_mode_sum(g: Graph) -> CasimirResult:

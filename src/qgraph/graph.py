@@ -94,7 +94,10 @@ class Graph:
     :class:`GraphFormatError` naming every violation: a duplicate vertex id,
     a bond end or lead on an unknown vertex, a loop, a parallel bond, a
     length that is not a real number (a bool, a str, None) or is non-finite
-    or non-positive, or a vertex without bonds or leads."""
+    or non-positive, or a vertex without bonds or leads.  A vertex id, bond
+    end or lead vertex that is not an integer (a bool, a str, a float; numpy
+    integers are integers) is named first, alone: the other checks hash and
+    compare ids."""
 
     vertices: tuple[tuple[int, VertexCoupling], ...]
     bonds: tuple[Bond, ...]
@@ -103,6 +106,9 @@ class Graph:
     _valency: Counter = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
+        diags = _id_violations(self)
+        if diags:
+            raise GraphFormatError("; ".join(diags))
         object.__setattr__(self, "_coupling_by_id", {vid: c for vid, c in self.vertices})
         ends = [v for b in self.bonds for v in (b.from_vertex, b.to_vertex)]
         object.__setattr__(self, "_valency", Counter(ends + [lead.vertex for lead in self.leads]))
@@ -135,6 +141,22 @@ class Graph:
 def total_length(g: Graph) -> float:
     """Sum of all bond lengths."""
     return float(sum(b.length for b in g.bonds))
+
+
+def _is_id(value) -> bool:
+    # the exact-type test first: the ABC check costs about 1 us, on every scaled graph of a sweep
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def _id_violations(g: Graph) -> list[str]:
+    """One diagnostic per vertex id, bond end or lead vertex that is not an integer."""
+    diags = [f"vertex {i}: id must be an integer, got {vid!r}" for i, (vid, _) in enumerate(g.vertices)
+             if not _is_id(vid)]
+    diags += [f"bond {i}: vertex id must be an integer, got {v!r}" for i, b in enumerate(g.bonds)
+              for v in (b.from_vertex, b.to_vertex) if not _is_id(v)]
+    diags += [f"lead {i}: vertex id must be an integer, got {lead.vertex!r}" for i, lead in enumerate(g.leads)
+              if not _is_id(lead.vertex)]
+    return diags
 
 
 def _violations(g: Graph) -> list[str]:
@@ -285,11 +307,11 @@ def emit_graph(g: Graph) -> str:
         cdoc: dict = {"kind": coupling.kind.value}
         if coupling.kind is CouplingKind.DELTA:
             cdoc["gamma"] = coupling.gamma
-        doc["vertices"].append({"id": vid, "coupling": cdoc})
+        doc["vertices"].append({"id": int(vid), "coupling": cdoc})
     for b in g.bonds:
-        doc["bonds"].append({"from": b.from_vertex, "to": b.to_vertex, "length": float(b.length)})
+        doc["bonds"].append({"from": int(b.from_vertex), "to": int(b.to_vertex), "length": float(b.length)})
     for lead in g.leads:
-        doc["leads"].append({"vertex": lead.vertex})
+        doc["leads"].append({"vertex": int(lead.vertex)})
     return json.dumps(doc, indent=2)
 
 

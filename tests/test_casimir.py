@@ -281,24 +281,25 @@ class TestGreenMethod:
         assert max(energies) - min(energies) <= results[0].estimated_error
 
     def test_one_quadrature_and_no_tau_fit(self, monkeypatch):
-        import scipy.integrate
-
-        import qgraph.casimir as casimir
-
         calls = []
+        integrals = casimir._green_integrals
 
-        def counting_quad(*args, **kwargs):
-            calls.append(args)
-            return quad(*args, **kwargs)
+        def counting_integrals(gs):
+            calls.append(len(gs))
+            return integrals(gs)
 
         class NoFit:
             def __matmul__(self, values):
                 raise AssertionError("the Green route fits no regulator sequence")
 
-        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+        monkeypatch.setattr(casimir, "_green_integrals", counting_integrals)
         monkeypatch.setattr(casimir, "_FIT", NoFit())
-        qg.casimir_green_method(qg.Graph(((0, qg.delta(0.7)), (1, qg.delta(0.7))), (qg.Bond(0, 1, 1.0),)))
-        assert len(calls) == 1
+        g = qg.Graph(((0, qg.delta(0.7)), (1, qg.delta(0.7))), (qg.Bond(0, 1, 1.0),))
+        qg.casimir_green_method(g)
+        assert calls == [1]
+        # one call for a whole sweep
+        qg.casimir_sweep(g, [0.5, 1.0, 2.0], Method.GREEN_TRACE)
+        assert calls == [1, 3]
         # the mode sum does meet the patched fit
         with pytest.raises(AssertionError, match="no regulator sequence"):
             qg.casimir_mode_sum(dirichlet_interval(1.0))
@@ -355,6 +356,100 @@ class TestGreenMethod:
 
     def test_frozen_prefactor(self):
         assert ENERGY_PREFACTOR == 1.0 / math.pi
+
+
+def _delta_pair(gamma: float, ell: float = 1.0) -> qg.Graph:
+    return qg.Graph(((0, qg.delta(gamma)), (1, qg.delta(gamma))), (qg.Bond(0, 1, ell),))
+
+
+class TestGreenQuadrature:
+    @pytest.mark.parametrize("gamma_ell", [1e-10, 1e-8, 1e-4, 0.01, 0.25, 1.0, 6.0, 1e3, 1e6])
+    def test_delta_energy_within_estimated_error_of_log_det(self, gamma_ell):
+        # the log-det energy (1/2 pi) int log(1 - r^2 e^{-2 kappa}) d kappa, ell = 1,
+        # by scipy's quad at 1e-12: it shares no code with the Green route
+        def integrand(kappa):
+            r = (kappa - gamma_ell) / (kappa + gamma_ell)
+            return math.log1p(-r * r * math.exp(-2.0 * kappa))
+
+        log_det = quad(integrand, 0.0, math.inf, epsabs=1e-15, epsrel=1e-12, limit=200)[0] / (2 * math.pi)
+        res = qg.casimir_green_method(_delta_pair(gamma_ell))
+        assert abs(res.energy - log_det) <= res.estimated_error
+
+    @pytest.mark.parametrize("gamma_ell", [1e-16, 1e-14, 1e-12])
+    def test_tiny_delta_lifts_the_zero_mode(self, gamma_ell):
+        # a weak delta lifts the Kirchhoff zero mode to k0 = sqrt(2 gamma / ell),
+        # so E ell = -pi/24 + sqrt(2 gamma ell)/2 + O(gamma ell ln gamma ell); the
+        # step this puts in the integrand is sqrt(gamma ell) wide, and a quadrature
+        # blind to it returns the Kirchhoff energy (scipy's quad did, from 1e-9 down)
+        res = qg.casimir_green_method(_delta_pair(gamma_ell))
+        assert abs(res.energy - (-math.pi / 24 + math.sqrt(2 * gamma_ell) / 2)) <= res.estimated_error
+
+    def test_huge_delta_is_the_dirichlet_energy_and_an_overflow_is_refused(self):
+        res = qg.casimir_green_method(_delta_pair(1e300))
+        assert abs(res.energy + math.pi / 24) <= res.estimated_error
+        with pytest.raises(NumericalError, match="beyond the largest double"):
+            qg.casimir_green_method(_delta_pair(1e300, 1e10))
+
+    def test_sweep_rows_are_the_single_scale_results(self):
+        # the scales of `sweep --from 1e-6 --to 10 --steps 41` on delta(0.7), ell = 0.5:
+        # gamma ell from 3.5e-7, deeply refined, to 3.5, shallow; at 5e-324 the
+        # length underflows to 0, and at 1e-323 the energy overflows
+        g = _delta_pair(0.7, 0.5)
+        scales = [5e-324, 1e-323] + [1e-6 + (10 - 1e-6) * i / 40 for i in range(41)]
+        results = qg.casimir_sweep(g, scales, Method.GREEN_TRACE)
+        assert len(results) == len(scales)
+        assert isinstance(results[0], qg.GraphFormatError) and isinstance(results[1], NumericalError)
+        for scale, res in zip(scales, results):
+            try:
+                alone = qg.casimir_green_method(g.scaled(scale))
+            except qg.QGraphError as exc:
+                assert (type(res), str(res)) == (type(exc), str(exc))
+            else:
+                assert isinstance(res, qg.CasimirResult)
+                assert np.array([res.energy, res.estimated_error]).tobytes() == \
+                    np.array([alone.energy, alone.estimated_error]).tobytes()
+
+    def test_tolerance_beyond_double_precision_raises(self, monkeypatch):
+        # no panel can meet 1e-18 of its width: the panel cap ends the refinement
+        monkeypatch.setattr(casimir, "_QUADRATURE_TOL", 1e-18)
+        for g in (dirichlet_interval(1.0), _delta_pair(0.7)):
+            with pytest.raises(NumericalError, match="did not reach its tolerance"):
+                qg.casimir_green_method(g)
+
+    def test_equal_values_are_integrated_once(self, monkeypatch):
+        points = []
+        integrand = casimir._rotated_integrand
+
+        def counting(g):
+            f = integrand(g)
+
+            def counted(x):
+                points.append(x.size)
+                return f(x)
+
+            return counted
+
+        monkeypatch.setattr(casimir, "_rotated_integrand", counting)
+        one = casimir._green_integrals(np.array([0.0]))
+        n_points = sum(points)
+        many = casimir._green_integrals(np.zeros(500))
+        assert sum(points) == 2 * n_points
+        assert many[0].tobytes() == np.repeat(one[0], 500).tobytes()
+
+    def test_memory_is_capped_by_the_chunk_budget(self):
+        # about seven arrays of the budget at once, plus a few hundred bytes
+        # per g value for the panel list
+        import tracemalloc
+
+        n = 20_000
+        gs = 10.0 ** np.linspace(-8.0, 6.0, n)
+        tracemalloc.start()
+        try:
+            casimir._green_integrals(gs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * casimir._QUADRATURE_BYTES + 500 * n
 
 
 class TestCrossMethod:

@@ -253,6 +253,20 @@ class TestSweepCommand:
         assert "not finite" in rows[0][3] and rows[0][1] == "NaN"
         assert rows[1][3] == ""
 
+    def test_green_sweep_rows_are_the_single_scale_results(self, graph_file, tmp_path):
+        # one quadrature for the whole sweep, deep (gamma ell = 7e-7) and shallow
+        # (gamma ell = 7) refinement mixed, writes what each scale gives alone
+        out = tmp_path / "sweep.csv"
+        graph = graph_file(two_vertex({"kind": "delta", "gamma": 0.7}))
+        assert main(["sweep", "--graph", graph, "--from", "1e-6", "--to", "10", "--steps", "41",
+                     "--method", "green", "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[2:]]
+        assert len(rows) == 41
+        g = qg.parse_graph(Path(graph).read_text())
+        for scale, energy, error, message in rows:
+            alone = qg.casimir_green_method(g.scaled(float(scale)))
+            assert (energy, error, message) == (fmt_float(alone.energy), fmt_float(alone.estimated_error), "")
+
     def test_zero_from_is_flag_error(self, graph_file, tmp_path):
         code = main(
             ["sweep", "--graph", graph_file(INTERVAL), "--from", "0", "--to", "1",
@@ -706,6 +720,26 @@ def test_green_output_at_the_smallest_lengths_is_strict_json(graph_file, tmp_pat
     assert result["energy"] == pytest.approx(-math.pi / 24e-308, rel=1e-8)
 
 
+def test_refused_call_leaves_the_next_output_as_a_fresh_interpreter_writes_it(graph_file, tmp_path):
+    # the parser is built once per process and shared by every call
+    from qgraph import cli
+
+    graph = graph_file(INTERVAL)
+    assert main(["casimir", "--graph", graph, "--method", "both", "--quad-tol", "1e-12",
+                 "--output", str(tmp_path / "refused.json")]) == 1
+    assert not (tmp_path / "refused.json").exists()
+    here, fresh = tmp_path / "here.json", tmp_path / "fresh.json"
+    argv = ["casimir", "--graph", graph, "--method", "both"]
+    assert main([*argv, "--output", str(here)]) == 0
+    src = str(Path(qg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "qgraph.cli", *argv, "--output", str(fresh)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert here.read_bytes() == fresh.read_bytes()
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -717,31 +751,36 @@ _SCIPY_MODULES_PER_STEP = """
 import json, sys
 import qgraph, qgraph.cli
 
-graph, out = sys.argv[1], sys.argv[2]
+graph, delta_graph, out = sys.argv[1], sys.argv[2], sys.argv[3]
 steps = {}
 def loaded(step):
     steps[step] = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 loaded("import")
 assert qgraph.cli.main(["spectrum", "--graph", graph, "--kmax", "10", "--output", out]) == 0
 loaded("spectrum")
-assert qgraph.cli.main(["casimir", "--graph", graph, "--method", "modesum", "--output", out]) == 0
-loaded("modesum")
-assert qgraph.cli.main(["casimir", "--graph", graph, "--method", "green", "--output", out]) == 0
-loaded("green")
+assert qgraph.cli.main(["casimir", "--graph", graph, "--method", "both", "--output", out]) == 0
+loaded("both")
+assert qgraph.cli.main(["sweep", "--graph", delta_graph, "--from", "1e-6", "--to", "10", "--steps", "5",
+                        "--method", "green", "--output", out]) == 0
+loaded("sweep-green")
+assert qgraph.cli.main(["sweep", "--graph", graph, "--from", "1", "--to", "2", "--steps", "2",
+                        "--method", "modesum", "--output", out]) == 0
+loaded("sweep-modesum")
 print(json.dumps(steps))
 """
 
 
-def test_scipy_loads_only_for_the_green_route(graph_file, tmp_path):
+def test_no_command_loads_scipy(graph_file, tmp_path):
     # a fresh interpreter: this one has scipy loaded by the tests themselves
     src = str(Path(qg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", _SCIPY_MODULES_PER_STEP, graph_file(INTERVAL),
-                          str(tmp_path / "out.json")], env=env, capture_output=True, text=True)
+                          graph_file(two_vertex({"kind": "delta", "gamma": 0.7}), "delta.json"),
+                          str(tmp_path / "out.json")],
+                         env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     steps = json.loads(run.stdout)
-    assert (steps["import"], steps["spectrum"], steps["modesum"]) == ([], [], [])
-    assert "scipy.integrate" in steps["green"]
+    assert steps == dict.fromkeys(["import", "spectrum", "both", "sweep-green", "sweep-modesum"], [])
 
 
 _MAIN_IN_A_FRESH_INTERPRETER = """

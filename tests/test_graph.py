@@ -169,6 +169,38 @@ def test_built_graph_round_trips_through_emit_and_parse():
     assert qg.emit_graph(qg.parse_graph(text)) == text
 
 
+_BOOL_ID = "^vertex 0: id must be an integer, got True; bond 0: vertex id must be an integer, got True$"
+
+
+@pytest.mark.parametrize(
+    "vertices,bonds,leads,message",
+    [
+        # it once built, and parse_graph then refused its emitted document
+        (((True, qg.DIRICHLET), (2, qg.DIRICHLET)), (Bond(True, 2, 1.0),), (), _BOOL_ID),
+        # it once raised a raw TypeError from the parallel-bond check
+        ((("a", qg.DIRICHLET), (2, qg.DIRICHLET)), (Bond("a", 2, 1.0), Bond(2, "a", 1.0)), (),
+         "^vertex 0: id must be an integer, got 'a'; bond 0: vertex id must be an integer, got 'a'; "
+         "bond 1: vertex id must be an integer, got 'a'$"),
+        (_ENDS, (Bond(0, 1.0, 1.0),), (), "^bond 0: vertex id must be an integer, got 1.0$"),
+        (_ENDS, (Bond(0, 1, 1.0),), (qg.Lead(None),), "^lead 0: vertex id must be an integer, got None$"),
+        (((0, qg.KIRCHHOFF), ([1], qg.DIRICHLET)), (Bond(0, 1, 1.0),), (),
+         r"^vertex 1: id must be an integer, got \[1\]$"),
+    ],
+    ids=["bool", "str-mixed-with-int", "float-bond-end", "none-lead", "unhashable"],
+)
+def test_vertex_ids_must_be_integers(vertices, bonds, leads, message):
+    with pytest.raises(GraphFormatError, match=message):
+        Graph(vertices, bonds, leads)
+
+
+def test_numpy_integer_ids_build_and_round_trip():
+    g = Graph(((np.int64(0), qg.KIRCHHOFF), (np.int32(1), qg.DIRICHLET)), (Bond(np.int64(0), np.int32(1), 1.0),),
+              (qg.Lead(np.int8(0)),))
+    text = qg.emit_graph(g)
+    assert qg.parse_graph(text) == g == Graph(((0, qg.KIRCHHOFF), (1, qg.DIRICHLET)), (Bond(0, 1, 1.0),), (qg.Lead(0),))
+    assert qg.emit_graph(qg.parse_graph(text)) == text
+
+
 def test_accepted_documents_build_the_same_graph():
     assert qg.parse_graph(MINIMAL) == Graph(_ENDS, (Bond(0, 1, 1.0),))
 
