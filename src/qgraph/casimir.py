@@ -29,10 +29,12 @@ Green-trace route
     nodes), the 16-point sum is the value and the distance between the two
     the error estimate, and a panel is bisected until that estimate is
     within its share of the tolerance.  It integrates many g = gamma ell at
-    once, each equal value once and in chunks of a fixed byte budget, so a
-    sweep over scales (:func:`casimir_sweep`) makes one call for all of
-    them and gets, for each scale, the bits :func:`casimir_green_method`
-    gives for that scale alone.
+    once, each equal value once and in chunks of a fixed byte budget.  A
+    sweep over scales (:func:`casimir_sweep`) runs on arrays of scales: it
+    checks the graph once, finds the failing scales by array comparisons,
+    builds no scaled graph for the others and integrates them in one call,
+    and gets for each scale the bits :func:`casimir_green_method`, its
+    one-scale case, gives for that scale alone.
 
 Mode-sum route (independent oracle)
     E(tau) = (1/2) sum_n k_n exp(-k_n tau) - L_total/(2 pi tau^2), followed by
@@ -222,45 +224,68 @@ def _green_integrals(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return total[back], error[back]
 
 
-def _green_ends(g: Graph) -> tuple[float, float]:
-    """(bond length, gamma) of a graph the Green route takes, gamma = 0 for
-    Dirichlet ends; the refusals of :func:`casimir_green_method`."""
-    coupling, ell = two_vertex_form(g)
-    gamma = 0.0 if coupling.is_dirichlet else coupling.effective_gamma()
-    if gamma < 0:
-        raise UnsupportedTopologyError(
-            "attractive couplings (gamma < 0) put a bound-state pole on the "
-            "rotated contour; not supported"
-        )
-    if not math.isfinite(gamma * ell):
-        raise NumericalError(f"gamma ell = {gamma!r} * {ell!r} is beyond the largest double")
-    return ell, gamma
+def _green_sweep(g: Graph, factors: np.ndarray) -> list[CasimirResult | QGraphError]:
+    """The Green branch of :func:`casimir_sweep`, on an array of scale factors.
+    Only a scale that ``g.scaled`` refuses goes through it, for its error; a
+    scale whose gamma ell, quadrature, energy or error is not finite gets a
+    :class:`NumericalError`."""
+    out: list[CasimirResult | QGraphError | None] = [None] * factors.size
+    lengths = [float(b.length) for b in g.bonds]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Graph.scaled refuses a factor or a scaled length outside (0, inf), NaN
+        # included; rounding is monotonic, so the shortest and the longest bond
+        # are the first to leave
+        fits = (factors > 0.0) & (factors < math.inf)
+        if lengths:
+            fits &= (min(lengths) * factors > 0.0) & (max(lengths) * factors < math.inf)
+    for i in np.flatnonzero(~fits).tolist():
+        try:
+            g.scaled(factors[i].item())
+        except QGraphError as exc:
+            out[i] = exc
+    try:
+        coupling, ell = two_vertex_form(g)
+        gamma = 0.0 if coupling.is_dirichlet else coupling.effective_gamma()
+        if gamma < 0:
+            raise UnsupportedTopologyError(
+                "attractive couplings (gamma < 0) put a bound-state pole on the "
+                "rotated contour; not supported"
+            )
+    except QGraphError as exc:
+        return [exc if r is None else r for r in out]
 
+    live = np.flatnonzero(fits)
+    ells = float(ell) * factors[live]
+    with np.errstate(over="ignore"):
+        gls = gamma * ells
+    finite = np.isfinite(gls)
+    for i, scaled in zip(live[~finite].tolist(), ells[~finite].tolist()):
+        out[i] = NumericalError(f"gamma ell = {gamma!r} * {scaled!r} is beyond the largest double")
+    live, ells, gls = live[finite], ells[finite], gls[finite]
 
-def _green_energies(ends: list[tuple[float, float]]) -> list[CasimirResult | QGraphError]:
-    """The Green result of each (bond length, gamma) of ``ends``, or the
-    :class:`NumericalError` it raised, from one ``_green_integrals`` call."""
     tol = _QUADRATURE_TOL
     x_max = -0.5 * math.log(tol)
-    integrals, errors = _green_integrals(np.array([gamma * ell for ell, gamma in ends]))
-    out: list[CasimirResult | QGraphError] = []
-    for (ell, gamma), integral, quad_err in zip(ends, integrals.tolist(), errors.tolist()):
-        if not math.isfinite(integral + quad_err):
-            out.append(NumericalError(f"the Green quadrature did not reach its tolerance within {_MAX_PANELS} "
-                                      f"panels at gamma ell = {gamma * ell!r}"))
-            continue
-        # truncation bound: |integrand| <= (x + 1/2) e^{-2x} / (1 - e^{-2x}), the
-        # 1/2 bounding the subtracted vertex term of delta ends (0 for the others),
-        # and e^{-2 x_max} = tol; all in Python floats, which turn an overflow into inf
-        tail = (2.0 * x_max + 1.0 + (gamma != 0.0)) * tol / (4.0 * (1.0 - tol))
-        energy = ENERGY_PREFACTOR * integral / ell
-        estimated_error = ENERGY_PREFACTOR * (quad_err + tail) / ell
-        if not (math.isfinite(energy) and math.isfinite(estimated_error)):
-            out.append(NumericalError(f"Green energy {energy!r} +- {estimated_error!r} is not finite "
-                                      f"at bond length {ell!r}"))
-            continue
-        out.append(CasimirResult(energy=energy, fit_coefficients=(), per_tau_samples=(),
-                                 method=Method.GREEN_TRACE, estimated_error=estimated_error))
+    integrals, quad_errs = _green_integrals(gls)
+    # truncation bound: |integrand| <= (x + 1/2) e^{-2x} / (1 - e^{-2x}), the
+    # 1/2 bounding the subtracted vertex term of delta ends (0 for the others),
+    # and e^{-2 x_max} = tol
+    tail = (2.0 * x_max + 1.0 + (gamma != 0.0)) * tol / (4.0 * (1.0 - tol))
+    with np.errstate(over="ignore"):
+        energies = ENERGY_PREFACTOR * integrals / ells
+        bounds = ENERGY_PREFACTOR * (quad_errs + tail) / ells
+    converged = np.isfinite(integrals + quad_errs)
+    bounded = np.isfinite(energies) & np.isfinite(bounds)
+    for i, gl in zip(live[~converged].tolist(), gls[~converged].tolist()):
+        out[i] = NumericalError(f"the Green quadrature did not reach its tolerance within {_MAX_PANELS} "
+                                f"panels at gamma ell = {gl!r}")
+    at = converged & ~bounded
+    for i, energy, bound, scaled in zip(live[at].tolist(), energies[at].tolist(), bounds[at].tolist(),
+                                        ells[at].tolist()):
+        out[i] = NumericalError(f"Green energy {energy!r} +- {bound!r} is not finite at bond length {scaled!r}")
+    at = converged & bounded
+    for i, energy, bound in zip(live[at].tolist(), energies[at].tolist(), bounds[at].tolist()):
+        out[i] = CasimirResult(energy=energy, fit_coefficients=(), per_tau_samples=(),
+                               method=Method.GREEN_TRACE, estimated_error=bound)
     return out
 
 
@@ -277,7 +302,7 @@ def casimir_green_method(g: Graph) -> CasimirResult:
     not converge, or if the energy or its error is not finite.  This is the
     one-scale case of :func:`casimir_sweep`.
     """
-    (result,) = _green_energies([_green_ends(g)])
+    (result,) = _green_sweep(g, np.ones(1))
     if isinstance(result, QGraphError):
         raise result
     return result
@@ -287,27 +312,24 @@ def casimir_sweep(g: Graph, scales: Iterable[float], method: Method) -> list[Cas
     """The energy of ``g.scaled(s)`` for each s of ``scales`` by ``method``:
     its :class:`CasimirResult`, or the :class:`QGraphError` that scale raised.
 
-    The mode sum runs scale by scale.  The Green route checks every scale
-    first (the scaled graph, then the refusals of
-    :func:`casimir_green_method`) and integrates all that pass in one
-    ``_green_integrals`` call; each result is bitwise the one
-    :func:`casimir_green_method` gives for that scale alone.
+    The mode sum runs scale by scale.  The Green route works on the array
+    of scales.  It checks ``g`` once for the refusals no scale changes (not
+    two-vertex, gamma < 0), finds the scales that fail by array comparisons
+    (a factor or a scaled length outside (0, inf), a gamma ell beyond the
+    largest double), and integrates all the others in one
+    ``_green_integrals`` call, building no scaled :class:`Graph` for them.
+    Each row equals, bitwise, what :func:`casimir_green_method` gives for
+    ``g.scaled(s)``, or carries the same error type and text.
     """
-    out: list[CasimirResult | QGraphError | None] = []
-    ends = []
+    if method is not Method.MODE_SUM:
+        return _green_sweep(g, np.fromiter(scales, dtype=float))
+    out: list[CasimirResult | QGraphError] = []
     for s in scales:
         try:
-            if method is Method.MODE_SUM:
-                out.append(casimir_mode_sum(g.scaled(s)))
-            else:
-                ends.append(_green_ends(g.scaled(s)))
-                out.append(None)
+            out.append(casimir_mode_sum(g.scaled(s)))
         except QGraphError as exc:
             out.append(exc)
-    if method is Method.MODE_SUM:
-        return out
-    energies = iter(_green_energies(ends))
-    return [next(energies) if r is None else r for r in out]
+    return out
 
 
 def casimir_mode_sum(g: Graph) -> CasimirResult:

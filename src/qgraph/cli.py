@@ -28,6 +28,11 @@ from .spectrum import find_eigenvalues
 from .util import complex_to_json, dumps_json, fmt_float, worker_count
 
 
+#: Most scales one ``sweep`` takes: each holds a row of results and output
+#: text, so an unbounded --steps would end in a kill rather than an error.
+_MAX_STEPS = 10**6
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits 2 on flag errors; the contract is 1
         raise InputError(message)
@@ -174,28 +179,26 @@ def _cmd_sweep(args) -> int:
         raise InputError("--to must exceed --from")
     if args.steps < 2:
         raise InputError("--steps must be >= 2")
+    if args.steps > _MAX_STEPS:
+        raise InputError(f"--steps must be <= {_MAX_STEPS}")
     g = _load_graph(args.graph)
     span = args.scale_to - args.scale_from
     scales = [args.scale_from + span * i / (args.steps - 1) for i in range(args.steps)]
     method = Method.GREEN_TRACE if args.method == "green" else Method.MODE_SUM
 
-    rows = []
+    params = {"method": args.method, "from": args.scale_from, "to": args.scale_to, "steps": args.steps}
+    lines = ["# manifest = " + dumps_json(_manifest("sweep", args.graph, params), indent=None),
+             "scale,energy,estimated_error,error"]
+    failed = False
     for scale, res in zip(scales, casimir_sweep(g, scales, method)):
         if isinstance(res, QGraphError):
-            rows.append((scale, float("nan"), float("nan"), str(res)))
+            failed = True
+            message = str(res).replace(",", ";").replace("\n", " ")
+            lines.append(f"{fmt_float(scale)},NaN,NaN,{message}")
         else:
-            rows.append((scale, res.energy, res.estimated_error, ""))
-
-    params = {"method": args.method, "from": args.scale_from, "to": args.scale_to, "steps": args.steps}
-    manifest = _manifest("sweep", args.graph, params)
-
-    lines = ["# manifest = " + dumps_json(manifest, indent=None)]
-    lines.append("scale,energy,estimated_error,error")
-    for scale, energy, err, message in rows:
-        message = message.replace(",", ";").replace("\n", " ")
-        lines.append(f"{fmt_float(scale)},{fmt_float(energy)},{fmt_float(err)},{message}")
+            lines.append(f"{fmt_float(scale)},{fmt_float(res.energy)},{fmt_float(res.estimated_error)},")
     _write_output(args.output, "\n".join(lines) + "\n")
-    return 3 if any(message for *_, message in rows) else 0
+    return 3 if failed else 0
 
 
 def _cmd_greens(args) -> int:

@@ -221,6 +221,23 @@ class TestModeSum:
             qg.casimir_mode_sum(g)
 
 
+def _log_det_energy(gamma_ell: float, ell: float = 1.0) -> float:
+    """The energy (1/2 pi ell) int_0^inf log(1 - r^2 e^{-2x}) dx, r = (x - g)/(x + g),
+    g = gamma ell, of a delta(gamma) pair joined by a bond of length ell, by
+    scipy's quad at 1e-12: it shares no code with the Green route.  The range
+    is split at g and at sqrt(g), where a weak delta puts the lifted zero
+    mode's step; one quad over (0, inf) steps over it for small g (off by
+    7.3e-9 at g = 1e-16, and a round-off warning at 1e-14)."""
+
+    def integrand(x):
+        r = (x - gamma_ell) / (x + gamma_ell)
+        return math.log1p(-r * r * math.exp(-2.0 * x))
+
+    edges = [0.0, *sorted({gamma_ell, math.sqrt(gamma_ell)}), math.inf]
+    pieces = [quad(integrand, a, b, epsabs=1e-15, epsrel=1e-12, limit=200)[0] for a, b in zip(edges, edges[1:])]
+    return math.fsum(pieces) / (2 * math.pi * ell)
+
+
 class TestGreenMethod:
     def test_two_vertex_reduction_only(self, star3_graph):
         with pytest.raises(UnsupportedTopologyError, match="two-vertex"):
@@ -256,16 +273,9 @@ class TestGreenMethod:
     @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("gamma", [0.5, 3.0])
     def test_delta_energy_matches_log_det_within_estimated_error(self, gamma, ell):
-        # the log-det energy (1/2 pi) int log(1 - r^2 e^{-2 kappa ell}) d kappa,
-        # r = (kappa - gamma)/(kappa + gamma), shares no code with the Green route
-        def integrand(kappa):
-            r = (kappa - gamma) / (kappa + gamma)
-            return math.log1p(-r * r * math.exp(-2.0 * kappa * ell))
-
-        log_det = quad(integrand, 0.0, math.inf, epsabs=1e-15, epsrel=1e-12, limit=200)[0] / (2 * math.pi)
         g = qg.Graph(((0, qg.delta(gamma)), (1, qg.delta(gamma))), (qg.Bond(0, 1, ell),))
         res = qg.casimir_green_method(g)
-        assert abs(res.energy - log_det) <= max(res.estimated_error, 1e-9)
+        assert abs(res.energy - _log_det_energy(gamma * ell, ell)) <= max(res.estimated_error, 1e-9)
 
     @pytest.mark.parametrize("gamma", [0.5, 3.0])
     def test_delta_energy_does_not_grow_with_truncation(self, gamma, monkeypatch):
@@ -363,17 +373,10 @@ def _delta_pair(gamma: float, ell: float = 1.0) -> qg.Graph:
 
 
 class TestGreenQuadrature:
-    @pytest.mark.parametrize("gamma_ell", [1e-10, 1e-8, 1e-4, 0.01, 0.25, 1.0, 6.0, 1e3, 1e6])
+    @pytest.mark.parametrize("gamma_ell", [1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-4, 0.01, 0.25, 1.0, 6.0, 1e3, 1e6])
     def test_delta_energy_within_estimated_error_of_log_det(self, gamma_ell):
-        # the log-det energy (1/2 pi) int log(1 - r^2 e^{-2 kappa}) d kappa, ell = 1,
-        # by scipy's quad at 1e-12: it shares no code with the Green route
-        def integrand(kappa):
-            r = (kappa - gamma_ell) / (kappa + gamma_ell)
-            return math.log1p(-r * r * math.exp(-2.0 * kappa))
-
-        log_det = quad(integrand, 0.0, math.inf, epsabs=1e-15, epsrel=1e-12, limit=200)[0] / (2 * math.pi)
         res = qg.casimir_green_method(_delta_pair(gamma_ell))
-        assert abs(res.energy - log_det) <= res.estimated_error
+        assert abs(res.energy - _log_det_energy(gamma_ell)) <= res.estimated_error
 
     @pytest.mark.parametrize("gamma_ell", [1e-16, 1e-14, 1e-12])
     def test_tiny_delta_lifts_the_zero_mode(self, gamma_ell):
@@ -390,16 +393,33 @@ class TestGreenQuadrature:
         with pytest.raises(NumericalError, match="beyond the largest double"):
             qg.casimir_green_method(_delta_pair(1e300, 1e10))
 
-    def test_sweep_rows_are_the_single_scale_results(self):
-        # the scales of `sweep --from 1e-6 --to 10 --steps 41` on delta(0.7), ell = 0.5:
-        # gamma ell from 3.5e-7, deeply refined, to 3.5, shallow; at 5e-324 the
-        # length underflows to 0, and at 1e-323 the energy overflows
-        g = _delta_pair(0.7, 0.5)
-        scales = [5e-324, 1e-323] + [1e-6 + (10 - 1e-6) * i / 40 for i in range(41)]
-        results = qg.casimir_sweep(g, scales, Method.GREEN_TRACE)
-        assert len(results) == len(scales)
-        assert isinstance(results[0], qg.GraphFormatError) and isinstance(results[1], NumericalError)
-        for scale, res in zip(scales, results):
+    # the scales of `sweep --from 1e-6 --to 10 --steps 41` (gamma ell from 3.5e-7,
+    # deeply refined, to 3.5, shallow, on the first graph), after scales that fail:
+    # factors outside (0, inf), a length that underflows to 0 (5e-324 x 0.5; 1e-315
+    # for the shortest arm of the star only), an energy that overflows (1e-323),
+    # a length that overflows (1e308 x 4) and a gamma ell that does (1e10)
+    SWEEP_SCALES = [5e-324, 1e-323, 0.0, -1.0, math.nan, math.inf, 1e-315, 1e308, 1e10] + \
+        [1e-6 + (10 - 1e-6) * i / 40 for i in range(41)]
+    SWEEP_GRAPHS = {
+        "delta": (_delta_pair(0.7, 0.5), ["GraphFormatError", "NumericalError", *["InputError"] * 4,
+                                          "NumericalError", "CasimirResult", "CasimirResult"]),
+        "huge-delta": (_delta_pair(1e300, 4.0), [*["NumericalError"] * 2, *["InputError"] * 4, "NumericalError",
+                                                 "GraphFormatError", "NumericalError"]),
+        "attractive": (_delta_pair(-1.0, 4.0), [*["UnsupportedTopologyError"] * 2, *["InputError"] * 4,
+                                                "UnsupportedTopologyError", "GraphFormatError",
+                                                "UnsupportedTopologyError"]),
+        "star3": (_star((1e-10, 1.0, 4.0)), [*["GraphFormatError"] * 2, *["InputError"] * 4,
+                                             *["GraphFormatError"] * 2, "UnsupportedTopologyError"]),
+        "no-bonds": (qg.Graph(((0, qg.KIRCHHOFF),), (), (qg.Lead(0),)),
+                     [*["UnsupportedTopologyError"] * 2, *["InputError"] * 4, *["UnsupportedTopologyError"] * 3]),
+    }
+
+    @pytest.mark.parametrize("g, kinds", SWEEP_GRAPHS.values(), ids=SWEEP_GRAPHS.keys())
+    def test_sweep_rows_are_the_single_scale_results(self, g, kinds):
+        results = qg.casimir_sweep(g, self.SWEEP_SCALES, Method.GREEN_TRACE)
+        assert len(results) == len(self.SWEEP_SCALES)
+        assert [type(r).__name__ for r in results[:len(kinds)]] == kinds
+        for scale, res in zip(self.SWEEP_SCALES, results):
             try:
                 alone = qg.casimir_green_method(g.scaled(scale))
             except qg.QGraphError as exc:
@@ -408,6 +428,24 @@ class TestGreenQuadrature:
                 assert isinstance(res, qg.CasimirResult)
                 assert np.array([res.energy, res.estimated_error]).tobytes() == \
                     np.array([alone.energy, alone.estimated_error]).tobytes()
+
+    def test_sweep_builds_no_graph_per_scale(self, monkeypatch):
+        built = []
+        post_init = qg.Graph.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(qg.Graph, "__post_init__", counting)
+        g = _delta_pair(0.7, 0.5)
+        counts = []
+        for n in (1, 10_000):
+            built.clear()
+            results = qg.casimir_sweep(g, np.linspace(0.5, 2.0, n), Method.GREEN_TRACE)
+            assert all(isinstance(r, qg.CasimirResult) for r in results)
+            counts.append(len(built))
+        assert counts[1] == counts[0] <= 1
 
     def test_tolerance_beyond_double_precision_raises(self, monkeypatch):
         # no panel can meet 1e-18 of its width: the panel cap ends the refinement

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import qgraph as qg
+import qgraph.cli
 from qgraph.cli import main
 from qgraph.util import fmt_float
 
@@ -266,6 +267,16 @@ class TestSweepCommand:
         for scale, energy, error, message in rows:
             alone = qg.casimir_green_method(g.scaled(float(scale)))
             assert (energy, error, message) == (fmt_float(alone.energy), fmt_float(alone.estimated_error), "")
+
+    def test_steps_above_the_cap_are_refused(self, graph_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(qgraph.cli, "_MAX_STEPS", 10)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--graph", graph_file(INTERVAL), "--from", "1", "--to", "2", "--method", "green",
+                "--output", str(out)]
+        assert main([*argv, "--steps", "11"]) == 1
+        assert not out.exists()
+        assert main([*argv, "--steps", "10"]) == 0
+        assert len(out.read_text().strip().split("\n")) == 12
 
     def test_zero_from_is_flag_error(self, graph_file, tmp_path):
         code = main(
