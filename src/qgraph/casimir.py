@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtrapolationError, NumericalError, QGraphError, UnsupportedTopologyError
-from .graph import CouplingKind, Graph, delta, total_length, two_vertex_form
+from .graph import CouplingKind, Graph, _to_float, delta, total_length, two_vertex_form
 from .spectrum import find_eigenvalues
 
 #: Frozen overall normalization of the Green-trace route (see module docstring).
@@ -96,7 +96,7 @@ _CUTOFF_MARGIN = 34.0
 
 @dataclass(frozen=True)
 class CasimirResult:
-    """Zero-point energy with the diagnostics of its route.
+    """Zero-point energy, its error estimate and route, and the mode sum's samples and fit.
 
     For the mode sum, ``per_tau_samples`` are the regulated samples and
     ``fit_coefficients`` follow the fit basis order, the leading entry being
@@ -230,7 +230,7 @@ def _green_sweep(g: Graph, factors: np.ndarray) -> list[CasimirResult | QGraphEr
     scale whose gamma ell, quadrature, energy or error is not finite gets a
     :class:`NumericalError`."""
     out: list[CasimirResult | QGraphError | None] = [None] * factors.size
-    lengths = [float(b.length) for b in g.bonds]
+    lengths = [b.length for b in g.bonds]
     with np.errstate(over="ignore", invalid="ignore"):
         # Graph.scaled refuses a factor or a scaled length outside (0, inf), NaN
         # included; rounding is monotonic, so the shortest and the longest bond
@@ -245,7 +245,7 @@ def _green_sweep(g: Graph, factors: np.ndarray) -> list[CasimirResult | QGraphEr
             out[i] = exc
     try:
         coupling, ell = two_vertex_form(g)
-        gamma = 0.0 if coupling.is_dirichlet else coupling.effective_gamma()
+        gamma = coupling.gamma
         if gamma < 0:
             raise UnsupportedTopologyError(
                 "attractive couplings (gamma < 0) put a bound-state pole on the "
@@ -255,7 +255,7 @@ def _green_sweep(g: Graph, factors: np.ndarray) -> list[CasimirResult | QGraphEr
         return [exc if r is None else r for r in out]
 
     live = np.flatnonzero(fits)
-    ells = float(ell) * factors[live]
+    ells = ell * factors[live]
     with np.errstate(over="ignore"):
         gls = gamma * ells
     finite = np.isfinite(gls)
@@ -319,10 +319,11 @@ def casimir_sweep(g: Graph, scales: Iterable[float], method: Method) -> list[Cas
     largest double), and integrates all the others in one
     ``_green_integrals`` call, building no scaled :class:`Graph` for them.
     Each row equals, bitwise, what :func:`casimir_green_method` gives for
-    ``g.scaled(s)``, or carries the same error type and text.
+    ``g.scaled(s)``, or carries the same error type and text; a scale beyond
+    the double range is an infinity to both routes, as to ``g.scaled``.
     """
-    if method is not Method.MODE_SUM:
-        return _green_sweep(g, np.fromiter(scales, dtype=float))
+    if method is not Method.MODE_SUM:  # a non-real scale is NaN, which g.scaled refuses with the same text
+        return _green_sweep(g, np.array([math.nan if f is None else f for f in map(_to_float, scales)]))
     out: list[CasimirResult | QGraphError] = []
     for s in scales:
         try:

@@ -182,8 +182,10 @@ def _cmd_sweep(args) -> int:
     if args.steps > _MAX_STEPS:
         raise InputError(f"--steps must be <= {_MAX_STEPS}")
     g = _load_graph(args.graph)
-    span = args.scale_to - args.scale_from
-    scales = [args.scale_from + span * i / (args.steps - 1) for i in range(args.steps)]
+    span, last = args.scale_to - args.scale_from, args.steps - 1
+    # where span * i overflows (--to near the largest double) i / last goes first; min() stops a rounding past --to
+    scales = [min(args.scale_to, args.scale_from + (span * i / last if span * i < math.inf else span * (i / last)))
+              for i in range(args.steps)]
     method = Method.GREEN_TRACE if args.method == "green" else Method.MODE_SUM
 
     params = {"method": args.method, "from": args.scale_from, "to": args.scale_to, "steps": args.steps}

@@ -9,10 +9,11 @@ exactly delta with gamma = 0; dirichlet is the gamma -> infinity limit and is
 kept symbolic so downstream formulas can apply the limit analytically instead
 of overflowing.
 
-A :class:`Graph` checks its structure when it is built and raises
-:class:`GraphFormatError` naming every violation, so any graph that exists is
-valid.  Graphs are immutable after construction and safe to share across
-threads.
+Lengths and gammas of any real type are converted here only, to Python
+floats (one beyond the double range to an infinity, which is refused).  A
+:class:`Graph` checks its structure when it is built and raises
+:class:`GraphFormatError` naming every violation, so any graph that exists
+is valid.  Graphs are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import GraphFormatError, InputError, UnsupportedTopologyError
 
@@ -33,35 +34,43 @@ class CouplingKind(enum.Enum):
     DELTA = "delta"
 
 
+def _to_float(value) -> float | None:
+    """``value`` as a Python float, an infinity if it is beyond the double range,
+    or None if it is a bool or not a real number."""
+    if type(value) is float:  # a sweep converts each scale: this skips a 0.7 us ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class VertexCoupling:
     """Boundary condition at a vertex.
 
     ``gamma`` (1/length) is meaningful only for ``DELTA``: a finite real number,
-    not a bool, kept as a float.  ``DIRICHLET`` is symbolic, never a large float.
+    not a bool, stored as a Python float; 0.0 otherwise.  ``DIRICHLET`` is
+    symbolic, never a large float.
     """
 
     kind: CouplingKind
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.kind is CouplingKind.DELTA:
-            gamma = self.gamma
-            if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) or not math.isfinite(gamma):
-                raise GraphFormatError(f"delta coupling requires a finite real gamma, got {self.gamma!r}")
-            object.__setattr__(self, "gamma", float(gamma))
-        elif self.gamma != 0.0:
+        gamma = _to_float(self.gamma)
+        if self.kind is not CouplingKind.DELTA and gamma != 0.0:
             raise GraphFormatError(f"gamma is only valid for delta couplings, not {self.kind.value}")
+        if gamma is None or not math.isfinite(gamma):  # only a delta coupling gets here with such a gamma
+            shown = self.gamma if gamma is None else gamma  # the repr of an int past 4300 digits raises
+            raise GraphFormatError(f"delta coupling requires a finite real gamma, got {shown!r}")
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def is_dirichlet(self) -> bool:
         return self.kind is CouplingKind.DIRICHLET
-
-    def effective_gamma(self) -> float:
-        """Coupling strength entering the scattering formulas (kirchhoff = 0)."""
-        if self.kind is CouplingKind.DIRICHLET:
-            raise InputError("dirichlet coupling has no finite gamma; handle symbolically")
-        return float(self.gamma) if self.kind is CouplingKind.DELTA else 0.0
 
 
 KIRCHHOFF = VertexCoupling(CouplingKind.KIRCHHOFF)
@@ -91,13 +100,13 @@ class Lead:
 @dataclass(frozen=True)
 class Graph:
     """Vertices with their couplings, bonds and leads.  Construction raises
-    :class:`GraphFormatError` naming every violation: a duplicate vertex id,
-    a bond end or lead on an unknown vertex, a loop, a parallel bond, a
-    length that is not a real number (a bool, a str, None) or is non-finite
-    or non-positive, or a vertex without bonds or leads.  A vertex id, bond
-    end or lead vertex that is not an integer (a bool, a str, a float; numpy
-    integers are integers) is named first, alone: the other checks hash and
-    compare ids."""
+    :class:`GraphFormatError` naming every violation: an id that is not an
+    integer (a bool, a str, a float; numpy integers are integers), then, once
+    all are, a duplicate vertex id, a bond end or lead on an unknown vertex,
+    a loop, a parallel bond or a vertex without bonds or leads; and a length
+    that is not a real number (a bool, a str, None) or is non-finite or
+    non-positive.  ``bonds`` holds the lengths as Python floats; ids are kept
+    as given."""
 
     vertices: tuple[tuple[int, VertexCoupling], ...]
     bonds: tuple[Bond, ...]
@@ -106,15 +115,17 @@ class Graph:
     _valency: Counter = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
+        lengths = [_to_float(b.length) for b in self.bonds]
         diags = _id_violations(self)
+        if not diags:
+            object.__setattr__(self, "_coupling_by_id", {vid: c for vid, c in self.vertices})
+            ends = [v for b in self.bonds for v in (b.from_vertex, b.to_vertex)]
+            object.__setattr__(self, "_valency", Counter(ends + [lead.vertex for lead in self.leads]))
+            diags = _violations(self)
+        diags += _length_violations(self.bonds, lengths)
         if diags:
             raise GraphFormatError("; ".join(diags))
-        object.__setattr__(self, "_coupling_by_id", {vid: c for vid, c in self.vertices})
-        ends = [v for b in self.bonds for v in (b.from_vertex, b.to_vertex)]
-        object.__setattr__(self, "_valency", Counter(ends + [lead.vertex for lead in self.leads]))
-        diags = _violations(self)
-        if diags:
-            raise GraphFormatError("; ".join(diags))
+        object.__setattr__(self, "bonds", tuple(replace(b, length=ell) for b, ell in zip(self.bonds, lengths)))
 
     def coupling(self, vertex_id: int) -> VertexCoupling:
         return self._coupling_by_id[vertex_id]
@@ -130,9 +141,10 @@ class Graph:
         return not self.leads
 
     def scaled(self, factor: float) -> "Graph":
-        """New graph with every bond length multiplied by a finite ``factor`` > 0;
-        a length that overflows or underflows raises :class:`GraphFormatError`."""
-        if not 0 < factor < math.inf:
+        """New graph with every bond length multiplied by a real ``factor`` in
+        (0, inf); a length that overflows or underflows raises :class:`GraphFormatError`."""
+        factor = _to_float(factor)
+        if factor is None or not 0 < factor < math.inf:
             raise InputError("scale factor must be positive and finite")
         bonds = tuple(Bond(b.from_vertex, b.to_vertex, b.length * factor) for b in self.bonds)
         return Graph(self.vertices, bonds, self.leads)
@@ -144,8 +156,7 @@ def total_length(g: Graph) -> float:
 
 
 def _is_id(value) -> bool:
-    # the exact-type test first: the ABC check costs about 1 us, on every scaled graph of a sweep
-    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _id_violations(g: Graph) -> list[str]:
@@ -160,7 +171,8 @@ def _id_violations(g: Graph) -> list[str]:
 
 
 def _violations(g: Graph) -> list[str]:
-    """One diagnostic per structural violation, in O(V + B + L)."""
+    """One diagnostic per structural violation of a graph whose ids are all
+    integers, in O(V + B + L)."""
     diags: list[str] = []
     ids = [vid for vid, _ in g.vertices]
     known = set(ids)
@@ -178,12 +190,6 @@ def _violations(g: Graph) -> list[str]:
                 diags.append(f"bond {i}: unknown vertex {endpoint}")
         if b.from_vertex == b.to_vertex:
             diags.append(f"bond {i}: loops unsupported")
-        if isinstance(b.length, bool) or not isinstance(b.length, numbers.Real):
-            diags.append(f"bond {i}: length must be a real number, got {b.length!r}")
-        elif not math.isfinite(b.length):
-            diags.append(f"bond {i}: non-finite length")
-        elif b.length <= 0:
-            diags.append(f"bond {i}: non-positive length")
         key = (min(b.from_vertex, b.to_vertex), max(b.from_vertex, b.to_vertex))
         if b.from_vertex != b.to_vertex and key in pairs:
             diags.append(f"bond {i}: duplicate of bond {pairs[key]} (multi-edges unsupported)")
@@ -199,6 +205,13 @@ def _violations(g: Graph) -> list[str]:
             diags.append(f"vertex {vid}: isolated (valency 0)")
 
     return diags
+
+
+def _length_violations(bonds, lengths: list[float | None]) -> list[str]:
+    """One diagnostic per bond whose length, converted by ``_to_float``, is not in (0, inf)."""
+    return [f"bond {i}: length must be a real number, got {b.length!r}" if ell is None
+            else f"bond {i}: {'non-finite' if not math.isfinite(ell) else 'non-positive'} length"
+            for i, (b, ell) in enumerate(zip(bonds, lengths)) if ell is None or not 0 < ell < math.inf]
 
 
 def two_vertex_form(g: Graph) -> tuple[VertexCoupling, float]:
@@ -225,13 +238,15 @@ def parse_graph(text: str) -> Graph:
 
     Unknown keys, missing fields, unknown coupling kinds, a nonzero bond
     ``potential`` (the magnetic parameter, which no computation supports) and
-    structural violations all raise :class:`GraphFormatError`.  Syntax errors
-    carry the line/column reported by the JSON parser.
+    what :class:`Graph` refuses (ids, lengths, structure) raise
+    :class:`GraphFormatError`.  Syntax errors carry the JSON parser's line/column.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than Python converts
+        raise GraphFormatError(f"unreadable number: {exc}") from exc
 
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level document must be a JSON object")
@@ -245,7 +260,6 @@ def parse_graph(text: str) -> Graph:
         if not isinstance(entry, dict):
             raise GraphFormatError(f"vertex {i}: must be an object")
         _reject_unknown(entry, _VERTEX_KEYS, f"vertex {i}")
-        vid = _expect_int(entry.get("id"), f"vertex {i}: id")
         coupling_doc = entry.get("coupling")
         if not isinstance(coupling_doc, dict):
             raise GraphFormatError(f"vertex {i}: missing field 'coupling'")
@@ -266,7 +280,7 @@ def parse_graph(text: str) -> Graph:
             if "gamma" in coupling_doc:
                 raise GraphFormatError(f"vertex {i}: 'gamma' is only valid for delta couplings")
             coupling = VertexCoupling(kind)
-        vertices.append((vid, coupling))
+        vertices.append((entry.get("id"), coupling))
 
     bonds = []
     for i, entry in enumerate(_expect_list(doc["bonds"], "bonds")):
@@ -276,17 +290,10 @@ def parse_graph(text: str) -> Graph:
         for required in ("from", "to", "length"):
             if required not in entry:
                 raise GraphFormatError(f"bond {i}: missing field '{required}'")
-        length = _expect_number(entry["length"], f"bond {i}: length")
         potential = _expect_number(entry.get("potential", 0.0), f"bond {i}: potential")
         if potential != 0.0:
             raise GraphFormatError(f"bond {i}: nonzero potential {potential} is unsupported (set potential = 0)")
-        bonds.append(
-            Bond(
-                _expect_int(entry["from"], f"bond {i}: from"),
-                _expect_int(entry["to"], f"bond {i}: to"),
-                length,
-            )
-        )
+        bonds.append(Bond(entry["from"], entry["to"], entry["length"]))
 
     leads = []
     for i, entry in enumerate(_expect_list(doc.get("leads", []), "leads")):
@@ -295,7 +302,7 @@ def parse_graph(text: str) -> Graph:
         _reject_unknown(entry, _LEAD_KEYS, f"lead {i}")
         if "vertex" not in entry:
             raise GraphFormatError(f"lead {i}: missing field 'vertex'")
-        leads.append(Lead(_expect_int(entry["vertex"], f"lead {i}: vertex")))
+        leads.append(Lead(entry["vertex"]))
 
     return Graph(tuple(vertices), tuple(bonds), tuple(leads))
 
@@ -309,7 +316,7 @@ def emit_graph(g: Graph) -> str:
             cdoc["gamma"] = coupling.gamma
         doc["vertices"].append({"id": int(vid), "coupling": cdoc})
     for b in g.bonds:
-        doc["bonds"].append({"from": int(b.from_vertex), "to": int(b.to_vertex), "length": float(b.length)})
+        doc["bonds"].append({"from": int(b.from_vertex), "to": int(b.to_vertex), "length": b.length})
     for lead in g.leads:
         doc["leads"].append({"vertex": int(lead.vertex)})
     return json.dumps(doc, indent=2)
@@ -327,13 +334,7 @@ def _expect_list(value, where: str) -> list:
     return value
 
 
-def _expect_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise GraphFormatError(f"{where} must be an integer")
-    return value
-
-
 def _expect_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if (number := _to_float(value)) is None:
         raise GraphFormatError(f"{where} must be a number")
-    return float(value)
+    return number

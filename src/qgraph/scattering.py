@@ -103,9 +103,7 @@ def vertex_reflection_transmission(
         raise SingularWavenumberError(
             "R/T formulas degenerate at k = 0 (the limit depends on the coupling)"
         )
-    dirichlet = coupling.is_dirichlet
-    gamma = 0.0 if dirichlet else coupling.effective_gamma()
-    r, t = vertex_amplitudes(valency, gamma, complex(k), dirichlet)
+    r, t = vertex_amplitudes(valency, coupling.gamma, complex(k), coupling.is_dirichlet)
     return RTPair(complex(r), complex(t))
 
 

@@ -133,10 +133,7 @@ class _SecularMatrix:
         self._vertex_index = {vid: i for i, vid in enumerate(vertex_ids)}
         self._valency = np.array([g.valency(vid) for vid in vertex_ids])
         self._dirichlet = np.array([g.coupling(vid).is_dirichlet for vid in vertex_ids])
-        self._gamma = np.array(
-            [0.0 if g.coupling(vid).is_dirichlet else g.coupling(vid).effective_gamma()
-             for vid in vertex_ids]
-        )
+        self._gamma = np.array([g.coupling(vid).gamma for vid in vertex_ids])
 
         # directed bond a = (i, j) scatters at j into every directed bond
         # leaving j: into (j, i) by reflection, into the others by transmission
@@ -249,7 +246,7 @@ class _MatchingCount:
         free = [vid for vid in g.vertex_ids() if not g.coupling(vid).is_dirichlet]
         index = {vid: i for i, vid in enumerate(free)}
         self.lengths = np.array([b.length for b in g.bonds])
-        self._gamma = np.array([g.coupling(vid).effective_gamma() for vid in free])
+        self._gamma = np.array([g.coupling(vid).gamma for vid in free])
         # the two ends of each bond in the vertex block; a Dirichlet end has
         # the index one past it
         self._ends = np.array([[index.get(b.from_vertex, len(free)), index.get(b.to_vertex, len(free))]

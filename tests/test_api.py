@@ -32,7 +32,6 @@ REFUSED_ARGUMENTS = {
     "dirichlet_eigenvalues-n_max": lambda: qg.dirichlet_eigenvalues(1.0, 0),
     "find_eigenvalues-no-bonds": lambda: qg.find_eigenvalues(qg.Graph((), ()), 1.0),
     "bond_wavefunction-x-beyond-bond": lambda: qg.bond_wavefunction(1, 1, 1.0, 1.0, 2.0),
-    "effective_gamma-dirichlet": lambda: qg.DIRICHLET.effective_gamma(),
     "VertexCoupling-kirchhoff-gamma": lambda: qg.VertexCoupling(qg.CouplingKind.KIRCHHOFF, 1.0),
     # lead indices are integers: a bool would index the S-matrix as a mask
     "star_green-lead-bool": lambda: qg.star_green(True, 0, 0.1, 0.2, _STAR3),

@@ -1,6 +1,7 @@
 import math
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ class TestCasimirIntegrand:
 
         # (a delta end also drops its vertex self-energy gamma/(kappa + gamma))
         ell = 1.3
-        gamma = 0.0 if coupling.is_dirichlet else coupling.effective_gamma()
+        gamma = coupling.gamma
         f = _rotated_integrand(gamma * ell)
         for kappa in (0.3, 1.0, 2.5, 7.0):
             generic = _subtracted_trace(coupling, ell, kappa)
@@ -397,9 +398,10 @@ class TestGreenQuadrature:
     # deeply refined, to 3.5, shallow, on the first graph), after scales that fail:
     # factors outside (0, inf), a length that underflows to 0 (5e-324 x 0.5; 1e-315
     # for the shortest arm of the star only), an energy that overflows (1e-323),
-    # a length that overflows (1e308 x 4) and a gamma ell that does (1e10)
+    # a length that overflows (1e308 x 4) and a gamma ell that does (1e10); last,
+    # an int beyond the doubles
     SWEEP_SCALES = [5e-324, 1e-323, 0.0, -1.0, math.nan, math.inf, 1e-315, 1e308, 1e10] + \
-        [1e-6 + (10 - 1e-6) * i / 40 for i in range(41)]
+        [1e-6 + (10 - 1e-6) * i / 40 for i in range(41)] + [10**400]
     SWEEP_GRAPHS = {
         "delta": (_delta_pair(0.7, 0.5), ["GraphFormatError", "NumericalError", *["InputError"] * 4,
                                           "NumericalError", "CasimirResult", "CasimirResult"]),
@@ -542,3 +544,36 @@ def test_delta_mode_sum_refuses_or_agrees_with_green(gamma):
     except ExtrapolationError:
         return
     assert abs(mode.energy - green.energy) <= mode.estimated_error + green.estimated_error
+
+
+def test_mode_sum_sweep_rows_carry_each_scale_error():
+    g = _delta_pair(3.0)
+    scales = [0, 1, 10**400]
+    rows = qg.casimir_sweep(g, scales, Method.MODE_SUM)
+    assert [type(r) for r in rows] == [qg.InputError, ExtrapolationError, qg.InputError]
+    for scale, row in zip(scales, rows):
+        with pytest.raises(type(row)) as alone:
+            qg.casimir_mode_sum(g.scaled(scale))
+        assert str(row) == str(alone.value)
+        assert getattr(row, "samples", None) == getattr(alone.value, "samples", None)
+    assert len(rows[1].samples) == 8
+
+
+_REAL_LENGTHS = [3, np.int64(3), np.float16(0.1), np.float32(0.1), np.float64(0.1), Fraction(1, 3)]
+
+
+@pytest.mark.parametrize("length", _REAL_LENGTHS, ids=lambda v: type(v).__name__)
+def test_a_length_of_any_real_type_computes_as_its_float(length):
+    # numpy 2 multiplies a float32 by a Python float in float32 (NEP 50), and a
+    # Fraction makes object arrays: the graph holds float(length) instead
+    g, plain = dirichlet_interval(length), dirichlet_interval(float(length))
+    assert g == plain and type(g.bonds[0].length) is float
+    spectra = [qg.find_eigenvalues(h, 100.0) for h in (g, plain)]
+    assert len({repr((s.eigenvalues, s.residuals)) for s in spectra}) == 1
+    for route in (qg.casimir_green_method, qg.casimir_mode_sum):
+        assert repr(route(g)) == repr(route(plain))
+    for method in Method:
+        assert repr(qg.casimir_sweep(g, [0.5, 3], method)) == repr(qg.casimir_sweep(plain, [0.5, 3], method))
+    (row,) = qg.casimir_sweep(g, [3], Method.GREEN_TRACE)
+    assert repr(row) == repr(qg.casimir_green_method(g.scaled(3)))
+    assert isinstance(qg.casimir_mode_sum(g.scaled(3)), qg.CasimirResult)

@@ -129,6 +129,13 @@ class TestSpectrumCommand:
         assert code == 1
         assert "compact" in capsys.readouterr().err
 
+    def test_a_length_beyond_the_doubles_ends_in_an_error_line(self, graph_file, tmp_path, capsys):
+        out = tmp_path / "spec.json"
+        graph = graph_file(two_vertex({"kind": "dirichlet"}, 10**400))
+        assert main(["spectrum", "--graph", graph, "--kmax", "10", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: bond 0: non-finite length\n"
+        assert not out.exists()
+
     def test_zero_kmax_is_flag_error(self, graph_file, tmp_path):
         code = main(
             ["spectrum", "--graph", graph_file(INTERVAL), "--kmax", "0",
@@ -267,6 +274,27 @@ class TestSweepCommand:
         for scale, energy, error, message in rows:
             alone = qg.casimir_green_method(g.scaled(float(scale)))
             assert (energy, error, message) == (fmt_float(alone.energy), fmt_float(alone.estimated_error), "")
+
+    @pytest.mark.parametrize("lo, hi, steps, last", [("1", "1.7e308", 3, "1.7e+308"),
+                                                      ("0.5", repr(sys.float_info.max), 7, None),
+                                                      (repr(sys.float_info.max / 3), repr(sys.float_info.max), 5, None),
+                                                      ("1e-6", "10", 41, "10.0")])
+    def test_sweep_scales_stay_finite_and_within_the_range(self, lo, hi, steps, last, graph_file, tmp_path):
+        # (to - from) * i overflows at the last steps; each scale must still lie in [from, to]
+        out = tmp_path / "sweep.csv"
+        graph = graph_file(two_vertex({"kind": "dirichlet"}, 1e-300))
+        assert main(["sweep", "--graph", graph, "--from", lo, "--to", hi, "--steps", str(steps),
+                     "--method", "green", "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[2:]]
+        scales = [float(r[0]) for r in rows]
+        assert len(rows) == steps and scales[0] == float(lo) and scales == sorted(scales)
+        assert all(s <= float(hi) and math.isfinite(float(r[1])) and r[3] == "" for s, r in zip(scales, rows))
+        if last is not None:
+            assert rows[-1][0] == last
+        # where (to - from) * i is finite, the scale is the one sweep has always written
+        span = float(hi) - float(lo)
+        assert [r[0] for i, r in enumerate(rows) if span * i < math.inf] == \
+            [fmt_float(float(lo) + span * i / (steps - 1)) for i in range(steps) if span * i < math.inf]
 
     def test_steps_above_the_cap_are_refused(self, graph_file, tmp_path, monkeypatch):
         monkeypatch.setattr(qgraph.cli, "_MAX_STEPS", 10)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +66,79 @@ def test_parse_delta_coupling_roundtrip():
 def test_parse_errors(mutation, message):
     with pytest.raises(GraphFormatError, match=message):
         qg.parse_graph(mutation(MINIMAL))
+
+
+_DIRICHLET_END = '{"id": 1, "coupling": {"kind": "dirichlet"}}'
+_BOND = '{"from": 0, "to": 1, "length": 1.0}'
+
+#: One document per refusal of parse_graph's own, then one that Graph refuses
+#: for ids and a length at once.
+PARSE_REFUSALS = {
+    "not-an-object": ("[]", "^top-level document must be a JSON object$"),
+    "no-vertices": ('{"bonds": []}', "^missing field 'vertices'$"),
+    "no-bonds": ('{"vertices": []}', "^missing field 'bonds'$"),
+    "section-not-a-list": ('{"vertices": {}, "bonds": []}', "^'vertices' must be a list$"),
+    "vertex-not-an-object": ('{"vertices": [0], "bonds": []}', "^vertex 0: must be an object$"),
+    "bond-not-an-object": (f'{{"vertices": [{_DIRICHLET_END}], "bonds": [[0, 1, 1.0]]}}',
+                           "^bond 0: must be an object$"),
+    "lead-not-an-object": (f'{{"vertices": [{_DIRICHLET_END}], "bonds": [], "leads": [1]}}',
+                           "^lead 0: must be an object$"),
+    "no-coupling": ('{"vertices": [{"id": 0}], "bonds": []}', "^vertex 0: missing field 'coupling'$"),
+    "no-coupling-kind": ('{"vertices": [{"id": 0, "coupling": {}}], "bonds": []}',
+                         "^vertex 0: missing field 'coupling.kind'$"),
+    "lead-without-vertex": (f'{{"vertices": [{_DIRICHLET_END}], "bonds": [], "leads": [{{}}]}}',
+                            "^lead 0: missing field 'vertex'$"),
+    "gamma-not-a-number": (f'{{"vertices": [{{"id": 0, "coupling": {{"kind": "delta", "gamma": "1"}}}}, '
+                           f'{_DIRICHLET_END}], "bonds": [{_BOND}]}}', "^vertex 0: gamma must be a number$"),
+    "potential-not-a-number": (MINIMAL.replace('"length": 1.0', '"length": 1.0, "potential": [0]'),
+                               "^bond 0: potential must be a number$"),
+    "ids-and-length": ('{"vertices": [{"id": 0.5, "coupling": {"kind": "dirichlet"}}, ' + _DIRICHLET_END + '], '
+                       '"bonds": [{"from": 0, "to": true, "length": "1"}]}',
+                       "^vertex 0: id must be an integer, got 0.5; bond 0: vertex id must be an integer, got True; "
+                       "bond 0: length must be a real number, got '1'$"),
+}
+
+
+@pytest.mark.parametrize("doc, message", PARSE_REFUSALS.values(), ids=PARSE_REFUSALS.keys())
+def test_parse_refusals_name_their_cause(doc, message):
+    with pytest.raises(GraphFormatError, match=message):
+        qg.parse_graph(doc)
+
+
+_HUGE = 10**400
+_HUGE_INPUTS = {
+    "bond-length": (lambda: Graph(_ENDS, (Bond(0, 1, _HUGE),)), "^bond 0: non-finite length$"),
+    "delta": (lambda: qg.delta(_HUGE), "^delta coupling requires a finite real gamma, got inf$"),
+    "scale": (lambda: Graph(_ENDS, (Bond(0, 1, 1.0),)).scaled(_HUGE), "^scale factor must be positive and finite$"),
+    "file-length": (lambda: qg.parse_graph(MINIMAL.replace('"length": 1.0', f'"length": {_HUGE}')),
+                    "^bond 0: non-finite length$"),
+    "file-gamma": (lambda: qg.parse_graph(MINIMAL.replace('"dirichlet"', f'"delta", "gamma": {_HUGE}', 1)),
+                   "^delta coupling requires a finite real gamma, got inf$"),
+    "file-potential": (lambda: qg.parse_graph(MINIMAL.replace('"length": 1.0', f'"length": 1, "potential": {_HUGE}')),
+                       "^bond 0: nonzero potential inf is unsupported"),
+    # past 4300 digits, Python's default limit on int-str conversion, json refuses
+    # the literal itself (a Python without the limit reads it as an int), and
+    # the int's repr, which an error message would show, raises
+    "file-length-past-the-digit-limit": (
+        lambda: qg.parse_graph(MINIMAL.replace('"length": 1.0', '"length": ' + "1" * 5000)),
+        "^(unreadable number: .*|bond 0: non-finite length)$"),
+    "gamma-past-the-digit-limit": (lambda: qg.delta(10**5000),
+                                   "^delta coupling requires a finite real gamma, got inf$"),
+}
+
+
+@pytest.mark.parametrize("call, message", _HUGE_INPUTS.values(), ids=_HUGE_INPUTS.keys())
+def test_an_integer_beyond_the_doubles_is_refused(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.float16(0.1), np.float32(0.1), np.float64(0.1), Fraction(1, 3)],
+                         ids=lambda v: type(v).__name__)
+def test_a_gamma_of_any_real_type_is_stored_as_its_float(value):
+    for coupling in (qg.delta(value), qg.VertexCoupling(CouplingKind.DELTA, value)):
+        assert coupling == qg.delta(float(value)) and type(coupling.gamma) is float
+    assert type(qg.VertexCoupling(CouplingKind.KIRCHHOFF, np.float32(0)).gamma) is float
 
 
 def test_gamma_only_for_delta():

@@ -239,7 +239,7 @@ def _amplitude_matrices(g, ks):
             m[:, phi[b.to_vertex], a] += sin
             m[:, phi[b.to_vertex], c] -= cos
     for v in free:
-        m[:, phi[v], phi[v]] -= g.coupling(v).effective_gamma() / ks
+        m[:, phi[v], phi[v]] -= g.coupling(v).gamma / ks
     return m
 
 
