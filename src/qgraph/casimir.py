@@ -63,10 +63,10 @@ from .graph import CouplingKind, Graph, _to_float, delta, total_length, two_vert
 from .spectrum import find_eigenvalues
 
 #: Frozen overall normalization of the Green-trace route (see module docstring).
-ENERGY_PREFACTOR = 1.0 / math.pi
+_ENERGY_PREFACTOR = 1.0 / math.pi
 
 #: Fit residual above this fraction of the sample scale is an extrapolation failure.
-RESIDUAL_FRACTION = 1e-6
+_RESIDUAL_FRACTION = 1e-6
 
 #: Absolute and relative tolerance of the Green route's quadrature in
 #: x = kappa ell; it also sets the truncation x_max = -ln(tol)/2 = 11.51.
@@ -271,8 +271,8 @@ def _green_sweep(g: Graph, factors: np.ndarray) -> list[CasimirResult | QGraphEr
     # and e^{-2 x_max} = tol
     tail = (2.0 * x_max + 1.0 + (gamma != 0.0)) * tol / (4.0 * (1.0 - tol))
     with np.errstate(over="ignore"):
-        energies = ENERGY_PREFACTOR * integrals / ells
-        bounds = ENERGY_PREFACTOR * (quad_errs + tail) / ells
+        energies = _ENERGY_PREFACTOR * integrals / ells
+        bounds = _ENERGY_PREFACTOR * (quad_errs + tail) / ells
     converged = np.isfinite(integrals + quad_errs)
     bounded = np.isfinite(energies) & np.isfinite(bounds)
     for i, gl in zip(live[~converged].tolist(), gls[~converged].tolist()):
@@ -347,7 +347,7 @@ def casimir_mode_sum(g: Graph) -> CasimirResult:
     once.  Raises :class:`UnsupportedTopologyError` for a graph with leads or
     no bonds, or whose shortest bond is too short for 1/u to be finite (below
     about 2.8e-309), :class:`ExtrapolationError` unless the fit residual is
-    within ``RESIDUAL_FRACTION`` of the largest |sample| (a delta vertex),
+    within ``_RESIDUAL_FRACTION`` of the largest |sample| (a delta vertex),
     :class:`NumericalError` if the energy or its error is not finite, and whatever :func:`find_eigenvalues` raises
     (:class:`InputError` above its root cap).
     """
@@ -371,8 +371,8 @@ def casimir_mode_sum(g: Graph) -> CasimirResult:
     coeffs = _FIT @ values
     residual = float(np.max(np.abs(_DESIGN @ coeffs - values)))
     value_scale = float(np.max(np.abs(values)))
-    if not residual <= RESIDUAL_FRACTION * value_scale:
-        raise ExtrapolationError(f"fit residual {residual:.3e} above {RESIDUAL_FRACTION:.0e} of the sample scale "
+    if not residual <= _RESIDUAL_FRACTION * value_scale:
+        raise ExtrapolationError(f"fit residual {residual:.3e} above {_RESIDUAL_FRACTION:.0e} of the sample scale "
                                  f"{value_scale:.3e}; the basis does not describe these samples", samples)
 
     # report the full 1/tau^2 amplitude of the raw sum, not the post-subtraction leftover

@@ -183,9 +183,9 @@ def _cmd_sweep(args) -> int:
         raise InputError(f"--steps must be <= {_MAX_STEPS}")
     g = _load_graph(args.graph)
     span, last = args.scale_to - args.scale_from, args.steps - 1
-    # where span * i overflows (--to near the largest double) i / last goes first; min() stops a rounding past --to
+    # i / last goes first where span * i overflows (--to near the largest double); min() stops a rounding past --to
     scales = [min(args.scale_to, args.scale_from + (span * i / last if span * i < math.inf else span * (i / last)))
-              for i in range(args.steps)]
+              for i in range(last)] + [args.scale_to]
     method = Method.GREEN_TRACE if args.method == "green" else Method.MODE_SUM
 
     params = {"method": args.method, "from": args.scale_from, "to": args.scale_to, "steps": args.steps}

@@ -9,8 +9,8 @@ exactly delta with gamma = 0; dirichlet is the gamma -> infinity limit and is
 kept symbolic so downstream formulas can apply the limit analytically instead
 of overflowing.
 
-Lengths and gammas of any real type are converted here only, to Python
-floats (one beyond the double range to an infinity, which is refused).  A
+Lengths, gammas and the library's numeric arguments are checked and converted
+here only, to Python numbers (one beyond the doubles is an infinity, refused).  A
 :class:`Graph` checks its structure when it is built and raises
 :class:`GraphFormatError` naming every violation, so any graph that exists
 is valid.  Graphs are immutable after construction and safe to share.
@@ -18,6 +18,7 @@ is valid.  Graphs are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import json
 import math
@@ -45,6 +46,31 @@ def _to_float(value) -> float | None:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _argument(value, name: str, low: float = -math.inf, high: float = math.inf, *, positive: bool = False,
+              real: bool = True):
+    """``value`` as a Python float, or a complex if not ``real``, if it is a finite
+    number (not a bool, a str or None) and, if real, in [low, high] and > 0 if
+    ``positive``; otherwise an :class:`InputError` naming ``name``."""
+    number = _to_float(value) if real else None
+    if not real and isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        number = complex(_to_float(value.real), _to_float(value.imag))
+    if number is not None and cmath.isfinite(number) and (not real or low <= number <= high and
+                                                          (number > 0 or not positive)):
+        return number
+    what = ("be positive and finite" if positive else f"lie in [{low:g}, {high}]" if high < math.inf
+            else f"be >= {low:g} and finite" if low > -math.inf else f"be a finite {'real ' * real}number")
+    raise InputError(f"{name} must {what}")
+
+
+def _integer(value, name: str, low: int, high: float = math.inf) -> int:
+    """``value`` as a Python int if it is an integer (not a bool) in [low, high]
+    and within the doubles; otherwise an :class:`InputError` naming ``name``."""
+    if _is_id(value) and low <= value <= high and _to_float(value) < math.inf:
+        return int(value)
+    raise InputError(f"{name} must be an integer in [{low}, {high}]" if high < math.inf
+                     else f"{name} must be a finite integer >= {low}")
 
 
 @dataclass(frozen=True)
@@ -143,9 +169,7 @@ class Graph:
     def scaled(self, factor: float) -> "Graph":
         """New graph with every bond length multiplied by a real ``factor`` in
         (0, inf); a length that overflows or underflows raises :class:`GraphFormatError`."""
-        factor = _to_float(factor)
-        if factor is None or not 0 < factor < math.inf:
-            raise InputError("scale factor must be positive and finite")
+        factor = _argument(factor, "scale factor", positive=True)
         bonds = tuple(Bond(b.from_vertex, b.to_vertex, b.length * factor) for b in self.bonds)
         return Graph(self.vertices, bonds, self.leads)
 
@@ -239,8 +263,11 @@ def parse_graph(text: str) -> Graph:
     Unknown keys, missing fields, unknown coupling kinds, a nonzero bond
     ``potential`` (the magnetic parameter, which no computation supports) and
     what :class:`Graph` refuses (ids, lengths, structure) raise
-    :class:`GraphFormatError`.  Syntax errors carry the JSON parser's line/column.
+    :class:`GraphFormatError`, and so does a ``text`` that is not a str or
+    bytes.  Syntax errors carry the JSON parser's line/column.
     """
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise GraphFormatError(f"a graph description is a str or bytes, not {type(text).__name__}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -275,7 +302,10 @@ def parse_graph(text: str) -> Graph:
             if "gamma" not in coupling_doc:
                 raise GraphFormatError(f"vertex {i}: delta coupling requires 'gamma'")
             gamma = _expect_number(coupling_doc["gamma"], f"vertex {i}: gamma")
-            coupling = VertexCoupling(kind, gamma)
+            try:
+                coupling = VertexCoupling(kind, gamma)
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"vertex {i}: {exc}") from None
         else:
             if "gamma" in coupling_doc:
                 raise GraphFormatError(f"vertex {i}: 'gamma' is only valid for delta couplings")

@@ -14,14 +14,14 @@ into the free part G0 and the inhomogeneous remainder.
 from __future__ import annotations
 
 import cmath
-import numbers
 from dataclasses import dataclass
 
-from .errors import InputError, ResonantBondError, SingularWavenumberError
+from .errors import ResonantBondError, SingularWavenumberError
+from .graph import _argument, _integer
 from .scattering import CavityAmplitudes, VertexSMatrix
 
 #: |sin kL| below this counts as a resonant bond (k on the bond's own spectrum).
-RESONANCE_TOLERANCE = 1e-12
+_RESONANCE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,14 @@ class GreenDecomposition:
 
 def _decompose(total: complex, free_part: complex, k, x_i, x_f) -> GreenDecomposition:
     # gamma_part is defined by subtraction, so the decomposition is exact.
-    return GreenDecomposition(total, free_part, total - free_part, complex(k), float(x_i), float(x_f))
+    return GreenDecomposition(total, free_part, total - free_part, complex(k), x_i, x_f)
 
 
 def free_green(k: complex, x_i: float, x_f: float) -> complex:
     """Free-line kernel exp(ik |x_f - x_i|) / (2ik)."""
+    k, x_i, x_f = _argument(k, "k", real=False), _argument(x_i, "x_i"), _argument(x_f, "x_f")
     if k == 0:
         raise SingularWavenumberError("free Green function is singular at k = 0")
-    k = complex(k)
     return cmath.exp(1j * k * abs(x_f - x_i)) / (2j * k)
 
 
@@ -57,11 +57,8 @@ def star_green(n: int, l: int, x_i: float, x_f: float, s: VertexSMatrix) -> Gree
 
         G_nl = (1/2ik) { delta_nl exp(ik|x_f - x_i|) + S_nl exp(ik(x_f + x_i)) }
     """
-    leads = len(s.entries)
-    if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < leads for i in (n, l)):
-        raise InputError(f"lead indices must be integers in [0, {leads}), got ({n!r}, {l!r})")
-    if x_i < 0 or x_f < 0:
-        raise InputError("lead coordinates are measured outward from the vertex and must be >= 0")
+    n, l = _integer(n, "n", 0, len(s.entries) - 1), _integer(l, "l", 0, len(s.entries) - 1)
+    x_i, x_f = _argument(x_i, "x_i", 0.0), _argument(x_f, "x_f", 0.0)
     k = s.k
     if k == 0:
         raise SingularWavenumberError("star Green function is singular at k = 0")
@@ -81,10 +78,8 @@ def two_vertex_green(x_i: float, x_f: float, ca: CavityAmplitudes) -> GreenDecom
     the direct path, one bounce off either end, and one off each end, with
     every further round trip summed into g.  G is symmetric in x_i and x_f.
     """
-    ell = ca.ell
-    if not (0 <= x_i <= ell and 0 <= x_f <= ell):
-        raise InputError(f"coordinates must lie in [0, {ell}]")
-    k, r, d = ca.k, ca.r, abs(x_f - x_i)
+    x_i, x_f = _argument(x_i, "x_i", 0.0, ca.ell), _argument(x_f, "x_f", 0.0, ca.ell)
+    k, r, d, ell = ca.k, ca.r, abs(x_f - x_i), ca.ell
 
     total = (
         cmath.exp(1j * k * d)
@@ -102,11 +97,11 @@ def bond_wavefunction(phi_i: complex, phi_j: complex, k: float, length: float, x
 
     which interpolates phi_i at x = 0 and phi_j at x = L.
     """
-    if not 0 <= x <= length:
-        raise InputError(f"x must lie in [0, {length}]")
-    k = complex(k)
+    phi_i, phi_j, k = (_argument(v, name, real=False) for v, name in ((phi_i, "phi_i"), (phi_j, "phi_j"), (k, "k")))
+    length = _argument(length, "length", positive=True)
+    x = _argument(x, "x", 0.0, length)
     denom = cmath.sin(k * length)
-    if abs(denom) < RESONANCE_TOLERANCE:
+    if abs(denom) < _RESONANCE_TOLERANCE:
         raise ResonantBondError(f"sin(kL) = {denom}: k is an eigenvalue of the bond")
     return (phi_i * cmath.sin(k * (length - x)) + phi_j * cmath.sin(k * x)) / denom
 

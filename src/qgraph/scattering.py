@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, PoleProximityError, SingularWavenumberError
-from .graph import VertexCoupling
+from .errors import PoleProximityError, SingularWavenumberError
+from .graph import VertexCoupling, _argument, _integer
 
 #: |g| below this (relative to the size of its two terms) counts as a pole.
-POLE_TOLERANCE = 1e-12
+_POLE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class VertexSMatrix:
 class CavityAmplitudes:
     """End reflection r and denominator g = 1 - r^2 exp(2ik ell) of a bond
     terminated by two identical vertices, at wavenumber k.  k = 0 raises
-    :class:`SingularWavenumberError`; |g| below :data:`POLE_TOLERANCE` times
+    :class:`SingularWavenumberError`; |g| below :data:`_POLE_TOLERANCE` times
     1 + |r^2 exp(2ik ell)|, a test free of the length scale, raises
     :class:`PoleProximityError`.
     """
@@ -62,7 +62,7 @@ class CavityAmplitudes:
         if self.k == 0:
             raise SingularWavenumberError("two-vertex Green function is singular at k = 0")
         bounce = self.r * self.r * cmath.exp(2j * self.k * self.ell)
-        if abs(self.g) < POLE_TOLERANCE * (1.0 + abs(bounce)):
+        if abs(self.g) < _POLE_TOLERANCE * (1.0 + abs(bounce)):
             raise PoleProximityError(
                 f"|g| = {abs(self.g):.3e} at k = {self.k}: evaluation point is a spectral pole"
             )
@@ -84,26 +84,16 @@ def vertex_amplitudes(valency, gamma, k, dirichlet):
 def vertex_reflection_transmission(
     valency: int, coupling: VertexCoupling, k: complex
 ) -> RTPair:
-    """Reflection/transmission amplitudes at one vertex.
-
-    Parameters
-    ----------
-    valency : int
-        Number of edges meeting the vertex, N >= 1.
-    coupling : VertexCoupling
-        Vertex condition; kirchhoff means gamma = 0, dirichlet gives the
-        analytic limit R = -1, T = 0.
-    k : complex
-        Wavenumber, nonzero.  Unitarity statements hold on the real axis;
-        the rational formulas extend to complex k as-is.
-    """
-    if valency < 1:
-        raise InputError(f"valency must be >= 1, got {valency}")
+    """Reflection/transmission amplitudes at a vertex of ``valency`` N >= 1
+    with ``coupling`` (dirichlet gives the analytic limit R = -1, T = 0), at a
+    nonzero wavenumber k, real or complex: the rational formulas extend to
+    complex k as they are, and unitarity holds on the real axis."""
+    valency, k = _integer(valency, "valency", 1), _argument(k, "k", real=False)
     if k == 0:
         raise SingularWavenumberError(
             "R/T formulas degenerate at k = 0 (the limit depends on the coupling)"
         )
-    r, t = vertex_amplitudes(valency, coupling.gamma, complex(k), coupling.is_dirichlet)
+    r, t = vertex_amplitudes(valency, coupling.gamma, k, coupling.is_dirichlet)
     return RTPair(complex(r), complex(t))
 
 
@@ -113,7 +103,7 @@ def build_vertex_smatrix(valency: int, coupling: VertexCoupling, k: complex) -> 
     entries = np.full((valency, valency), rt.t, dtype=complex)
     np.fill_diagonal(entries, rt.r)
     entries.setflags(write=False)
-    return VertexSMatrix(entries, complex(k))
+    return VertexSMatrix(entries, _argument(k, "k", real=False))
 
 
 def cavity_amplitudes(coupling: VertexCoupling, ell: float, k: complex) -> CavityAmplitudes:
@@ -123,7 +113,7 @@ def cavity_amplitudes(coupling: VertexCoupling, ell: float, k: complex) -> Cavit
     the resolvent of the finite bond exactly and the zeros of g are its
     spectrum.
     """
+    ell, k = _argument(ell, "ell", positive=True), _argument(k, "k", real=False)
     r = vertex_reflection_transmission(1, coupling, k).r
-    k = complex(k)
     g = 1.0 - r * r * cmath.exp(2j * k * ell)
-    return CavityAmplitudes(r, g, float(ell), k)
+    return CavityAmplitudes(r, g, ell, k)

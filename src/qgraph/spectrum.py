@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError, UnsupportedTopologyError
-from .graph import Graph, total_length
+from .graph import Graph, _argument, _integer, total_length
 from .scattering import vertex_amplitudes
 
 
@@ -98,19 +98,14 @@ class SpectrumResult:
 
 
 def dirichlet_eigenvalues(length: float, n_max: int) -> list[float]:
-    """Analytic spectrum of a single bond with Dirichlet ends: n pi / L."""
-    if not 0 < length < math.inf:
-        raise InputError("length must be positive and finite")
-    if n_max < 1:
-        raise InputError("n_max must be >= 1")
+    """Analytic spectrum n pi / L, n = 1..n_max (n_max <= ``_MAX_ROOTS``), of a bond with Dirichlet ends."""
+    length, n_max = _argument(length, "length", positive=True), _integer(n_max, "n_max", 1, _MAX_ROOTS)
     return [n * math.pi / length for n in range(1, n_max + 1)]
 
 
 def weyl_count(g: Graph, k: float) -> float:
     """Leading smooth eigenvalue count, total_length * k / pi."""
-    if not 0 <= k < math.inf:
-        raise InputError("k must be >= 0 and finite")
-    return total_length(g) * k / math.pi
+    return total_length(g) * _argument(k, "k", 0.0) / math.pi
 
 
 class _SecularMatrix:
@@ -330,10 +325,8 @@ class _MatchingCount:
 
 def secular_function(g: Graph, k: float) -> complex:
     """det(I - S(k) D(k)); zeros on the positive real axis are eigenvalues."""
-    if not 0 < k < math.inf:
-        raise InputError("k must be positive and finite")
-    sm = _SecularMatrix(g)
-    return complex(np.linalg.det(np.eye(sm.dim) - sm.matrices(np.array([float(k)]))[0]))
+    k, sm = _argument(k, "k", positive=True), _SecularMatrix(g)
+    return complex(np.linalg.det(np.eye(sm.dim) - sm.matrices(np.array([k]))[0]))
 
 
 def _special_points(lengths: np.ndarray, k_top: float, width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -380,9 +373,7 @@ def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
     count across (0, k_max] or to the full count just beside each root, or
     if the count leaves the Weyl bound |N - L k_max / pi| <= V + B.
     """
-    if not 0 < k_max < math.inf:
-        raise InputError("k_max must be positive and finite")
-    sm = _SecularMatrix(g)
+    k_max, sm = _argument(k_max, "k_max", positive=True), _SecularMatrix(g)
     # the search reaches k_top, and the vertex amplitudes take N i k and 2 i k
     k_top = k_max * (1.0 + 1e-12)
     if not math.isfinite(k_top * max(2, int(sm._valency.max()))):
@@ -487,5 +478,5 @@ def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
     diagnostics = dict(count_points=full_points + beside.size, sign_points=sign_points, bisection_levels=levels,
                        form_order=counter.order_sum / counter.points,
                        worst_residual=float(residuals.max(initial=0.0)))
-    return SpectrumResult(tuple(eigenvalues.tolist()), float(k_max),
+    return SpectrumResult(tuple(eigenvalues.tolist()), k_max,
                           tuple(np.repeat(residuals, mults).tolist()), weyl, audit_bound, diagnostics)

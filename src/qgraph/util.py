@@ -3,21 +3,14 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 
 from .errors import InputError
 
 
 def fmt_float(x: float) -> str:
-    """The text ``json.dumps`` writes for a float: ``repr``, the shortest
-    decimal that reads back to the same double, or NaN, Infinity, -Infinity."""
-    if isinstance(x, bool):  # bools are ints but must not reach here
-        raise TypeError("bool is not a float")
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
+    """The text ``json.dumps`` writes for a finite float: ``repr``, the shortest
+    decimal that reads back to the same double."""
     return repr(float(x))
 
 

@@ -58,6 +58,82 @@ def test_refused_arguments_raise_input_error(call):
     assert isinstance(err.value, ValueError)
 
 
+_CAVITY = qg.cavity_amplitudes(qg.DIRICHLET, 1.0, 1.3)
+_REAL_OUT, _INT_OUT, _COMPLEX_OUT = [1 + 1j], [2.5, 3.0, 1 + 1j], [complex(math.nan, 1.0), complex(1.0, -math.inf)]
+#: Every numeric argument of a public function, as (the call with that argument
+#: left open, the name its InputError starts with, a value inside its range,
+#: values outside it beside those that no argument takes).
+ARGUMENTS = {
+    "find_eigenvalues-k_max": (lambda v: qg.find_eigenvalues(_INTERVAL, v), "k_max", 7.5, [0.0, -1.0, *_REAL_OUT]),
+    "secular_function-k": (lambda v: qg.secular_function(_INTERVAL, v), "k", 1.3, [0.0, -1.0, *_REAL_OUT]),
+    "weyl_count-k": (lambda v: qg.weyl_count(_INTERVAL, v), "k", 1.3, [-1.0, *_REAL_OUT]),
+    "dirichlet_eigenvalues-length": (lambda v: qg.dirichlet_eigenvalues(v, 3), "length", 0.7, [0.0, *_REAL_OUT]),
+    "dirichlet_eigenvalues-n_max": (lambda v: qg.dirichlet_eigenvalues(1.0, v), "n_max", 3,
+                                    [0, qg.spectrum._MAX_ROOTS + 1, *_INT_OUT]),
+    "vertex_reflection_transmission-valency": (lambda v: qg.vertex_reflection_transmission(v, qg.KIRCHHOFF, 1.0),
+                                               "valency", 3, [0, -1, *_INT_OUT]),
+    "vertex_reflection_transmission-k": (lambda v: qg.vertex_reflection_transmission(3, qg.delta(0.5), v), "k",
+                                         1.3 - 0.2j, _COMPLEX_OUT),
+    "build_vertex_smatrix-valency": (lambda v: qg.build_vertex_smatrix(v, qg.KIRCHHOFF, 1.0), "valency", 3,
+                                     [0, *_INT_OUT]),
+    "build_vertex_smatrix-k": (lambda v: qg.build_vertex_smatrix(3, qg.delta(0.5), v), "k", 1.3 - 0.2j, _COMPLEX_OUT),
+    "cavity_amplitudes-ell": (lambda v: qg.cavity_amplitudes(qg.DIRICHLET, v, 1.3), "ell", 0.7,
+                              [0.0, -1.0, *_REAL_OUT]),
+    "cavity_amplitudes-k": (lambda v: qg.cavity_amplitudes(qg.delta(0.5), 1.0, v), "k", 1.3 - 0.2j, _COMPLEX_OUT),
+    "free_green-k": (lambda v: qg.free_green(v, 0.1, 0.2), "k", 1.3 - 0.2j, _COMPLEX_OUT),
+    "free_green-x_i": (lambda v: qg.free_green(1.3, v, 0.2), "x_i", -0.4, _REAL_OUT),
+    "free_green-x_f": (lambda v: qg.free_green(1.3, 0.1, v), "x_f", -0.4, _REAL_OUT),
+    "star_green-n": (lambda v: qg.star_green(v, 0, 0.1, 0.2, _STAR3), "n", 1, [-1, 3, *_INT_OUT]),
+    "star_green-l": (lambda v: qg.star_green(0, v, 0.1, 0.2, _STAR3), "l", 1, [-1, 3, *_INT_OUT]),
+    "star_green-x_i": (lambda v: qg.star_green(0, 1, v, 0.2, _STAR3), "x_i", 0.4, [-0.1, *_REAL_OUT]),
+    "star_green-x_f": (lambda v: qg.star_green(0, 1, 0.1, v, _STAR3), "x_f", 0.4, [-0.1, *_REAL_OUT]),
+    "two_vertex_green-x_i": (lambda v: qg.two_vertex_green(v, 0.2, _CAVITY), "x_i", 0.4, [-0.1, 1.5, *_REAL_OUT]),
+    "two_vertex_green-x_f": (lambda v: qg.two_vertex_green(0.1, v, _CAVITY), "x_f", 0.4, [-0.1, 1.5, *_REAL_OUT]),
+    "bond_wavefunction-phi_i": (lambda v: qg.bond_wavefunction(v, 1, 1.0, 1.0, 0.5), "phi_i", 0.5 + 2j, _COMPLEX_OUT),
+    "bond_wavefunction-phi_j": (lambda v: qg.bond_wavefunction(1, v, 1.0, 1.0, 0.5), "phi_j", 0.5 + 2j, _COMPLEX_OUT),
+    "bond_wavefunction-k": (lambda v: qg.bond_wavefunction(1, 1, v, 1.0, 0.5), "k", 1.3 - 0.2j, _COMPLEX_OUT),
+    "bond_wavefunction-length": (lambda v: qg.bond_wavefunction(1, 1, 1.0, v, 0.5), "length", 0.7,
+                                 [0.0, -1.0, *_REAL_OUT]),
+    "bond_wavefunction-x": (lambda v: qg.bond_wavefunction(1, 1, 1.0, 1.0, v), "x", 0.4, [-0.1, 1.5, *_REAL_OUT]),
+    "Graph.scaled-factor": (_INTERVAL.scaled, "scale factor", 0.7, [0.0, -1.0, *_REAL_OUT]),
+    # the text of a graph description: a str or bytes, whose errors name what is wrong in it
+    "parse_graph-text": (qg.parse_graph, "", '{"vertices": [], "bonds": []}', [b"[]", ""]),
+}
+
+
+@pytest.mark.parametrize("call, name, inside, outside", ARGUMENTS.values(), ids=ARGUMENTS.keys())
+def test_every_numeric_argument_refuses_what_is_not_a_number_in_its_range(call, name, inside, outside):
+    # no NaN, infinity, bool, str, None or int beyond the doubles reaches a
+    # formula, and no refusal is a raw TypeError or OverflowError
+    call(inside)
+    for value in [None, "1", True, False, math.nan, math.inf, -math.inf, 10**400, -10**400, object(), *outside]:
+        with pytest.raises(qg.InputError) as err:
+            call(value)
+        assert str(err.value).startswith(name), (value, str(err.value))
+
+
+def _bits(result) -> str:
+    # repr writes every float in full and names a numpy scalar's type
+    return repr(result.entries.tobytes()) + repr(result.k) if isinstance(result, qg.VertexSMatrix) else repr(result)
+
+
+@pytest.mark.parametrize("call, name, inside, outside", ARGUMENTS.values(), ids=ARGUMENTS.keys())
+def test_numpy_scalars_give_the_bits_of_python_numbers(call, name, inside, outside):
+    twin = {float: np.float64, int: np.int64, complex: np.complex128, str: str}[type(inside)]
+    assert _bits(call(twin(inside))) == _bits(call(inside))
+    if isinstance(inside, float):  # a real argument takes an integer as the same float
+        assert _bits(call(np.int64(1))) == _bits(call(1)) == _bits(call(1.0))
+
+
+@pytest.mark.parametrize("k", [0, 0.0, 0j, np.complex128(0), -0.0])
+def test_k_zero_stays_a_singular_wavenumber(k):
+    for call in (lambda: qg.vertex_reflection_transmission(3, qg.KIRCHHOFF, k),
+                 lambda: qg.build_vertex_smatrix(3, qg.KIRCHHOFF, k),
+                 lambda: qg.cavity_amplitudes(qg.DIRICHLET, 1.0, k), lambda: qg.free_green(k, 0.1, 0.2)):
+        with pytest.raises(qg.SingularWavenumberError):
+            call()
+
+
 def test_library_raises_no_bare_value_error():
     # every argument refusal is an InputError, which callers can tell from a bug
     found = []

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 import qgraph as qg
 import qgraph.casimir as casimir
 from qgraph import ExtrapolationError, Method, NumericalError, UnsupportedTopologyError
-from qgraph.casimir import ENERGY_PREFACTOR
+from qgraph.casimir import _ENERGY_PREFACTOR
 from tests.conftest import dirichlet_interval
 
 
@@ -366,7 +366,7 @@ class TestGreenMethod:
             qg.casimir_green_method(dirichlet_interval(ell))
 
     def test_frozen_prefactor(self):
-        assert ENERGY_PREFACTOR == 1.0 / math.pi
+        assert _ENERGY_PREFACTOR == 1.0 / math.pi
 
 
 def _delta_pair(gamma: float, ell: float = 1.0) -> qg.Graph:

@@ -280,7 +280,7 @@ class TestSweepCommand:
                                                       (repr(sys.float_info.max / 3), repr(sys.float_info.max), 5, None),
                                                       ("1e-6", "10", 41, "10.0")])
     def test_sweep_scales_stay_finite_and_within_the_range(self, lo, hi, steps, last, graph_file, tmp_path):
-        # (to - from) * i overflows at the last steps; each scale must still lie in [from, to]
+        # (to - from) * i overflows at the last steps; each scale must still lie in [from, to], and the last is to
         out = tmp_path / "sweep.csv"
         graph = graph_file(two_vertex({"kind": "dirichlet"}, 1e-300))
         assert main(["sweep", "--graph", graph, "--from", lo, "--to", hi, "--steps", str(steps),
@@ -289,12 +289,13 @@ class TestSweepCommand:
         scales = [float(r[0]) for r in rows]
         assert len(rows) == steps and scales[0] == float(lo) and scales == sorted(scales)
         assert all(s <= float(hi) and math.isfinite(float(r[1])) and r[3] == "" for s, r in zip(scales, rows))
+        assert rows[-1][0] == fmt_float(float(hi))
         if last is not None:
             assert rows[-1][0] == last
-        # where (to - from) * i is finite, the scale is the one sweep has always written
+        # before the last row, where (to - from) * i is finite, the scale is the one sweep has always written
         span = float(hi) - float(lo)
-        assert [r[0] for i, r in enumerate(rows) if span * i < math.inf] == \
-            [fmt_float(float(lo) + span * i / (steps - 1)) for i in range(steps) if span * i < math.inf]
+        assert [r[0] for i, r in enumerate(rows[:-1]) if span * i < math.inf] == \
+            [fmt_float(float(lo) + span * i / (steps - 1)) for i in range(steps - 1) if span * i < math.inf]
 
     def test_steps_above_the_cap_are_refused(self, graph_file, tmp_path, monkeypatch):
         monkeypatch.setattr(qgraph.cli, "_MAX_STEPS", 10)
@@ -494,6 +495,9 @@ REFUSED_FLAGS = {
     "graph-is-missing": ["casimir", "--method", "green", "--graph", "no-such-dir/graph.json"],
     "greens-leads-at-two-vertices": ["greens", "--k", "1,0", "--xi", "0", "--xf", "0", "--graph", TWO_LEAD_VERTICES],
     "spectrum-kmax-negative": ["spectrum", "--kmax", "-1"],
+    # a flag that is not a number at all
+    "spectrum-kmax-not-a-number": ["spectrum", "--kmax", "abc"],
+    "greens-k-not-a-number": ["greens", "--k", "a,0", "--xi", "0.5", "--xf", "0.5"],
     # the residual bound is fixed, so there is no --tol
     "spectrum-tol": ["spectrum", "--kmax", "10", "--tol", "nan"],
     "spectrum-tol-zero": ["spectrum", "--kmax", "10", "--tol", "0"],
@@ -635,7 +639,7 @@ class TestDeterminism:
         rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
         assert len(rows) == 4
         for i, (scale, energy, err, message) in enumerate(rows):
-            s = 0.3 + (1.7 - 0.3) * i / 3  # the CLI's scale grid
+            s = 0.3 + (1.7 - 0.3) * i / 3 if i < 3 else 1.7  # the CLI's scale grid ends at --to
             res = qg.casimir_green_method(g.scaled(s))
             assert message == ""
             assert bits([scale, energy, err]) == bits([s, res.energy, res.estimated_error])

@@ -113,7 +113,7 @@ _HUGE_INPUTS = {
     "file-length": (lambda: qg.parse_graph(MINIMAL.replace('"length": 1.0', f'"length": {_HUGE}')),
                     "^bond 0: non-finite length$"),
     "file-gamma": (lambda: qg.parse_graph(MINIMAL.replace('"dirichlet"', f'"delta", "gamma": {_HUGE}', 1)),
-                   "^delta coupling requires a finite real gamma, got inf$"),
+                   "^vertex 0: delta coupling requires a finite real gamma, got inf$"),
     "file-potential": (lambda: qg.parse_graph(MINIMAL.replace('"length": 1.0', f'"length": 1, "potential": {_HUGE}')),
                        "^bond 0: nonzero potential inf is unsupported"),
     # past 4300 digits, Python's default limit on int-str conversion, json refuses
