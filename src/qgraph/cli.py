@@ -18,6 +18,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .casimir import CasimirResult, Method, casimir_green_method, casimir_mode_sum, casimir_sweep
 from .errors import InputError, NumericalError, QGraphError, UnsupportedTopologyError
@@ -182,10 +184,8 @@ def _cmd_sweep(args) -> int:
     if args.steps > _MAX_STEPS:
         raise InputError(f"--steps must be <= {_MAX_STEPS}")
     g = _load_graph(args.graph)
-    span, last = args.scale_to - args.scale_from, args.steps - 1
-    # i / last goes first where span * i overflows (--to near the largest double); min() stops a rounding past --to
-    scales = [min(args.scale_to, args.scale_from + (span * i / last if span * i < math.inf else span * (i / last)))
-              for i in range(last)] + [args.scale_to]
+    with np.errstate(over="ignore"):  # only the last scale can overflow, and linspace sets it to --to
+        scales = np.linspace(args.scale_from, args.scale_to, args.steps).tolist()
     method = Method.GREEN_TRACE if args.method == "green" else Method.MODE_SUM
 
     params = {"method": args.method, "from": args.scale_from, "to": args.scale_to, "steps": args.steps}

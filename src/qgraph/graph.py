@@ -263,11 +263,11 @@ def parse_graph(text: str) -> Graph:
     Unknown keys, missing fields, unknown coupling kinds, a nonzero bond
     ``potential`` (the magnetic parameter, which no computation supports) and
     what :class:`Graph` refuses (ids, lengths, structure) raise
-    :class:`GraphFormatError`, and so does a ``text`` that is not a str or
-    bytes.  Syntax errors carry the JSON parser's line/column.
+    :class:`GraphFormatError`, and so does a ``text`` that is not a str (bytes
+    included).  Syntax errors carry the JSON parser's line/column.
     """
-    if not isinstance(text, (str, bytes, bytearray)):
-        raise GraphFormatError(f"a graph description is a str or bytes, not {type(text).__name__}")
+    if not isinstance(text, str):
+        raise GraphFormatError(f"a graph description is a str, not {type(text).__name__}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -29,6 +29,9 @@ from .graph import VertexCoupling, _argument, _integer
 #: |g| below this (relative to the size of its two terms) counts as a pole.
 _POLE_TOLERANCE = 1e-12
 
+#: Largest valency of a vertex scattering matrix: its 16 N^2 bytes stay within 256 MiB.
+_MAX_VALENCY = 4096
+
 
 @dataclass(frozen=True)
 class RTPair:
@@ -98,7 +101,8 @@ def vertex_reflection_transmission(
 
 
 def build_vertex_smatrix(valency: int, coupling: VertexCoupling, k: complex) -> VertexSMatrix:
-    """N x N vertex scattering matrix: R on the diagonal, T off-diagonal."""
+    """N x N vertex scattering matrix, N in [1, ``_MAX_VALENCY``]: R on the diagonal, T off-diagonal."""
+    valency = _integer(valency, "valency", 1, _MAX_VALENCY)
     rt = vertex_reflection_transmission(valency, coupling, k)
     entries = np.full((valency, valency), rt.t, dtype=complex)
     np.fill_diagonal(entries, rt.r)

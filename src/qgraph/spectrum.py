@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError, UnsupportedTopologyError
+from .errors import InputError, NumericalError, SingularWavenumberError, UnsupportedTopologyError
 from .graph import Graph, _argument, _integer, total_length
 from .scattering import vertex_amplitudes
 
@@ -117,38 +117,30 @@ class _SecularMatrix:
         if not g.bonds:
             raise UnsupportedTopologyError("graph has no bonds")
 
-        directed = []
-        for b in g.bonds:
-            directed.append((b.from_vertex, b.to_vertex, b.length))
-            directed.append((b.to_vertex, b.from_vertex, b.length))
-        self.dim = len(directed)
-        self.lengths = np.array([d[2] for d in directed])
+        index = {vid: i for i, (vid, _) in enumerate(g.vertices)}
+        self._dirichlet = np.array([c.is_dirichlet for _, c in g.vertices])
+        self._gamma = np.array([c.gamma for _, c in g.vertices])
 
-        vertex_ids = g.vertex_ids()
-        self._vertex_index = {vid: i for i, vid in enumerate(vertex_ids)}
-        self._valency = np.array([g.valency(vid) for vid in vertex_ids])
-        self._dirichlet = np.array([g.coupling(vid).is_dirichlet for vid in vertex_ids])
-        self._gamma = np.array([g.coupling(vid).gamma for vid in vertex_ids])
-
-        # directed bond a = (i, j) scatters at j into every directed bond
-        # leaving j: into (j, i) by reflection, into the others by transmission
-        leaving: dict[int, list[int]] = {}
-        for b_idx, (p, _, _) in enumerate(directed):
-            leaving.setdefault(p, []).append(b_idx)
-        rows, cols, is_reflection, at_vertex = [], [], [], []
-        for a, (i, j, _) in enumerate(directed):
-            for b_idx in leaving[j]:
-                rows.append(b_idx)
-                cols.append(a)
-                is_reflection.append(directed[b_idx][1] == i)
-                at_vertex.append(self._vertex_index[j])
-        self._rows = np.array(rows)
-        self._cols = np.array(cols)
-        self._is_reflection = np.array(is_reflection)
-        self._at_vertex = np.array(at_vertex)
+        # directed bond 2b runs along bond b and 2b + 1 runs back; directed bond
+        # a scatters at its head into the directed bonds with that tail, the
+        # consecutive entries of the tails' stable order from the head on: into
+        # a ^ 1 by reflection (no loops or parallel bonds), into the others by
+        # transmission
+        ends = np.array([[index[b.from_vertex], index[b.to_vertex]] for b in g.bonds])
+        tail, head = ends.ravel(), ends[:, ::-1].ravel()
+        self.dim = tail.size
+        self.lengths = np.repeat([b.length for b in g.bonds], 2)
+        self._valency = np.bincount(tail, minlength=len(index))
+        order = np.argsort(tail, kind="stable")
+        fan = self._valency[head]
+        first = np.repeat(np.searchsorted(tail[order], head) - np.cumsum(fan) + fan, fan)
+        self._cols = np.repeat(np.arange(self.dim), fan)
+        self._rows = order[first + np.arange(self._cols.size)]
+        self._is_reflection = self._rows == self._cols ^ 1
+        self._at_vertex = head[self._cols]
 
     def matrices(self, ks: np.ndarray) -> np.ndarray:
-        ks = np.atleast_1d(np.asarray(ks, dtype=float))
+        ks = np.atleast_1d(np.asarray(ks))
         r, t = vertex_amplitudes(
             self._valency[None, :], self._gamma[None, :], ks[:, None], self._dirichlet[None, :]
         )
@@ -323,9 +315,12 @@ class _MatchingCount:
                 logdet + np.sum(np.log(np.abs(eliminated)), axis=1))
 
 
-def secular_function(g: Graph, k: float) -> complex:
-    """det(I - S(k) D(k)); zeros on the positive real axis are eigenvalues."""
-    k, sm = _argument(k, "k", positive=True), _SecularMatrix(g)
+def secular_function(g: Graph, k: complex) -> complex:
+    """det(I - S(k) D(k)) at any finite nonzero real or complex k (k = 0 raises :class:`SingularWavenumberError`);
+    zeros on the positive real axis are eigenvalues, and at -k it is the conjugate of its value at real k."""
+    k, sm = _argument(k, "k", real=False), _SecularMatrix(g)
+    if k == 0:
+        raise SingularWavenumberError("the vertex amplitudes are singular at k = 0")
     return complex(np.linalg.det(np.eye(sm.dim) - sm.matrices(np.array([k]))[0]))
 
 

@@ -65,7 +65,7 @@ _REAL_OUT, _INT_OUT, _COMPLEX_OUT = [1 + 1j], [2.5, 3.0, 1 + 1j], [complex(math.
 #: values outside it beside those that no argument takes).
 ARGUMENTS = {
     "find_eigenvalues-k_max": (lambda v: qg.find_eigenvalues(_INTERVAL, v), "k_max", 7.5, [0.0, -1.0, *_REAL_OUT]),
-    "secular_function-k": (lambda v: qg.secular_function(_INTERVAL, v), "k", 1.3, [0.0, -1.0, *_REAL_OUT]),
+    "secular_function-k": (lambda v: qg.secular_function(_INTERVAL, v), "k", 1.3 - 0.2j, _COMPLEX_OUT),
     "weyl_count-k": (lambda v: qg.weyl_count(_INTERVAL, v), "k", 1.3, [-1.0, *_REAL_OUT]),
     "dirichlet_eigenvalues-length": (lambda v: qg.dirichlet_eigenvalues(v, 3), "length", 0.7, [0.0, *_REAL_OUT]),
     "dirichlet_eigenvalues-n_max": (lambda v: qg.dirichlet_eigenvalues(1.0, v), "n_max", 3,
@@ -75,7 +75,7 @@ ARGUMENTS = {
     "vertex_reflection_transmission-k": (lambda v: qg.vertex_reflection_transmission(3, qg.delta(0.5), v), "k",
                                          1.3 - 0.2j, _COMPLEX_OUT),
     "build_vertex_smatrix-valency": (lambda v: qg.build_vertex_smatrix(v, qg.KIRCHHOFF, 1.0), "valency", 3,
-                                     [0, *_INT_OUT]),
+                                     [0, 4097, 10**9, *_INT_OUT]),
     "build_vertex_smatrix-k": (lambda v: qg.build_vertex_smatrix(3, qg.delta(0.5), v), "k", 1.3 - 0.2j, _COMPLEX_OUT),
     "cavity_amplitudes-ell": (lambda v: qg.cavity_amplitudes(qg.DIRICHLET, v, 1.3), "ell", 0.7,
                               [0.0, -1.0, *_REAL_OUT]),
@@ -96,7 +96,7 @@ ARGUMENTS = {
                                  [0.0, -1.0, *_REAL_OUT]),
     "bond_wavefunction-x": (lambda v: qg.bond_wavefunction(1, 1, 1.0, 1.0, v), "x", 0.4, [-0.1, 1.5, *_REAL_OUT]),
     "Graph.scaled-factor": (_INTERVAL.scaled, "scale factor", 0.7, [0.0, -1.0, *_REAL_OUT]),
-    # the text of a graph description: a str or bytes, whose errors name what is wrong in it
+    # the text of a graph description: a str, whose errors name what is wrong in it
     "parse_graph-text": (qg.parse_graph, "", '{"vertices": [], "bonds": []}', [b"[]", ""]),
 }
 
@@ -129,7 +129,8 @@ def test_numpy_scalars_give_the_bits_of_python_numbers(call, name, inside, outsi
 def test_k_zero_stays_a_singular_wavenumber(k):
     for call in (lambda: qg.vertex_reflection_transmission(3, qg.KIRCHHOFF, k),
                  lambda: qg.build_vertex_smatrix(3, qg.KIRCHHOFF, k),
-                 lambda: qg.cavity_amplitudes(qg.DIRICHLET, 1.0, k), lambda: qg.free_green(k, 0.1, 0.2)):
+                 lambda: qg.cavity_amplitudes(qg.DIRICHLET, 1.0, k), lambda: qg.free_green(k, 0.1, 0.2),
+                 lambda: qg.secular_function(_INTERVAL, k)):
         with pytest.raises(qg.SingularWavenumberError):
             call()
 

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -108,6 +109,36 @@ def _star(arms, leaf=qg.DIRICHLET) -> qg.Graph:
     return qg.Graph(vertices, tuple(qg.Bond(0, i, ell) for i, ell in enumerate(arms, 1)))
 
 
+def _secular_log_det_energy(g: qg.Graph) -> float:
+    """The vacuum energy (1/2 pi) int_0^inf log det(I - S D) at k = i kappa of
+    a compact graph (Berkolaiko, Harrison & Wilson, J. Phys. A 42, 025204
+    (2009)), by scipy's quad at 1e-12 on the secular function: it shares no
+    code with either route.  The range is split at 0.01, 1 and 10 over the
+    shortest bond."""
+
+    def integrand(kappa):
+        det = qg.secular_function(g, 1j * kappa)
+        assert abs(det.imag) <= 1e-12 * det.real, (kappa, det)
+        return math.log(det.real)
+
+    ell = min(b.length for b in g.bonds)
+    edges = [0.0, 0.01 / ell, 1.0 / ell, 10.0 / ell, math.inf]
+    pieces = [quad(integrand, a, b, epsabs=1e-14, epsrel=1e-12, limit=400)[0] for a, b in zip(edges, edges[1:])]
+    return math.fsum(pieces) / (2 * math.pi)
+
+
+def _random_compact_graph(seed: int) -> qg.Graph:
+    """2-6 Dirichlet or Kirchhoff vertices, a random spanning tree plus up to
+    three more bonds, lengths in [0.5, 1.5]."""
+    rng = random.Random(seed)
+    n_vertices = rng.randint(2, 6)
+    edges = {(rng.randrange(v), v) for v in range(1, n_vertices)}
+    for _ in range(rng.randint(0, 3)):
+        edges.add(tuple(sorted(rng.sample(range(n_vertices), 2))))
+    vertices = tuple((v, rng.choice([qg.KIRCHHOFF, qg.DIRICHLET])) for v in range(n_vertices))
+    return qg.Graph(vertices, tuple(qg.Bond(a, b, rng.uniform(0.5, 1.5)) for a, b in sorted(edges)))
+
+
 class TestModeSum:
     # down to 3e-309, where 1/u is still finite: the spectrum is found in units of u
     @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0, 1e-300, 1e-305, 1e-306, 1e-308, 3e-309])
@@ -169,6 +200,14 @@ class TestModeSum:
         # reached past the shortest orbit 0.2 of (1, 1, 0.1) and its fit failed
         res = qg.casimir_mode_sum(_star(arms))
         assert abs(res.energy - log_det) <= tol
+        assert abs(_secular_log_det_energy(_star(arms)) - log_det) <= 1e-11
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graph_matches_the_secular_log_det(self, seed):
+        g = _random_compact_graph(seed)
+        res, log_det = qg.casimir_mode_sum(g), _secular_log_det_energy(g)
+        assert abs(res.energy - log_det) <= res.estimated_error
+        assert abs(res.energy - log_det) <= 1e-8 * abs(log_det)
 
     SCALES = (1e-308, 1e-306, 1e-305, 1e-300, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e300)
     GRAPHS = {

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qgraph as qg
@@ -292,10 +293,10 @@ class TestSweepCommand:
         assert rows[-1][0] == fmt_float(float(hi))
         if last is not None:
             assert rows[-1][0] == last
-        # before the last row, where (to - from) * i is finite, the scale is the one sweep has always written
-        span = float(hi) - float(lo)
-        assert [r[0] for i, r in enumerate(rows[:-1]) if span * i < math.inf] == \
-            [fmt_float(float(lo) + span * i / (steps - 1)) for i in range(steps - 1) if span * i < math.inf]
+        # every scale is numpy.linspace's, whose last step may overflow before it is set to --to
+        with np.errstate(over="ignore"):
+            expected = np.linspace(float(lo), float(hi), steps).tolist()
+        assert [r[0] for r in rows] == [fmt_float(s) for s in expected]
 
     def test_steps_above_the_cap_are_refused(self, graph_file, tmp_path, monkeypatch):
         monkeypatch.setattr(qgraph.cli, "_MAX_STEPS", 10)
@@ -494,6 +495,9 @@ REFUSED_FLAGS = {
     "graph-is-a-directory": ["casimir", "--method", "green", "--graph", "."],
     "graph-is-missing": ["casimir", "--method", "green", "--graph", "no-such-dir/graph.json"],
     "greens-leads-at-two-vertices": ["greens", "--k", "1,0", "--xi", "0", "--xf", "0", "--graph", TWO_LEAD_VERTICES],
+    # a star of 4097 leads: its S-matrix is refused before it is allocated
+    "greens-star-above-the-valency-cap": ["greens", "--k", "1,0", "--xi", "0", "--xf", "0", "--graph",
+                                          {**OPEN_STAR3, "leads": [{"vertex": 0}] * 4097}],
     "spectrum-kmax-negative": ["spectrum", "--kmax", "-1"],
     # a flag that is not a number at all
     "spectrum-kmax-not-a-number": ["spectrum", "--kmax", "abc"],

@@ -74,6 +74,7 @@ _BOND = '{"from": 0, "to": 1, "length": 1.0}'
 #: One document per refusal of parse_graph's own, then one that Graph refuses
 #: for ids and a length at once.
 PARSE_REFUSALS = {
+    "bytes": (b"\xff", "^a graph description is a str, not bytes$"),
     "not-an-object": ("[]", "^top-level document must be a JSON object$"),
     "no-vertices": ('{"bonds": []}', "^missing field 'vertices'$"),
     "no-bonds": ('{"vertices": []}', "^missing field 'bonds'$"),

@@ -43,9 +43,29 @@ class TestSecularFunction:
         with pytest.raises(UnsupportedTopologyError):
             qg.secular_function(g, 1.0)
 
-    def test_nonpositive_k_rejected(self, interval_graph):
-        with pytest.raises(ValueError):
-            qg.secular_function(interval_graph, -1.0)
+    def test_negative_k_gives_the_conjugate_exactly(self):
+        # S(-k) D(-k) is the conjugate of S(k) D(k) at real k, entry by entry
+        def coupling(rng):
+            return (qg.DIRICHLET, qg.KIRCHHOFF, qg.delta(rng.uniform(-2.0, 3.0)))[rng.integers(3)]
+
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            n_vertices = int(rng.integers(2, 8))
+            n_bonds = int(rng.integers(n_vertices - 1, n_vertices * (n_vertices - 1) // 2 + 1))
+            g = _random_graph(rng, n_vertices, n_bonds, coupling, lambda r: r.uniform(0.3, 2.0))
+            k = rng.uniform(0.1, 30.0)
+            assert qg.secular_function(g, -k) == qg.secular_function(g, k).conjugate()
+
+    @pytest.mark.parametrize("coupling", [qg.DIRICHLET, qg.KIRCHHOFF, qg.delta(0.5), qg.delta(3.0), qg.delta(-1.0)],
+                             ids=["dirichlet", "kirchhoff", "delta0.5", "delta3", "delta-1"])
+    def test_two_vertex_graph_is_the_cavity_denominator(self, coupling):
+        # one bond between equal ends: det(I - S D) = 1 - r^2 e^{2ik ell}, at
+        # complex k too
+        for ell in (0.3, 1.0, 2.5):
+            g = qg.Graph(((0, coupling), (1, coupling)), (qg.Bond(0, 1, ell),))
+            for k in (0.7 + 0.2j, 2 - 0.5j, 3j, -1.3, 0.01j, 40 + 1j):
+                cavity = qg.cavity_amplitudes(coupling, ell, k).g
+                assert abs(qg.secular_function(g, k) - cavity) <= 1e-12 * abs(cavity)
 
 
 @pytest.mark.parametrize("k_max", [0.0, -1.0, math.nan, math.inf])
