@@ -24,8 +24,8 @@ from . import __version__
 from .casimir import CasimirResult, Method, casimir_green_method, casimir_mode_sum, casimir_sweep
 from .errors import InputError, NumericalError, QGraphError, UnsupportedTopologyError
 from .graph import Graph, parse_graph, two_vertex_form
-from .greens import star_green, two_vertex_green
-from .scattering import build_vertex_smatrix, cavity_amplitudes
+from .greens import _lead_star_green, two_vertex_green
+from .scattering import cavity_amplitudes
 from .spectrum import find_eigenvalues
 from .util import complex_to_json, dumps_json, fmt_float, worker_count
 
@@ -212,8 +212,7 @@ def _cmd_greens(args) -> int:
         if len(vertex_ids) != 1:
             raise UnsupportedTopologyError("star form requires all leads at one vertex")
         coupling = g.coupling(next(iter(vertex_ids)))
-        s = build_vertex_smatrix(len(g.leads), coupling, k)
-        decomposition = star_green(args.lead_in, args.lead_out, args.xi, args.xf, s)
+        decomposition = _lead_star_green(args.lead_in, args.lead_out, args.xi, args.xf, len(g.leads), coupling, k)
     else:
         coupling, ell = two_vertex_form(g)
         if args.lead_in or args.lead_out:

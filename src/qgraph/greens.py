@@ -16,9 +16,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ResonantBondError, SingularWavenumberError
-from .graph import _argument, _integer
-from .scattering import CavityAmplitudes, VertexSMatrix
+from .graph import VertexCoupling, _argument, _integer
+from .scattering import _MAX_VALENCY, CavityAmplitudes, VertexSMatrix, vertex_reflection_transmission
 
 #: |sin kL| below this counts as a resonant bond (k on the bond's own spectrum).
 _RESONANCE_TOLERANCE = 1e-12
@@ -57,13 +59,27 @@ def star_green(n: int, l: int, x_i: float, x_f: float, s: VertexSMatrix) -> Gree
 
         G_nl = (1/2ik) { delta_nl exp(ik|x_f - x_i|) + S_nl exp(ik(x_f + x_i)) }
     """
-    n, l = _integer(n, "n", 0, len(s.entries) - 1), _integer(l, "l", 0, len(s.entries) - 1)
+    return _star_green(n, l, x_i, x_f, s.k, len(s.entries), lambda n, l: s.entries[l, n])
+
+
+def _lead_star_green(n: int, l: int, x_i: float, x_f: float, valency: int, coupling: VertexCoupling,
+                     k: complex) -> GreenDecomposition:
+    """``star_green`` of ``valency`` leads at a vertex with ``coupling``, from
+    its R and T alone, with no N x N matrix; the same refusals and bits."""
+    rt = vertex_reflection_transmission(_integer(valency, "valency", 1, _MAX_VALENCY), coupling, k)
+    # S_nl as the matrix would hold it, so that the arithmetic is numpy's
+    r, t = np.complex128(rt.r), np.complex128(rt.t)
+    return _star_green(n, l, x_i, x_f, k, valency, lambda n, l: r if n == l else t)
+
+
+def _star_green(n, l, x_i, x_f, k, valency, entry) -> GreenDecomposition:
+    """``star_green`` at k on ``valency`` leads, S_nl = ``entry(n, l)``."""
+    n, l = _integer(n, "n", 0, valency - 1), _integer(l, "l", 0, valency - 1)
     x_i, x_f = _argument(x_i, "x_i", 0.0), _argument(x_f, "x_f", 0.0)
-    k = s.k
     if k == 0:
         raise SingularWavenumberError("star Green function is singular at k = 0")
     free = free_green(k, x_i, x_f) if n == l else 0.0 + 0.0j
-    scattered = s.entries[l, n] * cmath.exp(1j * k * (x_f + x_i)) / (2j * k)
+    scattered = entry(n, l) * cmath.exp(1j * k * (x_f + x_i)) / (2j * k)
     return _decompose(free + scattered, free, k, x_i, x_f)
 
 

@@ -29,7 +29,13 @@ a multiple of pi/2: a border diagonal vanishes at k l_b = n pi, and a border
 coordinate switches, which makes K jump, where |tan(k l_b / 2)| = 1.  An
 interval whose only special point is p is split at p - eps and p + eps, eps
 a quarter of the stopping width, so a root on p (as on equilateral graphs
-and equal stars) closes in two steps and no bracket keeps p.  Around a
+and equal stars) closes in two steps and no bracket keeps p.  The degenerate
+roots sit on such points, those of a length that two or more bonds have
+exactly (von Below, Linear Algebra Appl. 71, 309 (1985)), and every root of
+an equal star does; so the search starts from one batch of full counts, with
+det K, at the midpoints between consecutive shared points, and an interval
+between two of them holds one shared point from the first step.  A graph
+with no repeated length starts from the one interval (k_lo, k_top].  Around a
 simple root N(k) is N(lo) or N(hi), and the sign of det of the reduced form
 gives its parity at about a third of the cost of eigenvalues; a full count
 just beside each root checks what the parity cannot see, and a point where
@@ -43,7 +49,9 @@ or when two steps passed without the bracket halving (Brent's safeguard: at
 most three steps per halving).  Other intervals with more roots are
 bisected on the full count.  The count difference across a final interval,
 summed over final intervals that share an end, is the multiplicity of its
-root, which the bond-scattering form then confirms.
+root, which the bond-scattering form then confirms.  The forms of a batch
+are built in chunks of at most ``_COUNT_BYTES``, each padded to the batch's
+order, which caps the count's memory and leaves every form as it is.
 
 The residual of a root k of multiplicity m is, to within rounding, an upper
 bound on the m-th smallest singular value of N = I - S(k) D(k), independent
@@ -207,11 +215,15 @@ _RESIDUAL_TOL = 1e-10
 #: memory, whatever the graph size.
 _RESIDUAL_BYTES = 8 * 2**20
 
+#: Byte budget of the real forms one chunk of a count or parity batch holds
+#: (at least one form per chunk): the cap on that step's memory.
+_COUNT_BYTES = 8 * 2**20
+
 
 #: Cap on the Weyl estimate L k_max / pi + V + B that ``find_eigenvalues``
 #: accepts.  It bounds the search's memory, about 560 bytes per root on the
 #: unit interval (0.6 GB at the cap) and more with larger vertex blocks, and
-#: that of ``_special_points``, about 2 L k_max / pi points of 48 bytes.
+#: that of ``_special_points``, about 2 L k_max / pi points of 64 bytes.
 _MAX_ROOTS = 10**6
 
 #: Border coordinates whose diagonal has at least this modulus are eliminated
@@ -245,9 +257,12 @@ class _MatchingCount:
         self._inner = np.all(self._ends < v, axis=1)
         self.points = self.order_sum = 0
 
-    def _form(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The reduced form at each k, N(k) - n_+(form), and the border
-        diagonals with 1 in place of those kept."""
+    def _form(self, ks: np.ndarray):
+        """N(k) - n_+(form) at each k, the order of the reduced forms, the
+        border diagonals with 1 in place of those kept, and the reduced forms
+        as stacks of consecutive chunks of ``ks`` within ``_COUNT_BYTES``.
+        The branch data and the order are the batch's, so a form does not
+        depend on its chunk."""
         ks = np.asarray(ks, dtype=float)
         kl = np.outer(ks, self.lengths)
         t = np.tan(0.5 * kl)
@@ -279,12 +294,9 @@ class _MatchingCount:
         kept = np.bincount(at, minlength=n)
         size = v + int(kept.max(initial=0))
         row = v + np.arange(len(at)) - (np.cumsum(kept) - kept)[at]
-        form = np.zeros((n, size, size))
         pu, pw = self._ends[self._inner].T
-        form[:, pu, pw] = form[:, pw, pu] = 0.5 * (c_s - c_a)[:, self._inner] * w[:, pu] * w[:, pw]
-        diag = form.reshape(n, size * size)[:, :: size + 1]
-        diag[:, :v] = 0.5 * (c_s + c_a) @ self._incidence * w * w + np.maximum(np.minimum(-gk, 1.0), -1.0)
-        diag[:, v:] = 1.0
+        pair = 0.5 * (c_s - c_a)[:, self._inner] * w[:, pu] * w[:, pw]
+        diag = 0.5 * (c_s + c_a) @ self._incidence * w * w + np.maximum(np.minimum(-gk, 1.0), -1.0)
         # a border row and column, s or a times the scaling, is w / sqrt(2) at
         # the first end of its bond and -+ w / sqrt(2) at the second; a
         # Dirichlet end (index v) writes 0 into the border block, before the
@@ -292,26 +304,40 @@ class _MatchingCount:
         ends = self._ends[bond].T
         value = np.hstack([math.sqrt(0.5) * w, np.zeros((n, 1))])[at, ends]
         value[1] = np.where(steep[at, bond], value[1], -value[1])
-        flat, start = form.reshape(-1), at * size * size
-        flat[start + row * size + ends] = flat[start + ends * size + row] = value
-        flat[start + row * (size + 1)] = d[at, bond]
+        border = d[at, bond]
         self.points, self.order_sum = self.points + n, self.order_sum + n * size
-        return form, (floor - (~out & (d > 0.0))).sum(axis=1) - (size - v - kept), eliminated
+
+        def stacks():
+            rows = max(1, _COUNT_BYTES // (8 * max(size, 1) ** 2))
+            # one empty stack for an empty batch
+            for lo in range(0, max(n, 1), rows):
+                hi = min(lo + rows, n)
+                a, b = np.searchsorted(at, [lo, hi])
+                form = np.zeros((hi - lo, size, size))
+                form[:, pu, pw] = form[:, pw, pu] = pair[lo:hi]
+                form_diag = form.reshape(hi - lo, size * size)[:, :: size + 1]
+                form_diag[:, :v], form_diag[:, v:] = diag[lo:hi], 1.0
+                flat, start, r, e = form.reshape(-1), (at[a:b] - lo) * size * size, row[a:b], ends[:, a:b]
+                flat[start + r * size + e] = flat[start + e * size + r] = value[:, a:b]
+                flat[start + r * (size + 1)] = border[a:b]
+                yield form
+
+        return (floor - (~out & (d > 0.0))).sum(axis=1) - (size - v - kept), size, eliminated, stacks()
 
     def count(self, ks: np.ndarray) -> np.ndarray:
         """Number of eigenvalues below each k, counting the zero mode and
         bound states (k > 0, off the exact roots)."""
-        form, offset, _ = self._form(ks)
-        return offset + np.sum(np.linalg.eigvalsh(form) > 0.0, axis=1)
+        offset, _, _, forms = self._form(ks)
+        return offset + np.concatenate([np.sum(np.linalg.eigvalsh(form) > 0.0, axis=1) for form in forms])
 
     def parity(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """count(ks) mod 2 from sign det = (-1)^n_- of the reduced form, n_+ +
         n_- = its order off the roots, with sign det K and log|det K| of the
         bordered form K: those of the reduced form times the eliminated
         border diagonals."""
-        form, offset, eliminated = self._form(ks)
-        sign, logdet = np.linalg.slogdet(form)
-        return ((offset + form.shape[-1] - (sign < 0)) % 2, sign * np.prod(np.sign(eliminated), axis=1),
+        offset, size, eliminated, forms = self._form(ks)
+        sign, logdet = np.hstack([np.linalg.slogdet(form) for form in forms])
+        return ((offset + size - (sign < 0)) % 2, sign * np.prod(np.sign(eliminated), axis=1),
                 logdet + np.sum(np.log(np.abs(eliminated)), axis=1))
 
 
@@ -324,19 +350,21 @@ def secular_function(g: Graph, k: complex) -> complex:
     return complex(np.linalg.det(np.eye(sm.dim) - sm.matrices(np.array([k]))[0]))
 
 
-def _special_points(lengths: np.ndarray, k_top: float, width: float) -> tuple[np.ndarray, np.ndarray]:
+def _special_points(lengths: np.ndarray, k_top: float, width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct k in (0, k_top] where some k l_b is a multiple of pi / 2,
     the only places where the bordered form changes branch, closing with inf;
     points closer than ``width`` count as one.  Also whether each is a border
-    switch (an odd multiple for some bond), where K jumps."""
-    lengths = np.unique(lengths)
+    switch (an odd multiple for some bond), where K jumps, and whether it is
+    shared: a point of a length that two or more bonds have exactly."""
+    lengths, bonds = np.unique(lengths, return_counts=True)
     js = [np.arange(1, int(k_top * ell / (0.5 * math.pi)) + 1) for ell in lengths]
     points = np.concatenate([j * (0.5 * math.pi) / ell for j, ell in zip(js, lengths)] + [[math.inf]])
     odd = np.concatenate([j % 2 == 1 for j in js] + [[False]])
+    shares = np.concatenate([np.full(j.size, c) for j, c in zip(js, bonds)] + [[0]])
     order = np.argsort(points)
-    points, odd = points[order], odd[order]
+    points, odd, shares = points[order], odd[order], shares[order]
     starts = np.flatnonzero(np.concatenate([[True], np.diff(points) > width]))
-    return points[starts], np.logical_or.reduceat(odd, starts)
+    return points[starts], np.logical_or.reduceat(odd, starts), np.maximum.reduceat(shares, starts) >= 2
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -354,6 +382,10 @@ def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
     false-position point of the module docstring, and any other is bisected
     on the full count; a det-sign point with det exactly 0 moves by a quarter
     of the stopping width towards the middle.
+    The search starts from the intervals between the midpoints of
+    consecutive special points of lengths that two or more bonds share, each
+    end with its full count and det K, or from (k_lo, k_top] if there are
+    fewer than two such points.
     All stop at width 1e-14 k_max, so the same graph in other length units
     takes the same steps; final intervals that share an end are one root, at
     the midpoint of their union.  Every root's residual is reported: for
@@ -382,14 +414,23 @@ def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
     k_lo = 1e-6 * math.pi / total_length(g)
     width = 1e-14 * k_max
     eps = 0.25 * width
-    special, switch = _special_points(counter.lengths, k_top, width)
+    special, switch, shared = _special_points(counter.lengths, k_top, width)
+    # the degenerate roots sit on the shared special points: the search starts
+    # from the intervals between the midpoints of consecutive ones, each with
+    # a full count and det K, so a root on its point closes in two steps
+    seeds = 0.5 * special[shared][:-1] + 0.5 * special[shared][1:]
     # columns are intervals (lo, hi]; the rows hold k, N(k), sign det K and
     # log|det K| at both ends (sign 0 where a full count gave the point)
-    n_lo, n_top = counter.count(np.array([k_lo, k_top]))
-    ends = np.array([[k_lo, k_top], [n_lo, n_top], [0.0, 0.0], [0.0, 0.0]])[..., None]
+    points = np.concatenate([[k_lo], seeds, [k_top]])
+    counts = counter.count(points)
+    n_lo, n_top = counts[0], counts[-1]
+    start = np.stack([points, counts, np.zeros(points.size), np.zeros(points.size)])
+    if seeds.size:
+        start[2:, 1:-1] = counter.parity(seeds)[1:]
+    ends = np.stack([start[:, :-1], start[:, 1:]], 1)
     # per column: the width when it last halved, steps since then, end kept by the last split
-    halved, stale, kept = np.array([k_top - k_lo]), np.zeros(1), np.full(1, -1)
-    finals, full_points, sign_points = [], 2, 0
+    halved, stale, kept = ends[0, 1] - ends[0, 0], np.zeros(seeds.size + 1), np.full(seeds.size + 1, -1)
+    finals, full_points, sign_points = [], points.size, seeds.size
     while ends.size:
         n_in = ends[1, 1] - ends[1, 0]
         done = (n_in > 0) & (ends[0, 1] - ends[0, 0] <= width)

@@ -355,6 +355,28 @@ class TestGreensCommand:
         assert payload["total"]["re"] == pytest.approx(0.0, abs=1e-14)
         assert payload["total"]["im"] == pytest.approx(-1.0 / 3.0, abs=1e-14)
 
+    def test_wide_star_needs_no_scattering_matrix(self, graph_file, tmp_path):
+        # 4,096 leads, the valency cap: G_nl needs R and T only, where the
+        # N x N S-matrix took 268 MB; parsing the graph file is the floor
+        import tracemalloc
+
+        path, out = graph_file({**OPEN_STAR3, "leads": [{"vertex": 0}] * 4096}), tmp_path / "g.json"
+        tracemalloc.start()
+        try:
+            qg.parse_graph(Path(path).read_text())
+            floor = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            code = main(["greens", "--graph", path, "--k", "1,0", "--xi", "0", "--xf", "0",
+                         "--lead-in", "4095", "--lead-out", "7", "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < floor + 2**20
+        # Kirchhoff: T = 2 / N, and G_nl = T / 2ik at the vertex
+        total = json.loads(out.read_text())["total"]
+        assert (total["re"], total["im"]) == pytest.approx((0.0, -1.0 / 4096), abs=1e-18)
+
     def test_negative_coordinate_is_input_error(self, graph_file, tmp_path):
         code = main(
             ["greens", "--graph", graph_file(WALL), "--k", "1,0", "--xi", "-1", "--xf", "0",

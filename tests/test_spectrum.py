@@ -724,21 +724,94 @@ def test_a_degenerate_root_comes_back_as_one_root(edges, n_vertices, k_max):
     _assert_multiplicities_are_amplitude_nullities(g, k_max)
 
 
+def _unseeded(g, k_max):
+    """``find_eigenvalues`` with no shared special point, so with no seed:
+    the search starts from (k_lo, k_top]."""
+    special_points = spectrum._special_points
+
+    def unshared(*args):
+        special, switch, shared = special_points(*args)
+        return special, switch, np.zeros_like(shared)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "_special_points", unshared)
+        return qg.find_eigenvalues(g, k_max)
+
+
 @pytest.mark.parametrize("n_arms", [3, 4])
 def test_equal_star_roots_on_special_points_take_few_points(n_arms):
     # at star-modesum's cutoff the roots n pi / ell (multiplicity N - 1) sit on
     # the bond Dirichlet values and (n + 1/2) pi / ell on the border switches;
-    # bisection to the stopping width takes 47 levels and about 40 points per root
+    # bisection to the stopping width takes 47 levels and about 40 points per
+    # root, and the search from (k_lo, k_top] without the seed 13 levels
     ell = 0.6
     k_max = casimir._CUTOFF_MARGIN / (casimir._TAU_WINDOW[-1] * 2 * ell)
-    res = qg.find_eigenvalues(_equal_star(n_arms, ell), k_max)
+    star = _equal_star(n_arms, ell)
+    res = qg.find_eigenvalues(star, k_max)
     top = k_max * ell / math.pi
     n, half = np.arange(1, int(top) + 1), np.arange(int(top + 0.5)) + 0.5
     expected = np.sort(np.concatenate([np.repeat(n, n_arms - 1), half])) * math.pi / ell
     assert res.eigenvalues == pytest.approx(expected.tolist(), rel=1e-12, abs=0)
     points = res.diagnostics["count_points"] + res.diagnostics["sign_points"]
     assert points <= 8 * len(set(res.eigenvalues))
-    assert res.diagnostics["bisection_levels"] <= 15
+    assert res.diagnostics["bisection_levels"] <= 3
+    unseeded = _unseeded(star, k_max)
+    assert unseeded.diagnostics["bisection_levels"] > 3
+    assert np.array_equal(np.unique(res.eigenvalues, return_counts=True)[1],
+                          np.unique(unseeded.eigenvalues, return_counts=True)[1])
+    assert np.max(np.abs(np.subtract(res.eigenvalues, unseeded.eigenvalues))) <= 1e-14 * k_max
+    target = -(2 * n_arms - 3) * math.pi / (48 * ell)
+    assert abs(qg.casimir_mode_sum(star).energy - target) <= 1e-9 * abs(target)
+
+
+def test_graph_without_repeated_lengths_takes_no_seed():
+    g = _random_delta_graph_24()
+    assert len(set(b.length for b in g.bonds)) == len(g.bonds)
+    res, unseeded = qg.find_eigenvalues(g, 30.0), _unseeded(g, 30.0)
+    assert np.array(res.eigenvalues).tobytes() == np.array(unseeded.eigenvalues).tobytes()
+    assert np.array(res.residuals).tobytes() == np.array(unseeded.residuals).tobytes()
+    assert res.diagnostics == unseeded.diagnostics
+
+
+def test_seeded_random_graphs_keep_the_unseeded_roots():
+    # lengths from a small set, so that most graphs share some and the seed
+    # starts their search; Dirichlet, Kirchhoff and delta vertices of both signs
+    def coupling(rng):
+        kind = int(rng.integers(3))
+        if kind == 2:
+            return qg.delta(float(rng.choice([-2.0, -0.5, 0.3, 1.0, 5.0])))
+        return (qg.DIRICHLET, qg.KIRCHHOFF)[kind]
+
+    rng, k_max, seeded = np.random.default_rng(26), 12.0, 0
+    for _ in range(120):
+        n_vertices = int(rng.integers(2, 8))
+        n_bonds = int(rng.integers(n_vertices - 1, n_vertices * (n_vertices - 1) // 2 + 1))
+        g = _random_graph(rng, n_vertices, n_bonds, coupling, lambda r: float(r.choice([0.5, 0.7, 1.0, 1.3])))
+        res, unseeded = qg.find_eigenvalues(g, k_max), _unseeded(g, k_max)
+        seeded += res.diagnostics != unseeded.diagnostics
+        assert res.count == unseeded.count, g
+        assert np.array_equal(np.unique(res.eigenvalues, return_counts=True)[1],
+                              np.unique(unseeded.eigenvalues, return_counts=True)[1]), g
+        assert np.max(np.abs(np.subtract(res.eigenvalues, unseeded.eigenvalues)), initial=0.0) <= 1e-14 * k_max, g
+    assert seeded >= 60
+
+
+@pytest.mark.parametrize("graph, k_max", [
+    (_equal_star(3), 60.0),
+    (_random_delta_graph_24(), 30.0),
+    (qg.Graph(tuple((v, qg.KIRCHHOFF) for v in range(_sierpinski(2)[1])),
+              tuple(qg.Bond(a, b, 1.0) for a, b in _sierpinski(2)[0])), 20.0),
+], ids=["star3", "delta-24", "gasket-2"])
+def test_count_chunks_leave_every_bit(graph, k_max, monkeypatch):
+    # a budget of 2 KiB holds one form of the gasket (order 15 or more) and
+    # 16 of the star's (order 4 or less), so the batches are split; each form
+    # keeps the batch's order
+    res = qg.find_eigenvalues(graph, k_max)
+    monkeypatch.setattr(spectrum, "_COUNT_BYTES", 2048)
+    chunked = qg.find_eigenvalues(graph, k_max)
+    assert np.array(res.eigenvalues).tobytes() == np.array(chunked.eigenvalues).tobytes()
+    assert np.array(res.residuals).tobytes() == np.array(chunked.residuals).tobytes()
+    assert res.diagnostics == chunked.diagnostics
 
 
 def _delta_triangle(gamma):
@@ -842,7 +915,8 @@ def test_vertex_block_matches_the_sparse_pattern_map(graph, k_max):
     special = spectrum._special_points(counter.lengths, k_max, 4 * eps)[0][:-1]
     ks = np.concatenate([np.random.default_rng(7).uniform(1e-3, k_max, 2000), special - eps, special + eps])
     v = len(counter._gamma)
-    block, (reference, scale) = counter._form(ks)[0][:, :v, :v], _sparse_vertex_block(counter, ks)
+    block = np.concatenate(list(counter._form(ks)[3]))[:, :v, :v]
+    reference, scale = _sparse_vertex_block(counter, ks)
     # the two add a cell's terms in different orders, so they agree relative
     # to the sum of the terms' moduli, not to a sum the terms cancel in (on
     # the equal stars the centre's diagonal nearly vanishes at |tan| = 1)
