@@ -25,16 +25,20 @@ Green-trace route
     frozen once against the Dirichlet cavity benchmark E = -pi/(24 ell) and
     is exactly 1/pi; every other configuration is a prediction.
     The integral is taken by ``_green_integrals`` in numpy, with no scipy:
-    panels carry an 8- and a 16-point Gauss-Legendre rule (Golub-Welsch
-    nodes), the 16-point sum is the value and the distance between the two
-    the error estimate, and a panel is bisected until that estimate is
-    within its share of the tolerance.  It integrates many g = gamma ell at
-    once, each equal value once and in chunks of a fixed byte budget.  A
-    sweep over scales (:func:`casimir_sweep`) runs on arrays of scales: it
-    checks the graph once, finds the failing scales by array comparisons,
-    builds no scaled graph for the others and integrates them in one call,
-    and gets for each scale the bits :func:`casimir_green_method`, its
-    one-scale case, gives for that scale alone.
+    panels carry the nested 7-point Gauss / 15-point Kronrod pair (G7/K15;
+    Piessens et al., QUADPACK, 1983), the K15 sum is the value and
+    |K15 - G7| the error estimate, and a panel is bisected until that
+    estimate is within its share of the tolerance.  It integrates many
+    g = gamma ell at once, each equal value once and in chunks of a fixed
+    byte budget.  A sweep over scales (``_green_sweep``) runs on arrays of
+    scales: it checks the graph once, finds the failing scales by array
+    comparisons, builds no scaled graph for the others and integrates them
+    in one call, and returns arrays of energies and error bounds, with the
+    error of each failed scale.  Each scale gets the bits
+    :func:`casimir_green_method`, its one-scale case, gives for that scale
+    alone.  :func:`casimir_sweep` and :func:`casimir_green_method` wrap the
+    arrays into :class:`CasimirResult` objects; ``qgraph sweep`` writes its
+    rows straight from them.
 
 Mode-sum route (independent oracle)
     E(tau) = (1/2) sum_n k_n exp(-k_n tau) - L_total/(2 pi tau^2), followed by
@@ -58,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtrapolationError, NumericalError, QGraphError, UnsupportedTopologyError
+from .errors import ExtrapolationError, InputError, NumericalError, QGraphError, UnsupportedTopologyError
 from .graph import CouplingKind, Graph, _to_float, delta, total_length, two_vertex_form
 from .spectrum import find_eigenvalues
 
@@ -137,32 +141,38 @@ def _rotated_integrand(g):
     return f
 
 
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], from
-    the eigenvectors of its Jacobi matrix (Golub & Welsch, Math. Comp. 23,
-    221 (1969))."""
-    k = np.arange(1.0, n)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return (nodes + 1.0) / 2.0, vectors[0] ** 2
+#: The nested 7-point Gauss / 15-point Kronrod pair of QUADPACK's qk15
+#: (Piessens et al., QUADPACK, 1983) on [-1, 1]: the Kronrod nodes x >= 0 from
+#: the largest down to 0, the Gauss ones being every other, from the second;
+#: their Kronrod weights; and the Gauss weights of those every other nodes.
+_XGK = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                 0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                 0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                 0.207784955007898467600689403773245, 0.0])
+_WGK = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                 0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                 0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                 0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG = np.array([0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+                0.381830050505118944950369775488975, 0.417959183673469387755102040816327])
 
-
-#: Each panel is integrated by the 8- and 16-point Gauss-Legendre rules: the
-#: 16-point sum is its value and the distance between the two its error
-#: estimate.  _NODES holds the 8 nodes, then the 16, on [0, 1].
-(_NODES_8, _WEIGHTS_8), (_NODES_16, _WEIGHTS_16) = _gauss_legendre(8), _gauss_legendre(16)
-_NODES = np.concatenate([_NODES_8, _NODES_16])
+#: Each panel is integrated by the pair on [0, 1]: the K15 sum is its value and
+#: |K15 - G7| its error estimate.  _NODES holds the 15 nodes in ascending order,
+#: so the G7 nodes are _NODES[1::2].
+_NODES = 0.5 * np.concatenate([1.0 - _XGK[:-1], 1.0 + _XGK[::-1]])
+_WEIGHTS_K15 = 0.5 * np.concatenate([_WGK[:-1], _WGK[::-1]])
+_WEIGHTS_G7 = 0.5 * np.concatenate([_WG[:-1], _WG[::-1]])
 
 #: The quadrature starts from this many equal panels on (0, x_max].
 _FIRST_PANELS = 4
 
 #: A g whose integral takes more panels than this (counting every bisected
 #: one, so its depth is capped too) has no integral: ``_green_integrals``
-#: returns NaN for it.  Every g >= 0 takes at most 158 at tol 1e-10, and 188
+#: returns NaN for it.  Every g >= 0 takes at most 162 at tol 1e-10, and 222
 #: at 1e-12 (g near tol^4, whose zero-mode step is graded down to sqrt(g)).
 _MAX_PANELS = 400
 
-#: Byte budget of the integrand values of one chunk of panels, 8 + 16 nodes
+#: Byte budget of the integrand values of one chunk of panels, 15 nodes
 #: each (at least one panel per chunk).  The integrand holds about seven
 #: arrays of that size at once, so this caps the quadrature's working set,
 #: beside its panel list of a few hundred bytes per g value.
@@ -177,7 +187,7 @@ def _green_integrals(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Equal g values are integrated once.  Every g starts from the same
     ``_FIRST_PANELS`` panels; all live panels of all g are evaluated together,
     one level of bisection at a time, in chunks of ``_QUADRATURE_BYTES``.  A
-    panel is kept once the two rules agree to within its share of tol, its
+    panel is kept once K15 and G7 agree to within its share of tol, its
     width over x_max, and is bisected otherwise.  The panel at x = 0 of a
     g >= tol^4 is also bisected until it is no wider than sqrt(g): there the
     reflection of a delta end turns the Kirchhoff zero mode into one at
@@ -205,8 +215,8 @@ def _green_integrals(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for lo in range(0, owner.size, rows):
             at = slice(lo, lo + rows)
             f = _rotated_integrand(unique[owner[at], None])(left[at, None] + width * _NODES)
-            coarse[at] = (f[:, :len(_WEIGHTS_8)] * _WEIGHTS_8).sum(axis=1)
-            fine[at] = (f[:, len(_WEIGHTS_8):] * _WEIGHTS_16).sum(axis=1)
+            coarse[at] = (f[:, 1::2] * _WEIGHTS_G7).sum(axis=1)
+            fine[at] = (f * _WEIGHTS_K15).sum(axis=1)
         coarse *= width
         fine *= width
         est = np.abs(fine - coarse)
@@ -224,12 +234,15 @@ def _green_integrals(gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return total[back], error[back]
 
 
-def _green_sweep(g: Graph, factors: np.ndarray) -> list[CasimirResult | QGraphError]:
-    """The Green branch of :func:`casimir_sweep`, on an array of scale factors.
-    Only a scale that ``g.scaled`` refuses goes through it, for its error; a
-    scale whose gamma ell, quadrature, energy or error is not finite gets a
+def _green_sweep(g: Graph, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, QGraphError]]:
+    """The Green route on an array of scale factors: for each factor f, the
+    energy of ``g.scaled(f)`` and its error bound, both NaN where that scale
+    fails, and the error of each failed index.  Only a scale that
+    ``g.scaled`` refuses goes through it, for its error; a scale whose
+    gamma ell, quadrature, energy or error is not finite gets a
     :class:`NumericalError`."""
-    out: list[CasimirResult | QGraphError | None] = [None] * factors.size
+    energies, bounds = np.full(factors.size, math.nan), np.full(factors.size, math.nan)
+    errors: dict[int, QGraphError] = {}
     lengths = [b.length for b in g.bonds]
     with np.errstate(over="ignore", invalid="ignore"):
         # Graph.scaled refuses a factor or a scaled length outside (0, inf), NaN
@@ -242,7 +255,7 @@ def _green_sweep(g: Graph, factors: np.ndarray) -> list[CasimirResult | QGraphEr
         try:
             g.scaled(factors[i].item())
         except QGraphError as exc:
-            out[i] = exc
+            errors[i] = exc
     try:
         coupling, ell = two_vertex_form(g)
         gamma = coupling.gamma
@@ -252,7 +265,7 @@ def _green_sweep(g: Graph, factors: np.ndarray) -> list[CasimirResult | QGraphEr
                 "rotated contour; not supported"
             )
     except QGraphError as exc:
-        return [exc if r is None else r for r in out]
+        return energies, bounds, {i: errors.get(i, exc) for i in range(factors.size)}
 
     live = np.flatnonzero(fits)
     ells = ell * factors[live]
@@ -260,7 +273,7 @@ def _green_sweep(g: Graph, factors: np.ndarray) -> list[CasimirResult | QGraphEr
         gls = gamma * ells
     finite = np.isfinite(gls)
     for i, scaled in zip(live[~finite].tolist(), ells[~finite].tolist()):
-        out[i] = NumericalError(f"gamma ell = {gamma!r} * {scaled!r} is beyond the largest double")
+        errors[i] = NumericalError(f"gamma ell = {gamma!r} * {scaled!r} is beyond the largest double")
     live, ells, gls = live[finite], ells[finite], gls[finite]
 
     tol = _QUADRATURE_TOL
@@ -271,22 +284,29 @@ def _green_sweep(g: Graph, factors: np.ndarray) -> list[CasimirResult | QGraphEr
     # and e^{-2 x_max} = tol
     tail = (2.0 * x_max + 1.0 + (gamma != 0.0)) * tol / (4.0 * (1.0 - tol))
     with np.errstate(over="ignore"):
-        energies = _ENERGY_PREFACTOR * integrals / ells
-        bounds = _ENERGY_PREFACTOR * (quad_errs + tail) / ells
+        scaled_energies = _ENERGY_PREFACTOR * integrals / ells
+        scaled_bounds = _ENERGY_PREFACTOR * (quad_errs + tail) / ells
     converged = np.isfinite(integrals + quad_errs)
-    bounded = np.isfinite(energies) & np.isfinite(bounds)
+    bounded = np.isfinite(scaled_energies) & np.isfinite(scaled_bounds)
     for i, gl in zip(live[~converged].tolist(), gls[~converged].tolist()):
-        out[i] = NumericalError(f"the Green quadrature did not reach its tolerance within {_MAX_PANELS} "
-                                f"panels at gamma ell = {gl!r}")
+        errors[i] = NumericalError(f"the Green quadrature did not reach its tolerance within {_MAX_PANELS} "
+                                   f"panels at gamma ell = {gl!r}")
     at = converged & ~bounded
-    for i, energy, bound, scaled in zip(live[at].tolist(), energies[at].tolist(), bounds[at].tolist(),
-                                        ells[at].tolist()):
-        out[i] = NumericalError(f"Green energy {energy!r} +- {bound!r} is not finite at bond length {scaled!r}")
+    for i, energy, bound, scaled in zip(live[at].tolist(), scaled_energies[at].tolist(),
+                                        scaled_bounds[at].tolist(), ells[at].tolist()):
+        errors[i] = NumericalError(f"Green energy {energy!r} +- {bound!r} is not finite at bond length {scaled!r}")
     at = converged & bounded
-    for i, energy, bound in zip(live[at].tolist(), energies[at].tolist(), bounds[at].tolist()):
-        out[i] = CasimirResult(energy=energy, fit_coefficients=(), per_tau_samples=(),
-                               method=Method.GREEN_TRACE, estimated_error=bound)
-    return out
+    energies[live[at]], bounds[live[at]] = scaled_energies[at], scaled_bounds[at]
+    return energies, bounds, errors
+
+
+def _green_results(g: Graph, factors: np.ndarray) -> list[CasimirResult | QGraphError]:
+    """:func:`_green_sweep` as one :class:`CasimirResult` or error per factor."""
+    energies, bounds, errors = _green_sweep(g, factors)
+    return [errors[i] if i in errors else
+            CasimirResult(energy=energy, fit_coefficients=(), per_tau_samples=(), method=Method.GREEN_TRACE,
+                          estimated_error=bound)
+            for i, (energy, bound) in enumerate(zip(energies.tolist(), bounds.tolist()))]
 
 
 def casimir_green_method(g: Graph) -> CasimirResult:
@@ -302,7 +322,7 @@ def casimir_green_method(g: Graph) -> CasimirResult:
     not converge, or if the energy or its error is not finite.  This is the
     one-scale case of :func:`casimir_sweep`.
     """
-    (result,) = _green_sweep(g, np.ones(1))
+    (result,) = _green_results(g, np.ones(1))
     if isinstance(result, QGraphError):
         raise result
     return result
@@ -311,6 +331,7 @@ def casimir_green_method(g: Graph) -> CasimirResult:
 def casimir_sweep(g: Graph, scales: Iterable[float], method: Method) -> list[CasimirResult | QGraphError]:
     """The energy of ``g.scaled(s)`` for each s of ``scales`` by ``method``:
     its :class:`CasimirResult`, or the :class:`QGraphError` that scale raised.
+    A ``method`` that is not a :class:`Method` is an :class:`InputError`.
 
     The mode sum runs scale by scale.  The Green route works on the array
     of scales.  It checks ``g`` once for the refusals no scale changes (not
@@ -322,8 +343,10 @@ def casimir_sweep(g: Graph, scales: Iterable[float], method: Method) -> list[Cas
     ``g.scaled(s)``, or carries the same error type and text; a scale beyond
     the double range is an infinity to both routes, as to ``g.scaled``.
     """
-    if method is not Method.MODE_SUM:  # a non-real scale is NaN, which g.scaled refuses with the same text
-        return _green_sweep(g, np.array([math.nan if f is None else f for f in map(_to_float, scales)]))
+    if not isinstance(method, Method):
+        raise InputError(f"method must be a Method, got {method!r}")
+    if method is Method.GREEN_TRACE:  # a non-real scale is NaN, which g.scaled refuses with the same text
+        return _green_results(g, np.array([math.nan if f is None else f for f in map(_to_float, scales)]))
     out: list[CasimirResult | QGraphError] = []
     for s in scales:
         try:

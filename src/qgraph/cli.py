@@ -21,13 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .casimir import CasimirResult, Method, casimir_green_method, casimir_mode_sum, casimir_sweep
+from .casimir import CasimirResult, Method, _green_sweep, casimir_green_method, casimir_mode_sum, casimir_sweep
 from .errors import InputError, NumericalError, QGraphError, UnsupportedTopologyError
 from .graph import Graph, parse_graph, two_vertex_form
 from .greens import _lead_star_green, two_vertex_green
 from .scattering import cavity_amplitudes
 from .spectrum import find_eigenvalues
-from .util import complex_to_json, dumps_json, fmt_float, worker_count
+from .util import complex_to_json, dumps_json, worker_count
 
 
 #: Most scales one ``sweep`` takes: each holds a row of results and output
@@ -186,21 +186,23 @@ def _cmd_sweep(args) -> int:
     g = _load_graph(args.graph)
     with np.errstate(over="ignore"):  # only the last scale can overflow, and linspace sets it to --to
         scales = np.linspace(args.scale_from, args.scale_to, args.steps).tolist()
-    method = Method.GREEN_TRACE if args.method == "green" else Method.MODE_SUM
+    if args.method == "green":
+        energies, bounds, errors = _green_sweep(g, np.array(scales))
+    else:
+        results = casimir_sweep(g, scales, Method.MODE_SUM)
+        errors = {i: r for i, r in enumerate(results) if isinstance(r, QGraphError)}
+        energies, bounds = np.array([(math.nan, math.nan) if i in errors else (r.energy, r.estimated_error)
+                                     for i, r in enumerate(results)]).T
 
     params = {"method": args.method, "from": args.scale_from, "to": args.scale_to, "steps": args.steps}
+    # every row as a scale with its energy and bound, then the failed ones as a scale with its error
+    rows = list(map("{!r},{!r},{!r},".format, scales, energies.tolist(), bounds.tolist()))
+    for i, exc in errors.items():
+        rows[i] = f"{scales[i]!r},NaN,NaN," + str(exc).replace(",", ";").replace("\n", " ")
     lines = ["# manifest = " + dumps_json(_manifest("sweep", args.graph, params), indent=None),
-             "scale,energy,estimated_error,error"]
-    failed = False
-    for scale, res in zip(scales, casimir_sweep(g, scales, method)):
-        if isinstance(res, QGraphError):
-            failed = True
-            message = str(res).replace(",", ";").replace("\n", " ")
-            lines.append(f"{fmt_float(scale)},NaN,NaN,{message}")
-        else:
-            lines.append(f"{fmt_float(scale)},{fmt_float(res.energy)},{fmt_float(res.estimated_error)},")
+             "scale,energy,estimated_error,error", *rows]
     _write_output(args.output, "\n".join(lines) + "\n")
-    return 3 if failed else 0
+    return 3 if errors else 0
 
 
 def _cmd_greens(args) -> int:

@@ -515,6 +515,50 @@ class TestGreenQuadrature:
         assert sum(points) == 2 * n_points
         assert many[0].tobytes() == np.repeat(one[0], 500).tobytes()
 
+    @pytest.mark.parametrize("degree", range(0, 26, 2))
+    def test_panel_rule_is_the_gauss_kronrod_pair(self, degree):
+        # in t = 2x - 1 on [0, 1], where the symmetric rules integrate odd
+        # powers to 0: K15 is exact to degree 23 and G7, on every other K15
+        # node, to 13, the highest degrees a 15- and a 7-point rule nested so
+        # can reach
+        t = 2.0 * casimir._NODES - 1.0
+        k15 = (casimir._WEIGHTS_K15 * t**degree).sum()
+        g7 = (casimir._WEIGHTS_G7 * t[1::2] ** degree).sum()
+        assert (abs(k15 - 1.0 / (degree + 1)) <= 1e-15) == (degree <= 22)
+        assert (abs(g7 - 1.0 / (degree + 1)) <= 1e-15) == (degree <= 12)
+
+    def test_gauss_nodes_and_weights_are_the_legendre_ones(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(7)
+        assert casimir._NODES[1::2] == pytest.approx((nodes + 1.0) / 2.0, rel=0, abs=1e-15)
+        assert casimir._WEIGHTS_G7 == pytest.approx(weights / 2.0, rel=0, abs=1e-15)
+        assert np.all(np.diff(casimir._NODES) > 0) and 0.0 < casimir._NODES[0] and casimir._NODES[-1] < 1.0
+        assert casimir._NODES + casimir._NODES[::-1] == pytest.approx(np.ones(15), rel=0, abs=1e-15)
+        assert casimir._WEIGHTS_K15.tolist() == casimir._WEIGHTS_K15[::-1].tolist()
+
+    # the panels per g value of the 8/16-point Gauss-Legendre pair this rule
+    # replaced, on the g values of the benchmark's delta sweeps
+    @pytest.mark.parametrize("gamma, gauss_legendre_panels", [(0.5, 4450), (3.0, 3128)])
+    def test_fifteen_points_per_panel_and_about_as_many_panels(self, gamma, gauss_legendre_panels, monkeypatch):
+        shapes = []
+        integrand = casimir._rotated_integrand
+
+        def counting(g):
+            f = integrand(g)
+
+            def counted(x):
+                shapes.append(x.shape)
+                return f(x)
+
+            return counted
+
+        monkeypatch.setattr(casimir, "_rotated_integrand", counting)
+        casimir._green_integrals(gamma * np.linspace(0.5, 2.0, 500))
+        assert {shape[1] for shape in shapes} == {15}
+        panels = sum(shape[0] for shape in shapes)
+        assert abs(panels / gauss_legendre_panels - 1.0) <= 0.15
+
     def test_memory_is_capped_by_the_chunk_budget(self):
         # about seven arrays of the budget at once, plus a few hundred bytes
         # per g value for the panel list
@@ -596,6 +640,15 @@ def test_mode_sum_sweep_rows_carry_each_scale_error():
         assert str(row) == str(alone.value)
         assert getattr(row, "samples", None) == getattr(alone.value, "samples", None)
     assert len(rows[1].samples) == 8
+
+
+@pytest.mark.parametrize("method", ["modesum", "ModeSum", None, 0])
+def test_sweep_refuses_a_method_that_is_not_a_method(method):
+    # each of these once ran the Green route: a two-vertex refusal in every row
+    # of the path, Green energies on the interval
+    for g in (_star((1.0, 0.7)), dirichlet_interval(1.0)):
+        with pytest.raises(qg.InputError, match="method must be a Method"):
+            qg.casimir_sweep(g, [0.5, 1.0], method)
 
 
 _REAL_LENGTHS = [3, np.int64(3), np.float16(0.1), np.float32(0.1), np.float64(0.1), Fraction(1, 3)]
