@@ -60,14 +60,28 @@ in Re >= 0, and every singular value of A = N + c I is at least the fixed
 shift c > 0, which only has to stay above the rounding of N and of the
 solve.  Two steps of shifted inverse iteration (Ipsen, SIAM Rev. 39, 254
 (1997)), X <- Q of the QR factorization of A^-1 X from a fixed seeded n x m
-start, give an orthonormal X, and by Courant-Fischer ||N X||_2 >=
-sigma_m(N).  The next singular value s leaves about ((sigma_m + c) /
+start (X / ||X|| for m = 1), give an orthonormal X, and by Courant-Fischer
+||N X||_2 >= sigma_m(N), formed from the entries of S D that ``matrices``
+scatters.  The next singular value s leaves about ((sigma_m + c) /
 (s + c))^2 of the start's weight off the m smallest singular directions, so
 the bound meets sigma_m(N) to within rounding when s >> sigma_m + c; when s
 is tiny too, it can exceed sigma_m by a fraction of s (by up to 1.4e-13 on
-stars whose roots are split by 1e-13).  The roots go in chunks whose stacks
-of complex matrices fit a fixed byte budget, ``_RESIDUAL_BYTES``, which caps
-the memory of that step whatever the graph size.
+stars whose roots are split by 1e-13).  Each solve with A goes through a
+Schur system of about the vertex count's order, not the dense 2B x 2B one.
+The vertex amplitudes have r = t - 1 (t = 0 at a Dirichlet vertex), so
+S = T - R, with T = E_tail diag(t) E_head^T of rank at most V_free and R the
+bond reversal a <-> a ^ 1, and A = B - T D with B = (1 + c) I + R D: one
+2 x 2 block per bond, with eigenvalues 1 + c +- e^{ik l_b} on the bond modes
+(1, +-1) / sqrt(2).  With z = diag(t) E_head^T D y on the free vertices,
+A y = x is B y = x + E_tail z.  Every bond mode is eliminated through its
+eigenvalue except the small one of a bond near k l_b in pi Z (modulus below
+``_RESIDUAL_PIVOT``), which keeps a border unknown; that leaves a system of
+order V_free plus those bonds, at most V_free + B, and y follows by
+back-substitution.  The systems of one multiplicity are padded to one order,
+and its roots go in chunks whose complex arrays fit a fixed byte budget,
+``_RESIDUAL_BYTES``, which caps the memory of that step; the graph adds two
+real arrays of 2B x V_free and V_free x B numbers, and ``find_eigenvalues``
+refuses V_free + B above ``_MAX_ORDER``.
 """
 
 from __future__ import annotations
@@ -80,7 +94,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError, SingularWavenumberError, UnsupportedTopologyError
 from .graph import Graph, _argument, _integer, total_length
-from .scattering import vertex_amplitudes
+from .scattering import _MAX_VALENCY, vertex_amplitudes
 
 
 @dataclass(frozen=True)
@@ -91,6 +105,7 @@ class SpectrumResult:
     (``weyl_expected`` and the bound V + B on the count's distance from it)
     and ``diagnostics``: numbers of full-count and det-sign points and of
     bisection levels, the mean order of the count's form over those points,
+    the mean order of the residual's Schur systems over the distinct roots,
     worst residual."""
 
     eigenvalues: tuple[float, ...]
@@ -130,74 +145,200 @@ class _SecularMatrix:
         self._gamma = np.array([c.gamma for _, c in g.vertices])
 
         # directed bond 2b runs along bond b and 2b + 1 runs back; directed bond
-        # a scatters at its head into the directed bonds with that tail, the
-        # consecutive entries of the tails' stable order from the head on: into
+        # a scatters at its head into the directed bonds with that tail: into
         # a ^ 1 by reflection (no loops or parallel bonds), into the others by
-        # transmission
+        # transmission.  The pairs (row, column) come in one block per vertex
+        # v: its directed bonds leaving v, in order, are the rows, their
+        # reverses arriving at v the columns, so the reflections are on the
+        # diagonal; the blocks of one valency are consecutive, and their rows
+        # together are ``_leave``
         ends = np.array([[index[b.from_vertex], index[b.to_vertex]] for b in g.bonds])
         tail, head = ends.ravel(), ends[:, ::-1].ravel()
         self.dim = tail.size
-        self.lengths = np.repeat([b.length for b in g.bonds], 2)
+        self.lengths = np.array([b.length for b in g.bonds])
         self._valency = np.bincount(tail, minlength=len(index))
-        order = np.argsort(tail, kind="stable")
-        fan = self._valency[head]
-        first = np.repeat(np.searchsorted(tail[order], head) - np.cumsum(fan) + fan, fan)
-        self._cols = np.repeat(np.arange(self.dim), fan)
-        self._rows = order[first + np.arange(self._cols.size)]
+        fans = self._valency[tail]
+        self._leave = np.argsort(fans * len(index) + tail, kind="stable")
+        self._blocks, rows, cols = [], [], []
+        for fan, lo in zip(*np.unique(fans[self._leave], return_index=True)):
+            leave = self._leave[lo:lo + np.count_nonzero(fans == fan)].reshape(-1, fan)
+            self._blocks.append((fan, leave.size, (leave ^ 1).ravel()))
+            rows.append(np.repeat(leave, fan, axis=1).ravel())
+            cols.append(np.tile(leave ^ 1, fan).ravel())
+        self._rows, self._cols = np.concatenate(rows), np.concatenate(cols)
         self._is_reflection = self._rows == self._cols ^ 1
         self._at_vertex = head[self._cols]
 
+        # the residual's vertex block holds the free vertices in graph order;
+        # a Dirichlet end has the index one past it.  Mode 2b + i of bond b is
+        # (1, (-1)^i) / sqrt(2) on its directed bonds (2b, 2b + 1); in that
+        # basis E_tail has 1 / sqrt(2) at the free end u of b and
+        # (-1)^i / sqrt(2) at the free end w, and E_head is diag((-1)^i) E_tail
+        self._free = np.flatnonzero(~self._dirichlet)
+        v, bonds = self._free.size, np.arange(len(ends))
+        block = np.cumsum(~self._dirichlet) - 1
+        block[self._dirichlet] = v
+        self._ends = block[ends]
+        self._inner = np.all(self._ends < v, axis=1)
+        self._pairs = self._ends[self._inner].T
+        self._mode_sign = np.tile([1.0, -1.0], len(ends))
+        tail_map, incidence = np.zeros((self.dim, v + 1)), np.zeros((v + 1, len(ends)))
+        tail_map[2 * bonds, self._ends[:, 0]] = tail_map[2 * bonds + 1, self._ends[:, 0]] = math.sqrt(0.5)
+        tail_map[2 * bonds, self._ends[:, 1]] = math.sqrt(0.5)
+        tail_map[2 * bonds + 1, self._ends[:, 1]] = -math.sqrt(0.5)
+        incidence[self._ends.T, bonds] = 1.0
+        self._tail_map, self._incidence = np.ascontiguousarray(tail_map[:, :v]), incidence[:v]
+        self.order_sum = 0
+
+    def _amplitudes(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """R and T at each vertex, one row per k."""
+        return vertex_amplitudes(self._valency[None, :], self._gamma[None, :], ks[:, None], self._dirichlet[None, :])
+
+    def _entries(self, r: np.ndarray, t: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """The entries of M(k) at (``_rows``, ``_cols``), one row per k, from
+        ``_amplitudes`` and e^{ik l_b} on each bond."""
+        # np.take gives C order at every batch size, so that a block product
+        # of the residual takes the same BLAS path for any chunk
+        amp = np.where(self._is_reflection, np.take(r, self._at_vertex, axis=1), np.take(t, self._at_vertex, axis=1))
+        return amp * np.take(e, self._cols >> 1, axis=1)
+
     def matrices(self, ks: np.ndarray) -> np.ndarray:
         ks = np.atleast_1d(np.asarray(ks))
-        r, t = vertex_amplitudes(
-            self._valency[None, :], self._gamma[None, :], ks[:, None], self._dirichlet[None, :]
-        )
-        amp = np.where(
-            self._is_reflection[None, :],
-            r[:, self._at_vertex],
-            t[:, self._at_vertex],
-        )
-        phase = np.exp(1j * np.outer(ks, self.lengths))
-        m = np.zeros((len(ks), self.dim, self.dim), dtype=complex)
-        m[:, self._rows, self._cols] = amp * phase[:, self._cols]
+        entries = self._entries(*self._amplitudes(ks), np.exp(1j * np.outer(ks, self.lengths)))
+        m = np.zeros((len(entries), self.dim, self.dim), dtype=complex)
+        m[:, self._rows, self._cols] = entries
         return m
 
     def residuals(self, ks: np.ndarray, mults: np.ndarray) -> np.ndarray:
         """The residual of the module docstring at each real k, m its entry of
-        ``mults``, from the first m columns of one fixed seeded block.  The
-        roots of each multiplicity go in chunks of at most ``_RESIDUAL_BYTES``
-        of matrices, so a root's bound depends only on its k and m."""
+        ``mults``, from the first m columns of one fixed seeded block of bond
+        mode amplitudes.  Each solve with A = (1 + c) I - M goes through the
+        Schur system of the module docstring, padded to the largest order
+        among the roots of its multiplicity; those roots go in chunks of at
+        most ``_RESIDUAL_BYTES`` of complex arrays, so a root's bound depends
+        only on its k and m.  ``order_sum`` tallies the orders of the
+        systems."""
         n, m_max = self.dim, int(mults.max(initial=1))
         # the stdlib generator is loaded already; importing numpy.random
         # would add about 14 ms to every command that finds eigenvalues
         rng = random.Random(0)
         start = np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n * m_max)])
         start = start.reshape(n, m_max)
-        rows = max(1, _RESIDUAL_BYTES // (16 * n * n))
+        # the border unknowns at each k, in chunks within the budget
+        kept, rows = np.zeros(len(ks), dtype=int), max(1, _RESIDUAL_BYTES // (64 * n))
+        for lo in range(0, len(ks), rows):
+            kept[lo:lo + rows] = np.sum(self._near(np.outer(ks[lo:lo + rows], self.lengths)), axis=1)
         out = np.empty(len(ks))
         for m in np.unique(mults):
             at = np.flatnonzero(mults == m)
+            size = self._free.size + int(kept[at].max())
+            self.order_sum += at.size * size
+            # a system and the solve's copy of it, the entries of M and the
+            # n x m blocks of a step
+            rows = max(1, _RESIDUAL_BYTES // (16 * (2 * size * size + self._rows.size + 6 * n * m)))
             for chunk in (at[lo:lo + rows] for lo in range(0, len(at), rows)):
-                out[chunk] = self._bounds(ks[chunk], start[:, :m])
+                out[chunk] = self._bounds(ks[chunk], start[:, :m], size)
         return out
 
-    def _bounds(self, ks: np.ndarray, start: np.ndarray) -> np.ndarray:
-        """||(I - M) X||_2 at each k, X from the n x m block ``start``; the
-        stack of matrices is freed on return."""
-        a, n = self.matrices(ks), self.dim
-        np.negative(a, out=a)
-        a.reshape(len(a), n * n)[:, :: n + 1] += 1.0 + _SHIFT
-        # one start block per matrix: numpy 1.x reads an n x m right-hand
-        # side of a stack as a stack of vectors
-        x = np.broadcast_to(start, (len(a),) + start.shape)
+    @staticmethod
+    def _near(kl: np.ndarray) -> np.ndarray:
+        """Whether each bond keeps a border unknown at k l_b = ``kl``: where
+        the smaller eigenvalue 1 + c +- e^{ik l_b} of its block of
+        (1 + c) I + R D, the sign that of -cos k l_b, has modulus below
+        ``_RESIDUAL_PIVOT``; its square is (1 + c)^2 + 1 - 2 (1 + c) |cos k l_b|."""
+        return (1.0 + _SHIFT) ** 2 + 1.0 - 2.0 * (1.0 + _SHIFT) * np.abs(np.cos(kl)) < _RESIDUAL_PIVOT ** 2
+
+    def _bounds(self, ks: np.ndarray, start: np.ndarray, size: int) -> np.ndarray:
+        """||(I - M) X||_2 at each k, X from the 2B x m block ``start`` of
+        bond mode amplitudes, with Schur systems of order ``size``; the
+        chunk's arrays are freed on return."""
+        nk, n, v, h = len(ks), self.dim, self._free.size, math.sqrt(0.5)
+        kl = np.outer(ks, self.lengths)
+        (r, t_all), e = self._amplitudes(ks), np.exp(1j * kl)
+        # the eigenvalues of B on the bond modes, mode 2b + i being
+        # (1, (-1)^i) / sqrt(2) on the directed bonds (2b, 2b + 1), and their
+        # inverses, 0 for the small mode of each bond near k l_b in pi Z,
+        # which keeps a border unknown
+        at, j = np.nonzero(self._near(kl))
+        j = 2 * j + (e.real[at, j] >= 0.0)
+        lam = (1.0 + _SHIFT + e[:, :, None] * np.array([1.0, -1.0])).reshape(nk, n)
+        inv = 1.0 / lam
+        inv[at, j] = 0.0
+        # with lift = diag((-1)^i) D B^-1 on the modes, the vertex block
+        # I - diag(t) E_head^T D B^-1 E_tail has at each free end of a bond
+        # -t / 2 times the sum of the bond's two entries of lift on the
+        # diagonal and their difference towards the other end
+        lift = (np.repeat(e, 2, axis=1) * inv * self._mode_sign).reshape(nk, n // 2, 2)
+        t = np.hstack([t_all[:, self._free], np.zeros((nk, 1))])
+        system = np.zeros((nk, size, size), dtype=complex)
+        flat = system.reshape(nk, size * size)
+        diag = np.matmul(self._incidence, np.sum(lift, axis=2)[:, :, None].view(float)).view(complex)
+        flat[:, : v * (size + 1): size + 1] = 1.0 - 0.5 * t[:, :v] * diag[:, :, 0]
+        flat[:, v * (size + 1):: size + 1] = 1.0
+        pu, pw = self._pairs
+        pair = 0.5 * (lift[:, :, 0] - lift[:, :, 1])[:, self._inner]
+        system[:, pu, pw], system[:, pw, pu] = -t[:, pu] * pair, -t[:, pw] * pair
+        # the border unknowns, in bond order at each k: mode j of bond (u, w)
+        # has row -(e_u +- e_w) / sqrt(2) and its eigenvalue on the diagonal,
+        # and adds -t e / sqrt(2) times its amplitudes on the directed bonds
+        # arriving at u and w to their rows; a Dirichlet end (index v) writes
+        # 0 into the border block, before the border diagonal
+        kept = np.bincount(at, minlength=nk)
+        row = v + np.arange(at.size) - (np.cumsum(kept) - kept)[at]
+        (u, w), sg, ee = self._ends[j >> 1].T, self._mode_sign[j], -h * e[at, j >> 1]
+        across, down = at * size * size + row * size, at * size * size + row
+        flat = system.reshape(-1)
+        flat[np.concatenate([across + u, across + w, down + u * size, down + w * size])] = \
+            np.concatenate([-h * (u < v), -h * sg * (w < v), sg * t[at, u] * ee, t[at, w] * ee])
+        flat[across + row] = lam[at, j]
+
+        # one start block per system: numpy 1.x reads an n x m right-hand
+        # side of a stack as a stack of vectors.  A complex array seen as
+        # real pairs meets the real ``_tail_map`` in one real product
+        inv, lift, t = inv.reshape(nk, n, 1), lift.reshape(nk, n, 1), t[:, :v, None]
+        x = np.broadcast_to(start, (nk,) + start.shape)
+        rhs = np.zeros((nk, size, x.shape[2]), dtype=complex)
         for _ in range(2):
-            # the Q of X's QR factorization at each step, since the final Q is
-            # only as accurate as X is well conditioned
-            x = np.linalg.qr(np.linalg.solve(a, x))[0]
-        # (I - M) X = A X - c X, so only one stack of matrices is held;
+            # the vertex rows t E_head^T D B^-1 x = t E_tail^T lift x, with
+            # the border modes of B^-1 left out, and the border modes of x
+            np.matmul(self._tail_map.T, (lift * x).view(float), out=rhs[:, :v].view(float))
+            rhs[:, :v] *= t
+            rhs[at, row] = x[at, j]
+            sol = np.linalg.solve(system, rhs)
+            # back-substitution: y = B^-1 (x + E_tail z) off the border
+            # modes, and the border modes themselves
+            y = (self._tail_map @ sol[:, :v].view(float)).view(complex)
+            y += x
+            y *= inv
+            y[at, j] = sol[at, row]
+            # the Q of Y's QR factorization at each step, since the final Q is
+            # only as accurate as Y is well conditioned; for one column, Y / ||Y||
+            if y.shape[2] == 1:
+                x = y / np.linalg.norm(y[:, :, 0], axis=1)[:, None, None]
+            else:
+                x = np.linalg.qr(y)[0]
+            # only X outlives a step, and the systems go before the bound: the
+            # peak is the solve's, with its copies of the systems
+            del sol, y
+        del system, rhs
+        # X on the directed bonds, (x_2b +- x_2b+1) / sqrt(2), and B = X - M X
+        # from the entries of M, one product per block of vertices of one
+        # valency, its rows in the order of ``_leave``, which leaves its norm
+        modes, x = x.reshape(nk, n // 2, 2, -1), np.empty((nk, n // 2, 2, x.shape[2]), dtype=complex)
+        np.add(modes[:, :, 0], modes[:, :, 1], out=x[:, :, 0])
+        np.subtract(modes[:, :, 0], modes[:, :, 1], out=x[:, :, 1])
+        x = x.reshape(nk, n, -1)
+        x *= h
+        entries, b, lo, first = self._entries(r, t_all, e), np.take(x, self._leave, axis=1), 0, 0
+        for fan, count, arrive in self._blocks:
+            block = entries[:, lo:lo + count * fan].reshape(nk, -1, fan, fan)
+            into = np.take(x, arrive, axis=1).reshape(nk, -1, fan, x.shape[2])
+            b[:, first:first + count] -= (block @ into).reshape(nk, count, -1)
+            lo, first = lo + count * fan, first + count
         # ||B||_2 is the root of the largest eigenvalue of B^H B, which has
         # full relative accuracy
-        b = a @ x - _SHIFT * x
+        if b.shape[2] == 1:
+            return np.linalg.norm(b[:, :, 0], axis=1)
         return np.sqrt(np.linalg.eigvalsh(b.conj().transpose(0, 2, 1) @ b)[:, -1])
 
 
@@ -206,6 +347,11 @@ class _SecularMatrix:
 #: bound can exceed sigma_m by a fraction of c when the next singular value is
 #: near c.
 _SHIFT = 1e-13
+
+#: A bond's small mode, whose eigenvalue 1 + c +- e^{ik l_b} in the
+#: residual's block B has modulus below this, keeps a border unknown in the
+#: Schur system; every other mode is eliminated (module docstring).
+_RESIDUAL_PIVOT = 0.3
 
 #: Largest residual (module docstring) of a root ``find_eigenvalues`` accepts.
 _RESIDUAL_TOL = 1e-10
@@ -225,6 +371,11 @@ _COUNT_BYTES = 8 * 2**20
 #: unit interval (0.6 GB at the cap) and more with larger vertex blocks, and
 #: that of ``_special_points``, about 2 L k_max / pi points of 64 bytes.
 _MAX_ROOTS = 10**6
+
+#: Largest V_free + B that ``find_eigenvalues`` accepts: the largest order of a
+#: count form or a residual system, whose complex matrix then holds 256 MiB,
+#: as the vertex S-matrix does at ``_MAX_VALENCY``.
+_MAX_ORDER = _MAX_VALENCY
 
 #: Border coordinates whose diagonal has at least this modulus are eliminated
 #: into the vertex block (module docstring); above 1 none are, which gives the
@@ -392,7 +543,9 @@ def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
     multiplicity m, ||(I - S D) X||_2 for the orthonormal n x m block X of
     two steps of shifted inverse iteration, an upper bound on the m-th
     smallest singular value of I - S D (module docstring).
-    Raises :class:`InputError` if L k_max / pi + V + B exceeds ``_MAX_ROOTS``
+    Raises :class:`InputError` if V_free + B, the non-Dirichlet vertices and
+    the bonds, exceeds ``_MAX_ORDER`` = 4096, before anything is allocated, if
+    L k_max / pi + V + B exceeds ``_MAX_ROOTS``
     or if k_max (1 + 1e-12), the top of the search, times the larger of 2 and
     the largest valency is not finite (the vertex amplitudes would overflow),
     and :class:`NumericalError` unless every residual is at most
@@ -400,7 +553,12 @@ def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
     count across (0, k_max] or to the full count just beside each root, or
     if the count leaves the Weyl bound |N - L k_max / pi| <= V + B.
     """
-    k_max, sm = _argument(k_max, "k_max", positive=True), _SecularMatrix(g)
+    k_max = _argument(k_max, "k_max", positive=True)
+    order = sum(not c.is_dirichlet for _, c in g.vertices) + len(g.bonds)
+    if order > _MAX_ORDER:
+        raise InputError(f"V_free + B = {order} exceeds {_MAX_ORDER}: a count form or residual system of that order "
+                         f"would hold more than 256 MiB")
+    sm = _SecularMatrix(g)
     # the search reaches k_top, and the vertex amplitudes take N i k and 2 i k
     k_top = k_max * (1.0 + 1e-12)
     if not math.isfinite(k_top * max(2, int(sm._valency.max()))):
@@ -513,6 +671,7 @@ def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
     eigenvalues = np.repeat(roots, mults)
     diagnostics = dict(count_points=full_points + beside.size, sign_points=sign_points, bisection_levels=levels,
                        form_order=counter.order_sum / counter.points,
+                       residual_order=sm.order_sum / roots.size if roots.size else 0.0,
                        worst_residual=float(residuals.max(initial=0.0)))
     return SpectrumResult(tuple(eigenvalues.tolist()), k_max,
                           tuple(np.repeat(residuals, mults).tolist()), weyl, audit_bound, diagnostics)

@@ -122,6 +122,15 @@ class TestSpectrumCommand:
         assert payload["weyl"]["bound"] == 3  # V + B
         assert abs(payload["weyl"]["count"] - payload["weyl"]["expected"]) <= payload["weyl"]["bound"]
 
+    def test_diagnostics_stay_out_of_the_output(self, graph_file, tmp_path):
+        # the output is the same on every run and carries no diagnostics:
+        # residual_order and form_order are only on the result object
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--graph", graph_file(STAR3), "--kmax", "20", "--output", str(out)]) == 0
+        text = out.read_text()
+        assert set(json.loads(text)) == {"manifest", "eigenvalues", "residuals", "weyl"}
+        assert "residual_order" not in text and "form_order" not in text
+
     def test_open_graph_is_input_error(self, graph_file, tmp_path, capsys):
         code = main(
             ["spectrum", "--graph", graph_file(OPEN_STAR3), "--kmax", "10",

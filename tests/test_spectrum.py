@@ -505,11 +505,13 @@ def test_diagnostics_repeat_and_count_the_det_sign_points():
     first, second = (qg.find_eigenvalues(g, 30.0) for _ in range(2))
     assert first.diagnostics == second.diagnostics
     assert set(first.diagnostics) == {"count_points", "sign_points", "bisection_levels", "form_order",
-                                      "worst_residual"}
+                                      "residual_order", "worst_residual"}
     assert first.diagnostics["sign_points"] > first.diagnostics["count_points"]
     # 13 free vertices and 24 bonds: the bordered form has order 37, and the
-    # reduced form keeps the border coordinates of a few bonds
+    # reduced form keeps the border coordinates of a few bonds; so does the
+    # residual's Schur system, against 2B = 48 for I - S D
     assert 13 <= first.diagnostics["form_order"] <= 13 + 24 / 2
+    assert 13 <= first.diagnostics["residual_order"] <= 13 + 24 / 2 < 2 * 24
     assert first.diagnostics["worst_residual"] == max(first.residuals)
 
 
@@ -966,3 +968,123 @@ def test_residual_memory_is_capped_by_the_chunk_budget(monkeypatch):
         tracemalloc.stop()
     assert np.repeat(residuals, mults).tobytes() == np.array(res.residuals).tobytes()
     assert peak <= 3 * budget
+
+
+def _gasket(level):
+    edges, n_vertices = _sierpinski(level)
+    return qg.Graph(tuple((v, qg.KIRCHHOFF) for v in range(n_vertices)), tuple(qg.Bond(a, b, 1.0) for a, b in edges))
+
+
+def _commensurate_graph(seed):
+    """Random compact graph of 2-6 vertices, Dirichlet, Kirchhoff, attractive
+    delta (gamma in [-2, 0)) and strong delta (|gamma| from 10 to 1e3, both
+    signs) vertices, lengths from {0.5, 1, 1.5}: many roots put several bonds
+    near k l in pi Z at once."""
+    def coupling(rng):
+        kind = int(rng.integers(4))
+        if kind == 2:
+            return qg.delta(float(rng.uniform(-2.0, -0.1)))
+        if kind == 3:
+            return qg.delta(float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(1.0, 3.0)))
+        return (qg.DIRICHLET, qg.KIRCHHOFF)[kind]
+
+    rng = np.random.default_rng(seed)
+    n_vertices = int(rng.integers(2, 7))
+    n_bonds = int(rng.integers(n_vertices - 1, n_vertices * (n_vertices - 1) // 2 + 1))
+    return _random_graph(rng, n_vertices, n_bonds, coupling, lambda r: float(r.choice([0.5, 1.0, 1.5])))
+
+
+def _bound_gap(graph, k_max):
+    """The residuals of ``find_eigenvalues`` at its distinct roots, the m-th
+    smallest singular values of the dense I - S D there, and the roots."""
+    from qgraph.spectrum import _SecularMatrix
+
+    res = qg.find_eigenvalues(graph, k_max)
+    roots, mults = np.unique(res.eigenvalues, return_counts=True)
+    sm = _SecularMatrix(graph)
+    sv = np.linalg.svd(np.eye(sm.dim) - sm.matrices(roots), compute_uv=False)[:, ::-1]
+    return np.array(res.residuals)[np.cumsum(mults) - 1], sv[np.arange(len(roots)), mults - 1], roots, mults
+
+
+_TIGHT_GRAPHS = [pytest.param(_commensurate_graph(seed), 12.0, id=f"mixed-{seed}") for seed in range(8)]
+_TIGHT_GRAPHS.append(pytest.param(_gasket(2), 20.0, id="gasket-2"))
+
+
+@pytest.mark.parametrize("graph, k_max", _TIGHT_GRAPHS)
+def test_schur_residual_meets_the_dense_singular_value(graph, k_max):
+    # the residual solves through the vertex-sized Schur system, where the
+    # bonds near k l in pi Z keep a border unknown (on the gasket's roots
+    # k = n pi, every bond): the bound must still lie within rounding of the
+    # m-th smallest singular value of the dense 2B x 2B I - S D
+    residuals, sigma, roots, _ = _bound_gap(graph, k_max)
+    assert len(roots) >= 3
+    assert np.all(np.abs(residuals - sigma) <= 1e-15)
+
+
+@pytest.mark.parametrize("graph, k_max", _TIGHT_GRAPHS)
+def test_border_for_every_bond_leaves_the_residuals(graph, k_max, monkeypatch):
+    # a pivot above sqrt(2), the largest modulus a bond's smaller mode can
+    # have, gives every bond its border unknown: the system of order
+    # V_free + B, and the same residuals to rounding
+    from qgraph.spectrum import _SecularMatrix
+
+    residuals, sigma, roots, mults = _bound_gap(graph, k_max)
+    monkeypatch.setattr(spectrum, "_RESIDUAL_PIVOT", 2.0)
+    sm = _SecularMatrix(graph)
+    bordered = sm.residuals(roots, mults)
+    free = sum(not c.is_dirichlet for _, c in graph.vertices)
+    assert sm.order_sum == len(roots) * (free + len(graph.bonds))
+    assert np.all(np.abs(bordered - residuals) <= 1e-15)
+
+
+def test_without_borders_the_gasket_residual_misses(monkeypatch):
+    # the other extreme: a pivot of 0 eliminates every bond mode, also the
+    # ones of modulus c = 1e-13 on the gasket's roots n pi, and the bound
+    # leaves sigma_m, or the elimination breaks down
+    from qgraph.spectrum import _SecularMatrix
+
+    graph = _gasket(2)
+    _, sigma, roots, mults = _bound_gap(graph, 20.0)
+    monkeypatch.setattr(spectrum, "_RESIDUAL_PIVOT", 0.0)
+    with np.errstate(all="ignore"):
+        try:
+            eliminated = _SecularMatrix(graph).residuals(roots, mults)
+        except np.linalg.LinAlgError:
+            return
+    assert not np.all(np.abs(eliminated - sigma) <= 1e-10)
+
+
+def test_graph_above_the_order_cap_is_refused_before_allocation(monkeypatch):
+    # a Kirchhoff path of 2,048 bonds has V_free + B = 4,097; the refusal comes
+    # before the secular matrix or the count is built
+    import tracemalloc
+
+    n_bonds = 2048
+    path = qg.Graph(tuple((v, qg.KIRCHHOFF) for v in range(n_bonds + 1)),
+                    tuple(qg.Bond(v, v + 1, 1.0) for v in range(n_bonds)))
+    built = []
+    for name in ("_SecularMatrix", "_MatchingCount"):
+        monkeypatch.setattr(spectrum, name, lambda g, name=name: built.append(name))
+    tracemalloc.start()
+    try:
+        with pytest.raises(qg.InputError, match="4097 exceeds 4096"):
+            qg.find_eigenvalues(path, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == [] and peak <= 64 * 1024
+
+
+def test_gaskets_up_to_level_six_are_accepted(monkeypatch):
+    # level 6 has 1,095 vertices and 2,187 bonds: V_free + B = 3,282, under
+    # the cap (level 7 has 9,843); the search reaches the secular matrix, here
+    # a stub
+    class Reached(Exception):
+        pass
+
+    def reached(g):
+        raise Reached
+
+    monkeypatch.setattr(spectrum, "_SecularMatrix", reached)
+    with pytest.raises(Reached):
+        qg.find_eigenvalues(_gasket(6), 1.0)
