@@ -49,9 +49,7 @@ or when two steps passed without the bracket halving (Brent's safeguard: at
 most three steps per halving).  Other intervals with more roots are
 bisected on the full count.  The count difference across a final interval,
 summed over final intervals that share an end, is the multiplicity of its
-root, which the bond-scattering form then confirms.  The forms of a batch
-are built in chunks of at most ``_COUNT_BYTES``, each padded to the batch's
-order, which caps the count's memory and leaves every form as it is.
+root, which the bond-scattering form then confirms.
 
 The residual of a root k of multiplicity m is, to within rounding, an upper
 bound on the m-th smallest singular value of N = I - S(k) D(k), independent
@@ -77,11 +75,16 @@ A y = x is B y = x + E_tail z.  Every bond mode is eliminated through its
 eigenvalue except the small one of a bond near k l_b in pi Z (modulus below
 ``_RESIDUAL_PIVOT``), which keeps a border unknown; that leaves a system of
 order V_free plus those bonds, at most V_free + B, and y follows by
-back-substitution.  The systems of one multiplicity are padded to one order,
-and its roots go in chunks whose complex arrays fit a fixed byte budget,
-``_RESIDUAL_BYTES``, which caps the memory of that step; the graph adds two
-real arrays of 2B x V_free and V_free x B numbers, and ``find_eigenvalues``
-refuses V_free + B above ``_MAX_ORDER``.
+back-substitution.  The systems of one multiplicity are padded to one order.
+
+The count and the residual share one vertex block per graph (the free
+vertices, each bond's two ends among them, a Dirichlet end one past them, and
+one B x V_free bond-end incidence), one builder of their bordered systems and
+one 8 MiB chunk budget, ``_CHUNK_BYTES``, which caps their memory and leaves
+every form and bound as it is; the residual adds a real 2B x V_free array,
+and ``find_eigenvalues`` refuses V_free + B above ``_MAX_ORDER``.  The bound
+reads only the directed-bond arrays of S D, so a defect in the shared block
+can only raise a residual.
 """
 
 from __future__ import annotations
@@ -131,19 +134,177 @@ def weyl_count(g: Graph, k: float) -> float:
     return total_length(g) * _argument(k, "k", 0.0) / math.pi
 
 
-class _SecularMatrix:
-    """Vectorized evaluator for M(k) = S(k) D(k) on the directed-bond space."""
+#: Shift c > 0 of the residual's inverse iteration (module docstring): above
+#: the rounding of N = I - S D and of its LU solve, and small, since the
+#: bound can exceed sigma_m by a fraction of c when the next singular value is
+#: near c.
+_SHIFT = 1e-13
+
+#: A bond's small mode, whose eigenvalue 1 + c +- e^{ik l_b} in the
+#: residual's block B has modulus below this, keeps a border unknown in the
+#: Schur system; every other mode is eliminated (module docstring).
+_RESIDUAL_PIVOT = 0.3
+
+#: Largest residual (module docstring) of a root ``find_eigenvalues`` accepts.
+_RESIDUAL_TOL = 1e-10
+
+#: Byte budget of the systems one chunk of a count, parity or residual batch
+#: holds (at least one system per chunk): the cap on each step's memory,
+#: whatever the graph size.
+_CHUNK_BYTES = 8 * 2**20
+
+#: Cap on the Weyl estimate L k_max / pi + V + B that ``find_eigenvalues``
+#: accepts.  It bounds the search's memory, about 560 bytes per root on the
+#: unit interval (0.6 GB at the cap) and more with larger vertex blocks, and
+#: that of ``_special_points``, about 2 L k_max / pi points of 64 bytes.
+_MAX_ROOTS = 10**6
+
+#: Largest V_free + B that ``find_eigenvalues`` accepts: the largest order of a
+#: count form or a residual system, whose complex matrix then holds 256 MiB,
+#: as the vertex S-matrix does at ``_MAX_VALENCY``.
+_MAX_ORDER = _MAX_VALENCY
+
+#: Border coordinates whose diagonal has at least this modulus are eliminated
+#: into the vertex block (module docstring); above 1 none are, which gives the
+#: bordered form.
+_PIVOT = 0.1
+
+
+class _MatchingCount:
+    """Vectorized exact eigenvalue count N(k) from the Schur-reduced matching
+    form of the module docstring, on the vertex block it shares with the
+    residual.  The block has on the diagonal the bond coefficients' half sums
+    times the bond-end incidence, a dense product over the batch, and between
+    the two free ends of each bond their half differences, scattered directly:
+    a graph has no parallel bonds, so each such entry belongs to one bond.
+    ``points`` and ``form_orders`` tally the points evaluated and the orders
+    of their forms."""
 
     def __init__(self, g: Graph):
         if not g.is_compact:
             raise UnsupportedTopologyError("spectrum requires compact graph (no leads)")
         if not g.bonds:
             raise UnsupportedTopologyError("graph has no bonds")
-
         index = {vid: i for i, (vid, _) in enumerate(g.vertices)}
         self._dirichlet = np.array([c.is_dirichlet for _, c in g.vertices])
         self._gamma = np.array([c.gamma for _, c in g.vertices])
+        self.lengths = np.array([b.length for b in g.bonds])
+        self._vertex_ends = np.array([[index[b.from_vertex], index[b.to_vertex]] for b in g.bonds])
+        self._free = np.flatnonzero(~self._dirichlet)
+        # each bond's ends in the vertex block, a Dirichlet end one past it
+        v = self._free.size
+        self._ends = np.where(self._dirichlet, v, np.cumsum(~self._dirichlet) - 1)[self._vertex_ends]
+        self._inner = np.all(self._ends < v, axis=1)
+        self._pairs = self._ends[self._inner].T
+        self._incidence = np.sum(self._ends[:, :, None] == np.arange(v), axis=1, dtype=float)
+        self.points = self.form_orders = 0
 
+    def _bordered(self, size, diag, upper, lower, at, ends, across, down, border):
+        """Bordered systems of order ``size``, one per row of the vertex diagonal
+        ``diag``, ``upper`` and ``lower`` at the inner pairs (u, w) and (w, u),
+        then per border unknown, in order of ``at``, its system: a row
+        ``across`` and a column ``down`` at the ``ends`` of its bond, and
+        ``border`` on the diagonal; diagonal 1 pads the rest.  A Dirichlet end
+        (index V_free, the first border row) writes its 0 before the border
+        diagonal.  Also the border row numbers."""
+        n, v = diag.shape
+        system = np.zeros((n, size, size), dtype=diag.dtype)
+        flat = system.reshape(n, size * size)
+        flat[:, : v * (size + 1): size + 1] = diag
+        flat[:, v * (size + 1):: size + 1] = 1.0
+        pu, pw = self._pairs
+        system[:, pu, pw], system[:, pw, pu] = upper, lower
+        row = v + np.arange(at.size) - np.searchsorted(at, at)
+        start, flat = at * size * size, system.reshape(-1)
+        flat[start + row * size + ends] = across
+        flat[start + ends * size + row] = down
+        flat[start + row * (size + 1)] = border
+        return system, row
+
+    def _form(self, ks: np.ndarray):
+        """N(k) - n_+(form) at each k, the order of the reduced forms, the
+        border diagonals with 1 in place of those kept, and the reduced forms
+        as stacks of consecutive chunks of ``ks`` within ``_CHUNK_BYTES``.
+        The branch data and the order are the batch's, so a form does not
+        depend on its chunk."""
+        ks = np.asarray(ks, dtype=float)
+        kl = np.outer(ks, self.lengths)
+        t = np.tan(0.5 * kl)
+        # floor(k l / pi) from the nearest integer m and the side of m pi that
+        # the computed tan(k l / 2) indicates (tan > 0 just below odd m), so
+        # that it jumps where the border entries below change sign
+        m = np.rint(kl / math.pi).astype(np.int64)
+        floor = m - ((m % 2 == 1) == (t > 0))
+
+        # the border vector is s where tan(k l / 2) is steep and a otherwise;
+        # the kept coefficient and the border diagonal are both d, and an
+        # eliminated border coordinate adds -1/d on its own pattern
+        steep = np.abs(t) >= 1.0
+        d = np.where(steep, -1.0 / t, t)
+        out = np.abs(d) >= _PIVOT
+        eliminated = np.where(out, d, 1.0)
+        schur = np.where(out, -1.0, 0.0) / eliminated
+        c_s, c_a = np.where(steep, schur, d), np.where(steep, d, schur)
+        # scaling vertex rows and columns by |gamma / k|^-1/2 where that is
+        # below one is a congruence: the inertia stays, and near-zero
+        # eigenvalues stay resolved beside strong couplings
+        gk = np.outer(1.0 / ks, self._gamma[self._free])
+        w = np.maximum(1.0, np.abs(gk)) ** -0.5
+        n, v = gk.shape
+
+        # the kept border coordinates, in bond order at each k, then pads with
+        # diagonal +1 and no border entries up to the batch's largest count;
+        # with s, a = (e_u +- e_w) / sqrt(2), s s^T and a a^T are both 1/2 at
+        # (u, u) and (w, w); at (u, w) and (w, u) s s^T is 1/2 and a a^T -1/2
+        at, bond = np.nonzero(~out)
+        kept = np.bincount(at, minlength=n)
+        size = v + int(kept.max(initial=0))
+        pu, pw = self._pairs
+        pair = 0.5 * (c_s - c_a)[:, self._inner] * w[:, pu] * w[:, pw]
+        diag = 0.5 * (c_s + c_a) @ self._incidence * w * w + np.maximum(np.minimum(-gk, 1.0), -1.0)
+        # a border row and column, s or a times the scaling, is w / sqrt(2) at
+        # the first end of its bond and -+ w / sqrt(2) at the second, 0 at a
+        # Dirichlet end
+        ends = self._ends[bond].T
+        value = np.hstack([math.sqrt(0.5) * w, np.zeros((n, 1))])[at, ends]
+        value[1] = np.where(steep[at, bond], value[1], -value[1])
+        border = d[at, bond]
+        self.points, self.form_orders = self.points + n, self.form_orders + n * size
+
+        def stacks():
+            rows = max(1, _CHUNK_BYTES // (8 * max(size, 1) ** 2))
+            # one empty stack for an empty batch
+            for lo in range(0, max(n, 1), rows):
+                hi = min(lo + rows, n)
+                a, b = np.searchsorted(at, [lo, hi])
+                yield self._bordered(size, diag[lo:hi], pair[lo:hi], pair[lo:hi], at[a:b] - lo, ends[:, a:b],
+                                     value[:, a:b], value[:, a:b], border[a:b])[0]
+
+        return (floor - (~out & (d > 0.0))).sum(axis=1) - (size - v - kept), size, eliminated, stacks()
+
+    def count(self, ks: np.ndarray) -> np.ndarray:
+        """Number of eigenvalues below each k, counting the zero mode and
+        bound states (k > 0, off the exact roots)."""
+        offset, _, _, forms = self._form(ks)
+        return offset + np.concatenate([np.sum(np.linalg.eigvalsh(form) > 0.0, axis=1) for form in forms])
+
+    def parity(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """count(ks) mod 2 from sign det = (-1)^n_- of the reduced form, n_+ +
+        n_- = its order off the roots, with sign det K and log|det K| of the
+        bordered form K: those of the reduced form times the eliminated
+        border diagonals."""
+        offset, size, eliminated, forms = self._form(ks)
+        sign, logdet = np.hstack([np.linalg.slogdet(form) for form in forms])
+        return ((offset + size - (sign < 0)) % 2, sign * np.prod(np.sign(eliminated), axis=1),
+                logdet + np.sum(np.log(np.abs(eliminated)), axis=1))
+
+
+class _SecularMatrix(_MatchingCount):
+    """Vectorized evaluator for M(k) = S(k) D(k) on the directed-bond space,
+    and the count on the same graph's vertex block (module docstring)."""
+
+    def __init__(self, g: Graph):
+        super().__init__(g)
         # directed bond 2b runs along bond b and 2b + 1 runs back; directed bond
         # a scatters at its head into the directed bonds with that tail: into
         # a ^ 1 by reflection (no loops or parallel bonds), into the others by
@@ -152,13 +313,11 @@ class _SecularMatrix:
         # reverses arriving at v the columns, so the reflections are on the
         # diagonal; the blocks of one valency are consecutive, and their rows
         # together are ``_leave``
-        ends = np.array([[index[b.from_vertex], index[b.to_vertex]] for b in g.bonds])
-        tail, head = ends.ravel(), ends[:, ::-1].ravel()
+        tail, head, n_vertices = self._vertex_ends.ravel(), self._vertex_ends[:, ::-1].ravel(), self._gamma.size
         self.dim = tail.size
-        self.lengths = np.array([b.length for b in g.bonds])
-        self._valency = np.bincount(tail, minlength=len(index))
+        self._valency = np.bincount(tail, minlength=n_vertices)
         fans = self._valency[tail]
-        self._leave = np.argsort(fans * len(index) + tail, kind="stable")
+        self._leave = np.argsort(fans * n_vertices + tail, kind="stable")
         self._blocks, rows, cols = [], [], []
         for fan, lo in zip(*np.unique(fans[self._leave], return_index=True)):
             leave = self._leave[lo:lo + np.count_nonzero(fans == fan)].reshape(-1, fan)
@@ -169,26 +328,16 @@ class _SecularMatrix:
         self._is_reflection = self._rows == self._cols ^ 1
         self._at_vertex = head[self._cols]
 
-        # the residual's vertex block holds the free vertices in graph order;
-        # a Dirichlet end has the index one past it.  Mode 2b + i of bond b is
-        # (1, (-1)^i) / sqrt(2) on its directed bonds (2b, 2b + 1); in that
-        # basis E_tail has 1 / sqrt(2) at the free end u of b and
-        # (-1)^i / sqrt(2) at the free end w, and E_head is diag((-1)^i) E_tail
-        self._free = np.flatnonzero(~self._dirichlet)
-        v, bonds = self._free.size, np.arange(len(ends))
-        block = np.cumsum(~self._dirichlet) - 1
-        block[self._dirichlet] = v
-        self._ends = block[ends]
-        self._inner = np.all(self._ends < v, axis=1)
-        self._pairs = self._ends[self._inner].T
-        self._mode_sign = np.tile([1.0, -1.0], len(ends))
-        tail_map, incidence = np.zeros((self.dim, v + 1)), np.zeros((v + 1, len(ends)))
-        tail_map[2 * bonds, self._ends[:, 0]] = tail_map[2 * bonds + 1, self._ends[:, 0]] = math.sqrt(0.5)
-        tail_map[2 * bonds, self._ends[:, 1]] = math.sqrt(0.5)
-        tail_map[2 * bonds + 1, self._ends[:, 1]] = -math.sqrt(0.5)
-        incidence[self._ends.T, bonds] = 1.0
-        self._tail_map, self._incidence = np.ascontiguousarray(tail_map[:, :v]), incidence[:v]
-        self.order_sum = 0
+        # mode 2b + i of bond b is (1, (-1)^i) / sqrt(2) on its directed bonds
+        # (2b, 2b + 1); in that basis E_tail has 1 / sqrt(2) at the free end u
+        # of b and (-1)^i / sqrt(2) at the free end w, and E_head is
+        # diag((-1)^i) E_tail
+        self._mode_sign = np.tile([1.0, -1.0], self.lengths.size)
+        tail_map = np.zeros((self.dim, self._free.size + 1))
+        tail_map[np.arange(self.dim)[:, None], np.repeat(self._ends, 2, axis=0)] = \
+            math.sqrt(0.5) * np.stack([np.ones(self.dim), self._mode_sign], axis=1)
+        self._tail_map = np.ascontiguousarray(tail_map[:, :-1])
+        self.residual_orders = 0
 
     def _amplitudes(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """R and T at each vertex, one row per k."""
@@ -198,9 +347,10 @@ class _SecularMatrix:
         """The entries of M(k) at (``_rows``, ``_cols``), one row per k, from
         ``_amplitudes`` and e^{ik l_b} on each bond."""
         # np.take gives C order at every batch size, so that a block product
-        # of the residual takes the same BLAS path for any chunk
+        # of the residual takes the same BLAS path for any chunk; ``*`` would
+        # swap the operands, and the rounding, of a temporary of 256 KiB or more
         amp = np.where(self._is_reflection, np.take(r, self._at_vertex, axis=1), np.take(t, self._at_vertex, axis=1))
-        return amp * np.take(e, self._cols >> 1, axis=1)
+        return np.multiply(amp, np.take(e, self._cols >> 1, axis=1))
 
     def matrices(self, ks: np.ndarray) -> np.ndarray:
         ks = np.atleast_1d(np.asarray(ks))
@@ -215,8 +365,8 @@ class _SecularMatrix:
         mode amplitudes.  Each solve with A = (1 + c) I - M goes through the
         Schur system of the module docstring, padded to the largest order
         among the roots of its multiplicity; those roots go in chunks of at
-        most ``_RESIDUAL_BYTES`` of complex arrays, so a root's bound depends
-        only on its k and m.  ``order_sum`` tallies the orders of the
+        most ``_CHUNK_BYTES`` of complex arrays, so a root's bound depends
+        only on its k and m.  ``residual_orders`` tallies the orders of the
         systems."""
         n, m_max = self.dim, int(mults.max(initial=1))
         # the stdlib generator is loaded already; importing numpy.random
@@ -225,17 +375,17 @@ class _SecularMatrix:
         start = np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n * m_max)])
         start = start.reshape(n, m_max)
         # the border unknowns at each k, in chunks within the budget
-        kept, rows = np.zeros(len(ks), dtype=int), max(1, _RESIDUAL_BYTES // (64 * n))
+        kept, rows = np.zeros(len(ks), dtype=int), max(1, _CHUNK_BYTES // (64 * n))
         for lo in range(0, len(ks), rows):
             kept[lo:lo + rows] = np.sum(self._near(np.outer(ks[lo:lo + rows], self.lengths)), axis=1)
         out = np.empty(len(ks))
         for m in np.unique(mults):
             at = np.flatnonzero(mults == m)
             size = self._free.size + int(kept[at].max())
-            self.order_sum += at.size * size
+            self.residual_orders += at.size * size
             # a system and the solve's copy of it, the entries of M and the
             # n x m blocks of a step
-            rows = max(1, _RESIDUAL_BYTES // (16 * (2 * size * size + self._rows.size + 6 * n * m)))
+            rows = max(1, _CHUNK_BYTES // (16 * (2 * size * size + self._rows.size + 6 * n * m)))
             for chunk in (at[lo:lo + rows] for lo in range(0, len(at), rows)):
                 out[chunk] = self._bounds(ks[chunk], start[:, :m], size)
         return out
@@ -270,27 +420,18 @@ class _SecularMatrix:
         # diagonal and their difference towards the other end
         lift = (np.repeat(e, 2, axis=1) * inv * self._mode_sign).reshape(nk, n // 2, 2)
         t = np.hstack([t_all[:, self._free], np.zeros((nk, 1))])
-        system = np.zeros((nk, size, size), dtype=complex)
-        flat = system.reshape(nk, size * size)
-        diag = np.matmul(self._incidence, np.sum(lift, axis=2)[:, :, None].view(float)).view(complex)
-        flat[:, : v * (size + 1): size + 1] = 1.0 - 0.5 * t[:, :v] * diag[:, :, 0]
-        flat[:, v * (size + 1):: size + 1] = 1.0
+        diag = np.matmul(np.ascontiguousarray(self._incidence.T), np.sum(lift, axis=2)[:, :, None].view(float))
+        diag = diag.view(complex)[:, :, 0]
         pu, pw = self._pairs
         pair = 0.5 * (lift[:, :, 0] - lift[:, :, 1])[:, self._inner]
-        system[:, pu, pw], system[:, pw, pu] = -t[:, pu] * pair, -t[:, pw] * pair
         # the border unknowns, in bond order at each k: mode j of bond (u, w)
         # has row -(e_u +- e_w) / sqrt(2) and its eigenvalue on the diagonal,
         # and adds -t e / sqrt(2) times its amplitudes on the directed bonds
-        # arriving at u and w to their rows; a Dirichlet end (index v) writes
-        # 0 into the border block, before the border diagonal
-        kept = np.bincount(at, minlength=nk)
-        row = v + np.arange(at.size) - (np.cumsum(kept) - kept)[at]
-        (u, w), sg, ee = self._ends[j >> 1].T, self._mode_sign[j], -h * e[at, j >> 1]
-        across, down = at * size * size + row * size, at * size * size + row
-        flat = system.reshape(-1)
-        flat[np.concatenate([across + u, across + w, down + u * size, down + w * size])] = \
-            np.concatenate([-h * (u < v), -h * sg * (w < v), sg * t[at, u] * ee, t[at, w] * ee])
-        flat[across + row] = lam[at, j]
+        # arriving at u and w to their rows, 0 at a Dirichlet end
+        ends, sg, ee = self._ends[j >> 1].T, self._mode_sign[j], -h * e[at, j >> 1]
+        system, row = self._bordered(size, 1.0 - 0.5 * t[:, :v] * diag, -t[:, pu] * pair, -t[:, pw] * pair, at, ends,
+                                     np.stack([-h * (ends[0] < v), -h * sg * (ends[1] < v)]),
+                                     np.stack([sg * t[at, ends[0]] * ee, t[at, ends[1]] * ee]), lam[at, j])
 
         # one start block per system: numpy 1.x reads an n x m right-hand
         # side of a stack as a stack of vectors.  A complex array seen as
@@ -340,156 +481,6 @@ class _SecularMatrix:
         if b.shape[2] == 1:
             return np.linalg.norm(b[:, :, 0], axis=1)
         return np.sqrt(np.linalg.eigvalsh(b.conj().transpose(0, 2, 1) @ b)[:, -1])
-
-
-#: Shift c > 0 of the residual's inverse iteration (module docstring): above
-#: the rounding of N = I - S D and of its LU solve, and small, since the
-#: bound can exceed sigma_m by a fraction of c when the next singular value is
-#: near c.
-_SHIFT = 1e-13
-
-#: A bond's small mode, whose eigenvalue 1 + c +- e^{ik l_b} in the
-#: residual's block B has modulus below this, keeps a border unknown in the
-#: Schur system; every other mode is eliminated (module docstring).
-_RESIDUAL_PIVOT = 0.3
-
-#: Largest residual (module docstring) of a root ``find_eigenvalues`` accepts.
-_RESIDUAL_TOL = 1e-10
-
-#: Byte budget of the complex matrices one chunk of roots holds in the
-#: residual step (at least one matrix per chunk): the cap on that step's
-#: memory, whatever the graph size.
-_RESIDUAL_BYTES = 8 * 2**20
-
-#: Byte budget of the real forms one chunk of a count or parity batch holds
-#: (at least one form per chunk): the cap on that step's memory.
-_COUNT_BYTES = 8 * 2**20
-
-
-#: Cap on the Weyl estimate L k_max / pi + V + B that ``find_eigenvalues``
-#: accepts.  It bounds the search's memory, about 560 bytes per root on the
-#: unit interval (0.6 GB at the cap) and more with larger vertex blocks, and
-#: that of ``_special_points``, about 2 L k_max / pi points of 64 bytes.
-_MAX_ROOTS = 10**6
-
-#: Largest V_free + B that ``find_eigenvalues`` accepts: the largest order of a
-#: count form or a residual system, whose complex matrix then holds 256 MiB,
-#: as the vertex S-matrix does at ``_MAX_VALENCY``.
-_MAX_ORDER = _MAX_VALENCY
-
-#: Border coordinates whose diagonal has at least this modulus are eliminated
-#: into the vertex block (module docstring); above 1 none are, which gives the
-#: bordered form.
-_PIVOT = 0.1
-
-
-class _MatchingCount:
-    """Vectorized exact eigenvalue count N(k) from the Schur-reduced matching
-    form of the module docstring.  Its vertex block has on the diagonal the
-    bond coefficients' half sums times the bond-end incidence, a dense product
-    over the batch, and between the two free ends of each bond their half
-    differences, scattered directly: a graph has no parallel bonds, so each
-    such entry belongs to one bond.  ``points`` and ``order_sum`` tally the
-    points evaluated and the orders of their forms."""
-
-    def __init__(self, g: Graph):
-        free = [vid for vid in g.vertex_ids() if not g.coupling(vid).is_dirichlet]
-        index = {vid: i for i, vid in enumerate(free)}
-        self.lengths = np.array([b.length for b in g.bonds])
-        self._gamma = np.array([g.coupling(vid).gamma for vid in free])
-        # the two ends of each bond in the vertex block; a Dirichlet end has
-        # the index one past it
-        self._ends = np.array([[index.get(b.from_vertex, len(free)), index.get(b.to_vertex, len(free))]
-                               for b in g.bonds])
-        # with s, a = (e_u +- e_w) / sqrt(2), s s^T and a a^T are both 1/2 at
-        # (u, u) and (w, w); at (u, w) and (w, u) s s^T is 1/2 and a a^T -1/2
-        v = len(free)
-        self._incidence = np.sum(self._ends[:, :, None] == np.arange(v), axis=1, dtype=float)
-        self._inner = np.all(self._ends < v, axis=1)
-        self.points = self.order_sum = 0
-
-    def _form(self, ks: np.ndarray):
-        """N(k) - n_+(form) at each k, the order of the reduced forms, the
-        border diagonals with 1 in place of those kept, and the reduced forms
-        as stacks of consecutive chunks of ``ks`` within ``_COUNT_BYTES``.
-        The branch data and the order are the batch's, so a form does not
-        depend on its chunk."""
-        ks = np.asarray(ks, dtype=float)
-        kl = np.outer(ks, self.lengths)
-        t = np.tan(0.5 * kl)
-        # floor(k l / pi) from the nearest integer m and the side of m pi that
-        # the computed tan(k l / 2) indicates (tan > 0 just below odd m), so
-        # that it jumps where the border entries below change sign
-        m = np.rint(kl / math.pi).astype(np.int64)
-        floor = m - ((m % 2 == 1) == (t > 0))
-
-        # the border vector is s where tan(k l / 2) is steep and a otherwise;
-        # the kept coefficient and the border diagonal are both d, and an
-        # eliminated border coordinate adds -1/d on its own pattern
-        steep = np.abs(t) >= 1.0
-        d = np.where(steep, -1.0 / t, t)
-        out = np.abs(d) >= _PIVOT
-        eliminated = np.where(out, d, 1.0)
-        schur = np.where(out, -1.0, 0.0) / eliminated
-        c_s, c_a = np.where(steep, schur, d), np.where(steep, d, schur)
-        # scaling vertex rows and columns by |gamma / k|^-1/2 where that is
-        # below one is a congruence: the inertia stays, and near-zero
-        # eigenvalues stay resolved beside strong couplings
-        gk = np.outer(1.0 / ks, self._gamma)
-        w = np.maximum(1.0, np.abs(gk)) ** -0.5
-        n, v = gk.shape
-
-        # the kept border coordinates, in bond order at each k, then pads with
-        # diagonal +1 and no border entries up to the batch's largest count
-        at, bond = np.nonzero(~out)
-        kept = np.bincount(at, minlength=n)
-        size = v + int(kept.max(initial=0))
-        row = v + np.arange(len(at)) - (np.cumsum(kept) - kept)[at]
-        pu, pw = self._ends[self._inner].T
-        pair = 0.5 * (c_s - c_a)[:, self._inner] * w[:, pu] * w[:, pw]
-        diag = 0.5 * (c_s + c_a) @ self._incidence * w * w + np.maximum(np.minimum(-gk, 1.0), -1.0)
-        # a border row and column, s or a times the scaling, is w / sqrt(2) at
-        # the first end of its bond and -+ w / sqrt(2) at the second; a
-        # Dirichlet end (index v) writes 0 into the border block, before the
-        # border diagonal
-        ends = self._ends[bond].T
-        value = np.hstack([math.sqrt(0.5) * w, np.zeros((n, 1))])[at, ends]
-        value[1] = np.where(steep[at, bond], value[1], -value[1])
-        border = d[at, bond]
-        self.points, self.order_sum = self.points + n, self.order_sum + n * size
-
-        def stacks():
-            rows = max(1, _COUNT_BYTES // (8 * max(size, 1) ** 2))
-            # one empty stack for an empty batch
-            for lo in range(0, max(n, 1), rows):
-                hi = min(lo + rows, n)
-                a, b = np.searchsorted(at, [lo, hi])
-                form = np.zeros((hi - lo, size, size))
-                form[:, pu, pw] = form[:, pw, pu] = pair[lo:hi]
-                form_diag = form.reshape(hi - lo, size * size)[:, :: size + 1]
-                form_diag[:, :v], form_diag[:, v:] = diag[lo:hi], 1.0
-                flat, start, r, e = form.reshape(-1), (at[a:b] - lo) * size * size, row[a:b], ends[:, a:b]
-                flat[start + r * size + e] = flat[start + e * size + r] = value[:, a:b]
-                flat[start + r * (size + 1)] = border[a:b]
-                yield form
-
-        return (floor - (~out & (d > 0.0))).sum(axis=1) - (size - v - kept), size, eliminated, stacks()
-
-    def count(self, ks: np.ndarray) -> np.ndarray:
-        """Number of eigenvalues below each k, counting the zero mode and
-        bound states (k > 0, off the exact roots)."""
-        offset, _, _, forms = self._form(ks)
-        return offset + np.concatenate([np.sum(np.linalg.eigvalsh(form) > 0.0, axis=1) for form in forms])
-
-    def parity(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """count(ks) mod 2 from sign det = (-1)^n_- of the reduced form, n_+ +
-        n_- = its order off the roots, with sign det K and log|det K| of the
-        bordered form K: those of the reduced form times the eliminated
-        border diagonals."""
-        offset, size, eliminated, forms = self._form(ks)
-        sign, logdet = np.hstack([np.linalg.slogdet(form) for form in forms])
-        return ((offset + size - (sign < 0)) % 2, sign * np.prod(np.sign(eliminated), axis=1),
-                logdet + np.sum(np.log(np.abs(eliminated)), axis=1))
 
 
 def secular_function(g: Graph, k: complex) -> complex:
@@ -566,13 +557,12 @@ def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
     weyl, audit_bound = weyl_count(g, k_max), len(g.vertices) + len(g.bonds)
     if weyl + audit_bound > _MAX_ROOTS:
         raise InputError(f"k_max = {k_max!r} asks for about {weyl:.3g} eigenvalues, above the cap of {_MAX_ROOTS:.0e}")
-    counter = _MatchingCount(g)
 
     # below k_lo sit only the zero mode and bound states, which are excluded
     k_lo = 1e-6 * math.pi / total_length(g)
     width = 1e-14 * k_max
     eps = 0.25 * width
-    special, switch, shared = _special_points(counter.lengths, k_top, width)
+    special, switch, shared = _special_points(sm.lengths, k_top, width)
     # the degenerate roots sit on the shared special points: the search starts
     # from the intervals between the midpoints of consecutive ones, each with
     # a full count and det K, so a root on its point closes in two steps
@@ -580,11 +570,11 @@ def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
     # columns are intervals (lo, hi]; the rows hold k, N(k), sign det K and
     # log|det K| at both ends (sign 0 where a full count gave the point)
     points = np.concatenate([[k_lo], seeds, [k_top]])
-    counts = counter.count(points)
+    counts = sm.count(points)
     n_lo, n_top = counts[0], counts[-1]
     start = np.stack([points, counts, np.zeros(points.size), np.zeros(points.size)])
     if seeds.size:
-        start[2:, 1:-1] = counter.parity(seeds)[1:]
+        start[2:, 1:-1] = sm.parity(seeds)[1:]
     ends = np.stack([start[:, :-1], start[:, 1:]], 1)
     # per column: the width when it last halved, steps since then, end kept by the last split
     halved, stale, kept = ends[0, 1] - ends[0, 0], np.zeros(seeds.size + 1), np.full(seeds.size + 1, -1)
@@ -614,16 +604,16 @@ def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
         mid[0] = np.where(regula, x, 0.5 * lo + 0.5 * hi)
         mid[0, at_p] = np.where(left, p - eps, p + eps)[at_p]
         if not simple.all():
-            mid[1, ~simple] = counter.count(mid[0, ~simple])
+            mid[1, ~simple] = sm.count(mid[0, ~simple])
         if simple.any():
-            parity, mid[2, simple], mid[3, simple] = counter.parity(mid[0, simple])
+            parity, mid[2, simple], mid[3, simple] = sm.parity(mid[0, simple])
             mid[1, simple] = c_lo[simple] + (parity != c_lo[simple] % 2)
         # det K = 0 puts a point on a root, where its sign tells no parity:
         # the point moves by eps towards the middle, off the root
         hit = simple & (mid[2] == 0)
         if hit.any():
             mid[0, hit] += np.where(mid[0, hit] < (0.5 * lo + 0.5 * hi)[hit], eps, -eps)
-            parity, mid[2, hit], mid[3, hit] = counter.parity(mid[0, hit])
+            parity, mid[2, hit], mid[3, hit] = sm.parity(mid[0, hit])
             mid[1, hit] = c_lo[hit] + (parity != c_lo[hit] % 2)
         full_points += int(np.sum(~simple))
         sign_points += int(np.sum(simple) + np.sum(hit))
@@ -649,7 +639,7 @@ def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
     offset = np.minimum(1e-9 * k_max, 0.5 * np.minimum(gaps[:-1], gaps[1:]))
     beside = np.concatenate([roots - offset, roots + offset])
     expected = n_lo + np.concatenate([np.cumsum(mults) - mults, np.cumsum(mults)])
-    misses = np.count_nonzero(counter.count(beside) != expected)
+    misses = np.count_nonzero(sm.count(beside) != expected)
     if mults.sum() != n_top - n_lo or misses:
         raise NumericalError(
             f"eigenvalue count is not monotone: multiplicities add up to {mults.sum()}, "
@@ -670,8 +660,8 @@ def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
         )
     eigenvalues = np.repeat(roots, mults)
     diagnostics = dict(count_points=full_points + beside.size, sign_points=sign_points, bisection_levels=levels,
-                       form_order=counter.order_sum / counter.points,
-                       residual_order=sm.order_sum / roots.size if roots.size else 0.0,
+                       form_order=sm.form_orders / sm.points,
+                       residual_order=sm.residual_orders / roots.size if roots.size else 0.0,
                        worst_residual=float(residuals.max(initial=0.0)))
     return SpectrumResult(tuple(eigenvalues.tolist()), k_max,
                           tuple(np.repeat(residuals, mults).tolist()), weyl, audit_bound, diagnostics)

@@ -1,4 +1,4 @@
-"""Small shared helpers: JSON and float text, and the QGRAPH_THREADS check."""
+"""Small shared helpers: JSON text and the QGRAPH_THREADS check."""
 
 from __future__ import annotations
 
@@ -8,14 +8,9 @@ import os
 from .errors import InputError
 
 
-def fmt_float(x: float) -> str:
-    """The text ``json.dumps`` writes for a finite float: ``repr``, the shortest
-    decimal that reads back to the same double."""
-    return repr(float(x))
-
-
 def dumps_json(obj, indent: int | None = 2) -> str:
-    """Serialize to JSON in dict insertion order, floats as :func:`fmt_float`.
+    """Serialize to JSON in dict insertion order, floats as their ``repr``, the
+    shortest decimal that reads back to the same double.
 
     ``indent=None`` produces a compact single line (no trailing newline).
     Non-ASCII text is written as is; control characters are escaped.

@@ -11,7 +11,6 @@ import pytest
 
 import qgraph as qg
 from qgraph.cli import main
-from qgraph.util import fmt_float
 from tests.conftest import dirichlet_interval
 
 
@@ -246,7 +245,7 @@ def test_criterion_9_determinism_and_manifests(tmp_path):
     p = manifest["parameters"]
     assert set(p) == {"kmax"}
     assert main(["spectrum", "--graph", manifest["graph_path"],
-                 "--kmax", fmt_float(p["kmax"]),
+                 "--kmax", repr(float(p["kmax"])),
                  "--output", str(spec2)]) == 0
     reproduced = spec1.read_bytes() == spec2.read_bytes()
 

@@ -11,7 +11,6 @@ import pytest
 import qgraph as qg
 import qgraph.cli
 from qgraph.cli import main
-from qgraph.util import fmt_float
 
 INTERVAL = {
     "vertices": [
@@ -283,7 +282,7 @@ class TestSweepCommand:
         g = qg.parse_graph(Path(graph).read_text())
         for scale, energy, error, message in rows:
             alone = qg.casimir_green_method(g.scaled(float(scale)))
-            assert (energy, error, message) == (fmt_float(alone.energy), fmt_float(alone.estimated_error), "")
+            assert (energy, error, message) == (repr(float(alone.energy)), repr(float(alone.estimated_error)), "")
 
     @pytest.mark.parametrize("lo, hi, steps, last", [("1", "1.7e308", 3, "1.7e+308"),
                                                       ("0.5", repr(sys.float_info.max), 7, None),
@@ -299,13 +298,13 @@ class TestSweepCommand:
         scales = [float(r[0]) for r in rows]
         assert len(rows) == steps and scales[0] == float(lo) and scales == sorted(scales)
         assert all(s <= float(hi) and math.isfinite(float(r[1])) and r[3] == "" for s, r in zip(scales, rows))
-        assert rows[-1][0] == fmt_float(float(hi))
+        assert rows[-1][0] == repr(float(hi))
         if last is not None:
             assert rows[-1][0] == last
         # every scale is numpy.linspace's, whose last step may overflow before it is set to --to
         with np.errstate(over="ignore"):
             expected = np.linspace(float(lo), float(hi), steps).tolist()
-        assert [r[0] for r in rows] == [fmt_float(s) for s in expected]
+        assert [r[0] for r in rows] == [repr(float(s)) for s in expected]
 
     def test_steps_above_the_cap_are_refused(self, graph_file, tmp_path, monkeypatch):
         monkeypatch.setattr(qgraph.cli, "_MAX_STEPS", 10)
@@ -614,7 +613,7 @@ class TestDeterminism:
         manifest = json.loads(out1.read_text())["manifest"]
         p = manifest["parameters"]
         assert p == {"kmax": 12.5}
-        assert main(["spectrum", "--graph", manifest["graph_path"], "--kmax", fmt_float(p["kmax"]),
+        assert main(["spectrum", "--graph", manifest["graph_path"], "--kmax", repr(float(p["kmax"])),
                      "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
@@ -639,7 +638,7 @@ class TestDeterminism:
         p = manifest["parameters"]
         assert set(p) == {"method", "from", "to", "steps"}
         assert main(["sweep", "--graph", manifest["graph_path"],
-                     "--from", fmt_float(p["from"]), "--to", fmt_float(p["to"]),
+                     "--from", repr(float(p["from"])), "--to", repr(float(p["to"])),
                      "--steps", str(p["steps"]), "--method", p["method"],
                      "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -653,7 +652,7 @@ class TestDeterminism:
               "--output", str(out)])
         text = out.read_text()
         value = json.loads(text)["gamma_part"]["re"]
-        assert fmt_float(value) in text
+        assert repr(float(value)) in text
 
         # every float of a spectrum file is the library's double, bit for bit
         graph = graph_file(STAR3)

@@ -807,9 +807,10 @@ def test_seeded_random_graphs_keep_the_unseeded_roots():
 def test_count_chunks_leave_every_bit(graph, k_max, monkeypatch):
     # a budget of 2 KiB holds one form of the gasket (order 15 or more) and
     # 16 of the star's (order 4 or less), so the batches are split; each form
-    # keeps the batch's order
+    # keeps the batch's order.  The same budget puts each root's residual
+    # systems in a chunk of their own
     res = qg.find_eigenvalues(graph, k_max)
-    monkeypatch.setattr(spectrum, "_COUNT_BYTES", 2048)
+    monkeypatch.setattr(spectrum, "_CHUNK_BYTES", 2048)
     chunked = qg.find_eigenvalues(graph, k_max)
     assert np.array(res.eigenvalues).tobytes() == np.array(chunked.eigenvalues).tobytes()
     assert np.array(res.residuals).tobytes() == np.array(chunked.residuals).tobytes()
@@ -874,7 +875,7 @@ def _sparse_vertex_block(counter, ks):
 
     from qgraph import spectrum
 
-    v, n_bonds = len(counter._gamma), len(counter.lengths)
+    v, n_bonds = counter._free.size, len(counter.lengths)
     first, second = counter._ends[:, [0, 0, 1, 1]], counter._ends[:, [0, 1, 0, 1]]
     bond, pair = np.nonzero((first < v) & (second < v))
     values = np.concatenate([np.full(len(bond), 0.5), np.array([0.5, -0.5, -0.5, 0.5])[pair]])
@@ -886,7 +887,7 @@ def _sparse_vertex_block(counter, ks):
     out = np.abs(d) >= spectrum._PIVOT
     schur = np.where(out, -1.0, 0.0) / np.where(out, d, 1.0)
     coef = np.hstack([np.where(steep, schur, d), np.where(steep, d, schur)])
-    gk = np.outer(1.0 / ks, counter._gamma)
+    gk = np.outer(1.0 / ks, counter._gamma[counter._free])
     w = np.maximum(1.0, np.abs(gk)) ** -0.5
     block = (patterns @ coef.T).T.reshape(len(ks), v, v) * w[:, :, None] * w[:, None, :]
     block[:, np.arange(v), np.arange(v)] += np.clip(-gk, -1.0, 1.0)
@@ -916,7 +917,7 @@ def test_vertex_block_matches_the_sparse_pattern_map(graph, k_max):
     eps = 0.25e-14 * k_max
     special = spectrum._special_points(counter.lengths, k_max, 4 * eps)[0][:-1]
     ks = np.concatenate([np.random.default_rng(7).uniform(1e-3, k_max, 2000), special - eps, special + eps])
-    v = len(counter._gamma)
+    v = counter._free.size
     block = np.concatenate(list(counter._form(ks)[3]))[:, :v, :v]
     reference, scale = _sparse_vertex_block(counter, ks)
     # the two add a cell's terms in different orders, so they agree relative
@@ -959,7 +960,7 @@ def test_residual_memory_is_capped_by_the_chunk_budget(monkeypatch):
     sm = spectrum._SecularMatrix(g)
     budget = 3 * 16 * sm.dim**2
     assert len(roots) == 76
-    monkeypatch.setattr(spectrum, "_RESIDUAL_BYTES", budget)
+    monkeypatch.setattr(spectrum, "_CHUNK_BYTES", budget)
     tracemalloc.start()
     try:
         residuals = sm.residuals(roots, mults)
@@ -1033,7 +1034,7 @@ def test_border_for_every_bond_leaves_the_residuals(graph, k_max, monkeypatch):
     sm = _SecularMatrix(graph)
     bordered = sm.residuals(roots, mults)
     free = sum(not c.is_dirichlet for _, c in graph.vertices)
-    assert sm.order_sum == len(roots) * (free + len(graph.bonds))
+    assert sm.residual_orders == len(roots) * (free + len(graph.bonds))
     assert np.all(np.abs(bordered - residuals) <= 1e-15)
 
 
@@ -1088,3 +1089,50 @@ def test_gaskets_up_to_level_six_are_accepted(monkeypatch):
     monkeypatch.setattr(spectrum, "_SecularMatrix", reached)
     with pytest.raises(Reached):
         qg.find_eigenvalues(_gasket(6), 1.0)
+
+
+def test_find_eigenvalues_builds_the_vertex_block_once(monkeypatch):
+    # the count and the residual's Schur systems read one vertex block: the
+    # search builds one object per graph, and it holds the block once
+    init, built = spectrum._MatchingCount.__init__, []
+
+    def counted(self, g):
+        built.append(type(self))
+        init(self, g)
+
+    monkeypatch.setattr(spectrum._MatchingCount, "__init__", counted)
+    qg.find_eigenvalues(_random_delta_graph_24(), 30.0)
+    assert built == [spectrum._SecularMatrix]
+
+
+def _kirchhoff_delta_graph(seed):
+    """Random compact graph of 3-6 vertices, each Kirchhoff or delta with
+    gamma in [-2, 3], lengths from 0.3 to 2: every bond has two free ends."""
+    def coupling(rng):
+        return qg.KIRCHHOFF if rng.random() < 0.3 else qg.delta(float(rng.uniform(-2.0, 3.0)))
+
+    rng = np.random.default_rng(seed)
+    n_vertices = int(rng.integers(3, 7))
+    n_bonds = int(rng.integers(n_vertices - 1, n_vertices * (n_vertices - 1) // 2 + 1))
+    return _random_graph(rng, n_vertices, n_bonds, coupling, lambda r: float(r.uniform(0.3, 2.0)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_defect_in_the_shared_block_raises_the_residual(seed, monkeypatch):
+    # the residual's Schur systems come from the builder that the count's
+    # forms come from, but the bound reads only the directed-bond arrays: with
+    # the inner-pair entries of the complex systems alone scaled by 1.001, the
+    # count still finds the roots and every graph fails on its residuals
+    graph = _kirchhoff_delta_graph(seed)
+    exact = qg.find_eigenvalues(graph, 10.0)
+    assert exact.count >= 3
+    bordered = spectrum._MatchingCount._bordered
+
+    def scaled(self, size, diag, upper, lower, *border):
+        if np.iscomplexobj(diag):
+            upper, lower = 1.001 * upper, 1.001 * lower
+        return bordered(self, size, diag, upper, lower, *border)
+
+    monkeypatch.setattr(spectrum._MatchingCount, "_bordered", scaled)
+    with pytest.raises(qg.NumericalError, match="secular residual"):
+        qg.find_eigenvalues(graph, 10.0)
