@@ -58,12 +58,12 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ExtrapolationError, InputError, NumericalError, QGraphError, UnsupportedTopologyError
-from .graph import CouplingKind, Graph, _to_float, delta, total_length, two_vertex_form
+from .graph import Graph, _to_float, total_length, two_vertex_form
 from .spectrum import find_eigenvalues
 
 #: Frozen overall normalization of the Green-trace route (see module docstring).
@@ -381,7 +381,7 @@ def casimir_mode_sum(g: Graph) -> CasimirResult:
     if not math.isfinite(1.0 / unit):
         raise UnsupportedTopologyError(f"the shortest bond, {l_min!r}, is too short to take as the mode sum's unit")
     # the graph in units of u: lengths over u, delta strengths (1/length) times u
-    couplings = tuple((v, delta(c.gamma * unit) if c.kind is CouplingKind.DELTA else c) for v, c in g.vertices)
+    couplings = tuple((v, replace(c, gamma=c.gamma * unit)) for v, c in g.vertices)
     taus, tau_min = _TAU_WINDOW, _TAU_WINDOW[-1]
     spectrum = find_eigenvalues(Graph(couplings, g.scaled(1.0 / unit).bonds), _CUTOFF_MARGIN / tau_min)
     eigs, k_top = np.asarray(spectrum.eigenvalues), spectrum.k_max

@@ -240,21 +240,15 @@ def _length_violations(bonds, lengths: list[float | None]) -> list[str]:
 
 def two_vertex_form(g: Graph) -> tuple[VertexCoupling, float]:
     """(coupling, bond length) of a compact graph of two vertices joined by
-    one bond, with the same coupling at both ends.
+    one bond, with the same vertex physics at both ends: both Dirichlet, or
+    both delta with one gamma (Kirchhoff is delta(0)).
     """
     if len(g.vertices) != 2 or len(g.bonds) != 1 or g.leads:
         raise UnsupportedTopologyError("only two-vertex graphs (one bond, no leads) are supported")
-    c0 = g.coupling(g.vertices[0][0])
-    if c0 != g.coupling(g.vertices[1][0]):
+    (_, c0), (_, c1) = g.vertices
+    if (c0.is_dirichlet, c0.gamma) != (c1.is_dirichlet, c1.gamma):
         raise UnsupportedTopologyError("two-vertex form requires identical couplings at both vertices")
     return c0, g.bonds[0].length
-
-
-_COUPLING_KEYS = {"kind", "gamma"}
-_VERTEX_KEYS = {"id", "coupling"}
-_BOND_KEYS = {"from", "to", "length", "potential"}
-_LEAD_KEYS = {"vertex"}
-_TOP_KEYS = {"vertices", "bonds", "leads"}
 
 
 def parse_graph(text: str) -> Graph:
@@ -277,20 +271,17 @@ def parse_graph(text: str) -> Graph:
 
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level document must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "document")
+    _reject_unknown(doc, {"vertices", "bonds", "leads"}, "document")
     for required in ("vertices", "bonds"):
         if required not in doc:
             raise GraphFormatError(f"missing field '{required}'")
 
     vertices = []
-    for i, entry in enumerate(_expect_list(doc["vertices"], "vertices")):
-        if not isinstance(entry, dict):
-            raise GraphFormatError(f"vertex {i}: must be an object")
-        _reject_unknown(entry, _VERTEX_KEYS, f"vertex {i}")
+    for i, entry in _section(doc, "vertices", "vertex", {"id", "coupling"}):
         coupling_doc = entry.get("coupling")
         if not isinstance(coupling_doc, dict):
             raise GraphFormatError(f"vertex {i}: missing field 'coupling'")
-        _reject_unknown(coupling_doc, _COUPLING_KEYS, f"vertex {i} coupling")
+        _reject_unknown(coupling_doc, {"kind", "gamma"}, f"vertex {i} coupling")
         kind_raw = coupling_doc.get("kind")
         if kind_raw is None:
             raise GraphFormatError(f"vertex {i}: missing field 'coupling.kind'")
@@ -313,27 +304,13 @@ def parse_graph(text: str) -> Graph:
         vertices.append((entry.get("id"), coupling))
 
     bonds = []
-    for i, entry in enumerate(_expect_list(doc["bonds"], "bonds")):
-        if not isinstance(entry, dict):
-            raise GraphFormatError(f"bond {i}: must be an object")
-        _reject_unknown(entry, _BOND_KEYS, f"bond {i}")
-        for required in ("from", "to", "length"):
-            if required not in entry:
-                raise GraphFormatError(f"bond {i}: missing field '{required}'")
+    for i, entry in _section(doc, "bonds", "bond", {"from", "to", "length", "potential"}, ("from", "to", "length")):
         potential = _expect_number(entry.get("potential", 0.0), f"bond {i}: potential")
         if potential != 0.0:
             raise GraphFormatError(f"bond {i}: nonzero potential {potential} is unsupported (set potential = 0)")
         bonds.append(Bond(entry["from"], entry["to"], entry["length"]))
 
-    leads = []
-    for i, entry in enumerate(_expect_list(doc.get("leads", []), "leads")):
-        if not isinstance(entry, dict):
-            raise GraphFormatError(f"lead {i}: must be an object")
-        _reject_unknown(entry, _LEAD_KEYS, f"lead {i}")
-        if "vertex" not in entry:
-            raise GraphFormatError(f"lead {i}: missing field 'vertex'")
-        leads.append(Lead(entry["vertex"]))
-
+    leads = [Lead(entry["vertex"]) for _, entry in _section(doc, "leads", "lead", {"vertex"}, ("vertex",))]
     return Graph(tuple(vertices), tuple(bonds), tuple(leads))
 
 
@@ -358,10 +335,21 @@ def _reject_unknown(entry: dict, allowed: set, where: str) -> None:
         raise GraphFormatError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _expect_list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise GraphFormatError(f"'{where}' must be a list")
-    return value
+def _section(doc: dict, name: str, what: str, keys: set, required: tuple = ()):
+    """(index, entry) for each entry of the list ``doc[name]`` (none if absent),
+    once it is an object with no key outside ``keys`` and every ``required``
+    one; ``what`` names an entry in the errors."""
+    entries = doc.get(name, [])
+    if not isinstance(entries, list):
+        raise GraphFormatError(f"'{name}' must be a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise GraphFormatError(f"{what} {i}: must be an object")
+        _reject_unknown(entry, keys, f"{what} {i}")
+        for field_name in required:
+            if field_name not in entry:
+                raise GraphFormatError(f"{what} {i}: missing field '{field_name}'")
+        yield i, entry
 
 
 def _expect_number(value, where: str) -> float:

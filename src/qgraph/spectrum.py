@@ -159,15 +159,24 @@ _CHUNK_BYTES = 8 * 2**20
 #: that of ``_special_points``, about 2 L k_max / pi points of 64 bytes.
 _MAX_ROOTS = 10**6
 
-#: Largest V_free + B that ``find_eigenvalues`` accepts: the largest order of a
-#: count form or a residual system, whose complex matrix then holds 256 MiB,
-#: as the vertex S-matrix does at ``_MAX_VALENCY``.
+#: Largest V_free + B that ``find_eigenvalues`` accepts, the largest order of a
+#: count form or a residual system, and largest 2B that ``secular_function``
+#: accepts: a complex matrix of that order holds 256 MiB, as the vertex
+#: S-matrix does at ``_MAX_VALENCY``.
 _MAX_ORDER = _MAX_VALENCY
 
 #: Border coordinates whose diagonal has at least this modulus are eliminated
 #: into the vertex block (module docstring); above 1 none are, which gives the
 #: bordered form.
 _PIVOT = 0.1
+
+
+def _require_bonds(g: Graph) -> None:
+    """Refuse a graph with leads or without bonds, which has no secular matrix."""
+    if not g.is_compact:
+        raise UnsupportedTopologyError("spectrum requires compact graph (no leads)")
+    if not g.bonds:
+        raise UnsupportedTopologyError("graph has no bonds")
 
 
 class _MatchingCount:
@@ -181,10 +190,7 @@ class _MatchingCount:
     of their forms."""
 
     def __init__(self, g: Graph):
-        if not g.is_compact:
-            raise UnsupportedTopologyError("spectrum requires compact graph (no leads)")
-        if not g.bonds:
-            raise UnsupportedTopologyError("graph has no bonds")
+        _require_bonds(g)
         index = {vid: i for i, (vid, _) in enumerate(g.vertices)}
         self._dirichlet = np.array([c.is_dirichlet for _, c in g.vertices])
         self._gamma = np.array([c.gamma for _, c in g.vertices])
@@ -485,8 +491,12 @@ class _SecularMatrix(_MatchingCount):
 
 def secular_function(g: Graph, k: complex) -> complex:
     """det(I - S(k) D(k)) at any finite nonzero real or complex k (k = 0 raises :class:`SingularWavenumberError`);
-    zeros on the positive real axis are eigenvalues, and at -k it is the conjugate of its value at real k."""
-    k, sm = _argument(k, "k", real=False), _SecularMatrix(g)
+    zeros on the positive real axis are eigenvalues, and at -k it is the conjugate of its value at real k.
+    A graph with 2B above ``_MAX_ORDER`` is refused with :class:`InputError` before any array is built."""
+    k = _argument(k, "k", real=False)
+    if 2 * len(g.bonds) > _MAX_ORDER:
+        raise InputError(f"2B = {2 * len(g.bonds)} exceeds {_MAX_ORDER}: the secular matrix would hold over 256 MiB")
+    sm = _SecularMatrix(g)
     if k == 0:
         raise SingularWavenumberError("the vertex amplitudes are singular at k = 0")
     return complex(np.linalg.det(np.eye(sm.dim) - sm.matrices(np.array([k]))[0]))
@@ -534,12 +544,12 @@ def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
     multiplicity m, ||(I - S D) X||_2 for the orthonormal n x m block X of
     two steps of shifted inverse iteration, an upper bound on the m-th
     smallest singular value of I - S D (module docstring).
-    Raises :class:`InputError` if V_free + B, the non-Dirichlet vertices and
-    the bonds, exceeds ``_MAX_ORDER`` = 4096, before anything is allocated, if
-    L k_max / pi + V + B exceeds ``_MAX_ROOTS``
-    or if k_max (1 + 1e-12), the top of the search, times the larger of 2 and
+    Raises :class:`InputError`, before anything is allocated, if V_free + B,
+    the non-Dirichlet vertices and the bonds, exceeds ``_MAX_ORDER`` = 4096,
+    if k_max (1 + 1e-12), the top of the search, times the larger of 2 and
     the largest valency is not finite (the vertex amplitudes would overflow),
-    and :class:`NumericalError` unless every residual is at most
+    or if L k_max / pi + V + B exceeds ``_MAX_ROOTS``, and
+    :class:`NumericalError` unless every residual is at most
     ``_RESIDUAL_TOL`` = 1e-10, if the multiplicities do not add up to the
     count across (0, k_max] or to the full count just beside each root, or
     if the count leaves the Weyl bound |N - L k_max / pi| <= V + B.
@@ -549,14 +559,15 @@ def find_eigenvalues(g: Graph, k_max: float) -> SpectrumResult:
     if order > _MAX_ORDER:
         raise InputError(f"V_free + B = {order} exceeds {_MAX_ORDER}: a count form or residual system of that order "
                          f"would hold more than 256 MiB")
-    sm = _SecularMatrix(g)
+    _require_bonds(g)
     # the search reaches k_top, and the vertex amplitudes take N i k and 2 i k
     k_top = k_max * (1.0 + 1e-12)
-    if not math.isfinite(k_top * max(2, int(sm._valency.max()))):
+    if not math.isfinite(k_top * max(2, *map(g.valency, g.vertex_ids()))):
         raise InputError(f"k_max = {k_max!r} overflows the vertex amplitudes of this graph")
     weyl, audit_bound = weyl_count(g, k_max), len(g.vertices) + len(g.bonds)
     if weyl + audit_bound > _MAX_ROOTS:
         raise InputError(f"k_max = {k_max!r} asks for about {weyl:.3g} eigenvalues, above the cap of {_MAX_ROOTS:.0e}")
+    sm = _SecularMatrix(g)
 
     # below k_lo sit only the zero mode and bound states, which are excluded
     k_lo = 1e-6 * math.pi / total_length(g)

@@ -31,6 +31,9 @@ REFUSED_ARGUMENTS = {
     ),
     "dirichlet_eigenvalues-n_max": lambda: qg.dirichlet_eigenvalues(1.0, 0),
     "find_eigenvalues-no-bonds": lambda: qg.find_eigenvalues(qg.Graph((), ()), 1.0),
+    # 2 i k overflows at the top of the search: refused before the secular matrix
+    "find_eigenvalues-amplitude-overflow": lambda: qg.find_eigenvalues(
+        qg.Graph(((0, qg.DIRICHLET), (1, qg.DIRICHLET)), (qg.Bond(0, 1, 1e-305),)), 9e307),
     "bond_wavefunction-x-beyond-bond": lambda: qg.bond_wavefunction(1, 1, 1.0, 1.0, 2.0),
     "VertexCoupling-kirchhoff-gamma": lambda: qg.VertexCoupling(qg.CouplingKind.KIRCHHOFF, 1.0),
     # lead indices are integers: a bool would index the S-matrix as a mask
@@ -130,7 +133,8 @@ def test_k_zero_stays_a_singular_wavenumber(k):
     for call in (lambda: qg.vertex_reflection_transmission(3, qg.KIRCHHOFF, k),
                  lambda: qg.build_vertex_smatrix(3, qg.KIRCHHOFF, k),
                  lambda: qg.cavity_amplitudes(qg.DIRICHLET, 1.0, k), lambda: qg.free_green(k, 0.1, 0.2),
-                 lambda: qg.secular_function(_INTERVAL, k)):
+                 lambda: qg.secular_function(_INTERVAL, k),
+                 lambda: qg.star_green(0, 1, 0.1, 0.2, qg.VertexSMatrix(_STAR3.entries, k))):
         with pytest.raises(qg.SingularWavenumberError):
             call()
 
@@ -145,3 +149,15 @@ def test_library_raises_no_bare_value_error():
                 if isinstance(exc, ast.Name) and exc.id == "ValueError":
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_document_format_reads_a_coupling_kind():
+    # past the JSON format a vertex is Dirichlet or delta(gamma), Kirchhoff
+    # being delta(0): only VertexCoupling, parse_graph and emit_graph read .kind
+    readers = set()
+    for path in sorted(Path(qg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in tree.body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "kind" for node in ast.walk(scope)):
+                readers.add(f"{path.stem}.{getattr(scope, 'name', type(scope).__name__)}")
+    assert readers <= {"graph.VertexCoupling", "graph.parse_graph", "graph.emit_graph"}

@@ -288,6 +288,29 @@ class TestGreenMethod:
         with pytest.raises(UnsupportedTopologyError, match="identical couplings"):
             qg.casimir_green_method(g)
 
+    @pytest.mark.parametrize("ends", [(qg.KIRCHHOFF, qg.delta(0.0)), (qg.delta(0.0), qg.KIRCHHOFF),
+                                      (qg.delta(-0.0), qg.delta(0.0))], ids=["K-delta0", "delta0-K", "signed-zeros"])
+    def test_kirchhoff_is_delta_zero(self, ends):
+        # the two-vertex form reads a vertex as Dirichlet or delta(gamma): a
+        # Kirchhoff end and a delta(0) end are one vertex physics
+        g = qg.Graph(((0, ends[0]), (1, ends[1])), (qg.Bond(0, 1, 0.8),))
+        pair = qg.Graph(((0, qg.KIRCHHOFF), (1, qg.KIRCHHOFF)), (qg.Bond(0, 1, 0.8),))
+        scales = [0.5, 1.0, 2.0, 7.0]
+
+        def bits(results):
+            return np.array([(r.energy, r.estimated_error) for r in results]).tobytes()
+
+        assert bits([qg.casimir_green_method(g)]) == bits([qg.casimir_green_method(pair)])
+        assert bits(qg.casimir_sweep(g, scales, Method.GREEN_TRACE)) == \
+            bits(qg.casimir_sweep(pair, scales, Method.GREEN_TRACE))
+        assert abs(qg.casimir_green_method(g).energy * 0.8 + math.pi / 24) <= 1e-9
+
+    def test_dirichlet_and_delta_zero_ends_are_refused(self):
+        g = qg.Graph(((0, qg.DIRICHLET), (1, qg.delta(0.0))), (qg.Bond(0, 1, 1.0),))
+        with pytest.raises(UnsupportedTopologyError,
+                           match="^two-vertex form requires identical couplings at both vertices$"):
+            qg.casimir_green_method(g)
+
     def test_attractive_coupling_rejected(self):
         g = qg.Graph(((0, qg.delta(-1.0)), (1, qg.delta(-1.0))), (qg.Bond(0, 1, 1.0),))
         with pytest.raises(UnsupportedTopologyError, match="bound-state"):

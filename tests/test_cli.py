@@ -770,6 +770,37 @@ def test_invalid_thread_env_is_input_error(command, graph_file, tmp_path, monkey
     assert not out.exists()
 
 
+def test_kirchhoff_delta_zero_bond_answers_as_the_kirchhoff_pair(graph_file, tmp_path):
+    # sweep --method green and greens give the Kirchhoff pair's bytes, the
+    # manifest (which names the graph file) aside
+    mixed = {**INTERVAL, "vertices": [{"id": 0, "coupling": {"kind": "kirchhoff"}},
+                                      {"id": 1, "coupling": {"kind": "delta", "gamma": 0.0}}]}
+    pair = two_vertex({"kind": "kirchhoff"})
+    outputs = []
+    for doc, name in ((mixed, "mixed"), (pair, "pair")):
+        graph = graph_file(doc, f"{name}.json")
+        sweep, greens = tmp_path / f"{name}.csv", tmp_path / f"{name}-g.json"
+        assert main(["sweep", "--graph", graph, "--from", "0.5", "--to", "2", "--steps", "4", "--method", "green",
+                     "--output", str(sweep)]) == 0
+        assert main(["greens", "--graph", graph, "--k", "1.3,0.2", "--xi", "0.25", "--xf", "0.5",
+                     "--output", str(greens)]) == 0
+        rows = sweep.read_text().splitlines()[1:]
+        payload = json.loads(greens.read_text())
+        del payload["manifest"]
+        outputs.append((rows, payload))
+    assert outputs[0] == outputs[1]
+    rows = [row.split(",") for row in outputs[0][0][1:]]
+    assert len(rows) == 4 and all(abs(float(e) * float(s) + math.pi / 24) <= 1e-9 for s, e, _, _ in rows)
+
+
+def test_negative_thread_env_is_input_error(graph_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QGRAPH_THREADS", "-1")
+    out = tmp_path / "x.out"
+    assert main(["spectrum", "--graph", graph_file(INTERVAL), "--kmax", "10", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: QGRAPH_THREADS must be >= 0\n"
+    assert not out.exists()
+
+
 def test_modesum_output_is_the_library_result(graph_file, tmp_path):
     # the manifest holds only the method; the window and the fit follow from the graph
     out = tmp_path / "cas.json"

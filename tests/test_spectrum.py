@@ -1136,3 +1136,133 @@ def test_a_defect_in_the_shared_block_raises_the_residual(seed, monkeypatch):
     monkeypatch.setattr(spectrum._MatchingCount, "_bordered", scaled)
     with pytest.raises(qg.NumericalError, match="secular residual"):
         qg.find_eigenvalues(graph, 10.0)
+
+
+def _winding_count(g, k_a, k_b):
+    """The number of roots in (k_a, k_b] from the eigenphase winding of
+    U = S D (Kottos & Smilansky, Ann. Phys. 274, 76 (1999)), which shares
+    nothing with the count's vertex form: at real k each eigenphase theta_j
+    of U moves forward and passes 0 exactly at a root, and the continuous
+    phase of det U is Phi(k) = 2 k L + B pi + sum_v phi_v, phi_v = N_v pi at
+    a Dirichlet vertex, (N_v + 1) pi at a Kirchhoff or delta(0) one and
+    N_v pi + 2 arctan(N_v k / gamma_v) at a delta vertex with gamma != 0.
+    So the roots are [Phi(k_b) - Phi(k_a) - sum theta_j(k_b) + sum theta_j(k_a)] / 2 pi,
+    theta_j in [0, 2 pi); also the distance of that bracket from an integer."""
+    phases = []
+    for k in (k_a, k_b):
+        phi = 2.0 * k * qg.total_length(g) + len(g.bonds) * math.pi
+        for vid, c in g.vertices:
+            n = g.valency(vid)
+            phi += n * math.pi + (0.0 if c.is_dirichlet else math.pi if c.gamma == 0.0
+                                  else 2.0 * math.atan(n * k / c.gamma))
+        phases.append(phi)
+    u = spectrum._SecularMatrix(g).matrices(np.array([k_a, k_b]))
+    theta = np.mod(np.angle(np.linalg.eigvals(u)), 2.0 * math.pi).sum(axis=1)
+    bracket = (phases[1] - phases[0] - theta[1] + theta[0]) / (2.0 * math.pi)
+    return round(bracket), abs(bracket - round(bracket))
+
+
+def _found_in(g, k_a, k_b):
+    return sum(k > k_a for k in qg.find_eigenvalues(g, k_b).eigenvalues)
+
+
+def _mixed_graph(seed):
+    """Random compact graph of 2-6 vertices, each Dirichlet, Kirchhoff or
+    delta with gamma in [-3, 3], lengths from 0.3 to 2."""
+    def coupling(rng):
+        kind = int(rng.integers(3))
+        return qg.delta(float(rng.uniform(-3.0, 3.0))) if kind == 2 else (qg.DIRICHLET, qg.KIRCHHOFF)[kind]
+
+    rng = np.random.default_rng(seed)
+    n_vertices = int(rng.integers(2, 7))
+    n_bonds = int(rng.integers(n_vertices - 1, n_vertices * (n_vertices - 1) // 2 + 1))
+    return _random_graph(rng, n_vertices, n_bonds, coupling, lambda r: float(r.uniform(0.3, 2.0)))
+
+
+def test_winding_count_equals_the_found_count_on_random_graphs():
+    # 120 graphs with attractive and repulsive deltas, 3 to 160 roots each
+    worst, misses = 0.0, []
+    for seed in range(120):
+        g = _mixed_graph(seed)
+        (winding, distance), found = _winding_count(g, 0.37, 25.0), _found_in(g, 0.37, 25.0)
+        worst = max(worst, distance)
+        if winding != found:
+            misses.append((seed, winding, found))
+    assert misses == [] and worst <= 1e-9
+
+
+@pytest.mark.parametrize("graph, k_a, k_b, expected", [
+    (_equal_star(3), 0.37, 25.0, 22),
+    (_equal_star(4), 0.37, 25.0, 29),
+    (_gasket(1), 0.31, 19.9, 54),
+    (_gasket(2), 0.31, 19.9, 164),
+    (_gasket(3), 0.31, 19.9, 492),
+], ids=["3-star", "4-star", "gasket-1", "gasket-2", "gasket-3"])
+def test_winding_count_equals_the_found_count_on_degenerate_roots(graph, k_a, k_b, expected):
+    # every root of an equal star, and most of a gasket's, is multiple
+    winding, distance = _winding_count(graph, k_a, k_b)
+    assert winding == _found_in(graph, k_a, k_b) == expected and distance <= 1e-9
+
+
+def test_winding_count_sees_a_root_that_the_count_drops(monkeypatch):
+    # a count whose offset drops by one above a root loses that root: the
+    # count span, the counts beside the roots, the Weyl audit and the
+    # residuals all still pass, and only the winding count tells
+    g = _mixed_graph(1)
+    exact = qg.find_eigenvalues(g, 25.0)
+    dropped_root = exact.eigenvalues[exact.count // 2]
+    winding = _winding_count(g, 0.37, 25.0)[0]
+    assert winding == sum(k > 0.37 for k in exact.eigenvalues) == 41
+    form = spectrum._MatchingCount._form
+
+    def dropped(self, ks):
+        offset, *rest = form(self, ks)
+        return (offset - (np.asarray(ks) > dropped_root), *rest)
+
+    monkeypatch.setattr(spectrum._MatchingCount, "_form", dropped)
+    assert _found_in(g, 0.37, 25.0) == winding - 1
+
+
+@pytest.mark.parametrize("budget", [8 * 2**20, 2**20], ids=["8MiB", "1MiB"])
+def test_count_memory_is_bounded_by_the_chunk_budget(budget, monkeypatch):
+    # gasket level 3 at k_max = 20: 494 roots, count forms of order up to
+    # V_free + B = 123; the whole search, residuals included, peaked at 16.4
+    # and 2.3 MiB at these budgets, with the same bits
+    import tracemalloc
+
+    g = _gasket(3)
+    exact = qg.find_eigenvalues(g, 20.0)
+    monkeypatch.setattr(spectrum, "_CHUNK_BYTES", budget)
+    tracemalloc.start()
+    try:
+        res = qg.find_eigenvalues(g, 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array(res.eigenvalues + res.residuals).tobytes() == \
+        np.array(exact.eigenvalues + exact.residuals).tobytes()
+    assert peak <= 2.5 * budget + 2**20
+
+
+@pytest.mark.parametrize("refused, graph, k, message", [
+    # a ring of 2,049 bonds: a 4,098 x 4,098 secular matrix
+    (qg.secular_function, lambda: _cycle([1.0] * 2049, [qg.KIRCHHOFF] * 2049), 1.0, "4098 exceeds 4096"),
+    # gasket level 5 (V_free + B = 1,095) has about 2.3e8 roots below 1e6
+    (qg.find_eigenvalues, lambda: _gasket(5), 1e6, "above the cap"),
+    # N i k overflows at the centre of 1,000 arms, which hold about 3,200 roots
+    (qg.find_eigenvalues, lambda: _equal_star(1000, 1e-305), 1e306, "overflows the vertex amplitudes"),
+], ids=["secular-function-order", "root-cap", "amplitude-overflow"])
+def test_refusals_come_before_the_secular_matrix(refused, graph, k, message):
+    # the secular matrix of each graph would take megabytes: its incidence,
+    # its scattering pairs; the refusal reads the graph alone
+    import tracemalloc
+
+    g = graph()
+    tracemalloc.start()
+    try:
+        with pytest.raises(qg.InputError, match=message):
+            refused(g, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
