@@ -18,10 +18,10 @@ modulus >= 1 moves into a border coordinate with diagonal -1/coefficient,
 which keeps the bordered form K bounded at the bond Dirichlet values
 k l_b = n pi and adds one to n_+ per positive border diagonal.  Only bonds
 near those values need their border coordinate: one whose diagonal d_b has
-|d_b| >= 0.1 is eliminated by its Schur complement, which puts the bond's
-plain tan or cot term back on the vertex block.  By Haynsworth's inertia
-additivity (Linear Algebra Appl. 1, 73 (1968)),
-N(k) = sum_b floor(k l_b / pi) - #{kept d_b > 0} - #pad + n_+ of the
+|d_b| >= ``_PIVOT`` = 0.01 is eliminated by its Schur complement, which puts
+the bond's plain tan or cot term, of modulus up to 100, back on the vertex
+block.  By Haynsworth's inertia additivity (Linear Algebra Appl. 1, 73
+(1968)), N(k) = sum_b floor(k l_b / pi) - #{kept d_b > 0} - #pad + n_+ of the
 reduced form, and det K is the product of the eliminated d_b times its
 det; each batch is padded with +1 diagonals to one order, about V_free plus
 a few.  The form changes branch only at its special points, where k l_b is
@@ -73,9 +73,9 @@ bond reversal a <-> a ^ 1, and A = B - T D with B = (1 + c) I + R D: one
 (1, +-1) / sqrt(2).  With z = diag(t) E_head^T D y on the free vertices,
 A y = x is B y = x + E_tail z.  Every bond mode is eliminated through its
 eigenvalue except the small one of a bond near k l_b in pi Z (modulus below
-``_RESIDUAL_PIVOT``), which keeps a border unknown; that leaves a system of
-order V_free plus those bonds, at most V_free + B, and y follows by
-back-substitution.  The systems of one multiplicity are padded to one order.
+``_RESIDUAL_PIVOT`` = 0.1), which keeps a border unknown; that leaves a
+system of order V_free plus those bonds, at most V_free + B, and y follows
+by back-substitution.  The systems of one multiplicity are padded to one order.
 
 The count and the residual share one vertex block per graph (the free
 vertices, each bond's two ends among them, a Dirichlet end one past them, and
@@ -142,8 +142,11 @@ _SHIFT = 1e-13
 
 #: A bond's small mode, whose eigenvalue 1 + c +- e^{ik l_b} in the
 #: residual's block B has modulus below this, keeps a border unknown in the
-#: Schur system; every other mode is eliminated (module docstring).
-_RESIDUAL_PIVOT = 0.3
+#: Schur system; every other mode is eliminated (module docstring), which puts
+#: entries of up to 1 / ``_RESIDUAL_PIVOT`` in the vertex block.  On the tests'
+#: graphs the residuals meet the all-border system's to 1.8e-16 down to 0.03,
+#: a factor of three below this, and differ by 3.9e-15 at 0.02.
+_RESIDUAL_PIVOT = 0.1
 
 #: Largest residual (module docstring) of a root ``find_eigenvalues`` accepts.
 _RESIDUAL_TOL = 1e-10
@@ -166,9 +169,12 @@ _MAX_ROOTS = 10**6
 _MAX_ORDER = _MAX_VALENCY
 
 #: Border coordinates whose diagonal has at least this modulus are eliminated
-#: into the vertex block (module docstring); above 1 none are, which gives the
-#: bordered form.
-_PIVOT = 0.1
+#: into the vertex block (module docstring), with entries of up to 1 / ``_PIVOT``;
+#: above 1 none are, which gives the bordered form.  The count, parity and sign
+#: det equal the bordered form's at any threshold (Haynsworth); on the tests'
+#: graphs log|det K| meets it to 1.0e-11 relative down to 1e-3, a factor of ten
+#: below this, and to 1e-9 down to 1e-7.
+_PIVOT = 0.01
 
 
 def _require_bonds(g: Graph) -> None:

@@ -509,9 +509,10 @@ def test_diagnostics_repeat_and_count_the_det_sign_points():
     assert first.diagnostics["sign_points"] > first.diagnostics["count_points"]
     # 13 free vertices and 24 bonds: the bordered form has order 37, and the
     # reduced form keeps the border coordinates of a few bonds; so does the
-    # residual's Schur system, against 2B = 48 for I - S D
-    assert 13 <= first.diagnostics["form_order"] <= 13 + 24 / 2
-    assert 13 <= first.diagnostics["residual_order"] <= 13 + 24 / 2 < 2 * 24
+    # residual's Schur system, against 2B = 48 for I - S D.  Both means repeat
+    # exactly: 15.6 and 18
+    assert 13 <= first.diagnostics["form_order"] <= 13 + 4
+    assert 13 <= first.diagnostics["residual_order"] <= 13 + 6 < 2 * 24
     assert first.diagnostics["worst_residual"] == max(first.residuals)
 
 
@@ -847,14 +848,22 @@ def _random_strong_delta_graph():
 )
 def test_reduced_form_matches_the_bordered_form(graph, k_max, monkeypatch):
     # a pivot above 1 eliminates no border coordinate, which gives the
-    # bordered form; the points are 2,000 random k and p -+ eps beside every
-    # special point p, where the reduced form keeps the small border diagonals
+    # bordered form; the points are 2,000 random k, p -+ eps beside every
+    # special point p, where the reduced form keeps the small border diagonals,
+    # and the worst-conditioned eliminations: k l_b = n pi -+ 2 atan(f _PIVOT)
+    # with f in (1, 3], where bond b's border diagonal d_b = f _PIVOT in
+    # modulus sits just outside the threshold and adds -1/d_b to the form
     from qgraph import spectrum
 
     counter = spectrum._MatchingCount(graph)
     eps = 0.25e-14 * k_max
     special = spectrum._special_points(counter.lengths, k_max, 4 * eps)[0][:-1]
-    ks = np.concatenate([np.random.default_rng(7).uniform(1e-3, k_max, 2000), special - eps, special + eps])
+    rng, edge = np.random.default_rng(8), []
+    for ell in counter.lengths:
+        n = np.arange(int(k_max * ell / math.pi) + 1)
+        kl = n * math.pi + np.array([[-2.0], [2.0]]) * np.arctan((3.0 - 2.0 * rng.random((2, n.size))) * spectrum._PIVOT)
+        edge.append(kl[(kl > 0.0) & (kl <= k_max * ell)] / ell)
+    ks = np.concatenate([np.random.default_rng(7).uniform(1e-3, k_max, 2000), special - eps, special + eps, *edge])
     roots = np.array(qg.find_eigenvalues(graph, k_max).eigenvalues)
     reduced = counter.count(ks), *counter.parity(ks)
     monkeypatch.setattr(spectrum, "_PIVOT", 2.0)
